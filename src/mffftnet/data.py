@@ -141,6 +141,12 @@ def load_csv(path, target_index: int | None = None) -> SeriesTable:
     if not rows:
         raise DataError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0]
+        raise DataError(
+            f"row {i + 1}, column {names[j]!r}: non-finite value {values[i, j]!r}"
+        )
     tgt = len(names) - 1 if target_index is None else target_index
     return SeriesTable(timestamps, values, names, tgt)
 

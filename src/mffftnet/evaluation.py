@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import SeriesTable, SplitSpec
 from .errors import ConfigurationError
@@ -86,6 +87,25 @@ class ForecastReport:
         return "\n".join(lines)
 
 
+def _rows(n: int, T: int, P: int) -> int:
+    """Lookback/target pairs in a split of ``n`` rows."""
+    m = n - T - P + 1
+    if m < 1:
+        raise ConfigurationError(
+            f"split of {n} rows too short for lookback {T} + horizon {P}"
+        )
+    return m
+
+
+def _targets(
+    values: np.ndarray, T: int, P: int, target_index: int, mode: str
+) -> np.ndarray:
+    """Row i holds the P rows after lookback i, flattened: M x (P*D_out)."""
+    cols = [target_index] if mode == "univariate" else slice(None)
+    w = sliding_window_view(values[T:, cols], P, axis=0)  # M x D_out x P
+    return w.transpose(0, 2, 1).reshape(len(w), -1)
+
+
 def extract_features(
     model: Model,
     values: np.ndarray,
@@ -96,32 +116,33 @@ def extract_features(
     chunk: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(features M x K, targets M x (P*D_out)) over one split's rows."""
-    n = len(values)
-    m = n - T - P + 1
-    if m < 1:
-        raise ConfigurationError(
-            f"split of {n} rows too short for lookback {T} + horizon {P}"
-        )
-    cols = [target_index] if mode == "univariate" else list(range(values.shape[1]))
-    feats, targs = [], []
+    m = _rows(len(values), T, P)
+    lookbacks = sliding_window_view(values[: m + T - 1], T, axis=0)  # M x D x T
+    feats = []
     with no_grad():
         for lo in range(0, m, chunk):
-            idx = np.arange(lo, min(lo + chunk, m))
-            batch = np.stack([values[i : i + T] for i in idx])
-            r = model.encode(Tensor(batch), training=False)
-            feats.append(r.data[:, -1, :])
-            targs.append(
-                np.stack([values[i + T : i + T + P][:, cols].ravel() for i in idx])
-            )
-    return np.concatenate(feats), np.concatenate(targs)
+            batch = np.ascontiguousarray(lookbacks[lo : lo + chunk].transpose(0, 2, 1))
+            feats.append(model.encode(Tensor(batch), training=False).data[:, -1, :])
+    return np.concatenate(feats), _targets(values, T, P, target_index, mode)
+
+
+def _ridge_solver(X: np.ndarray, Y: np.ndarray):
+    """Centre and form the normal equations once; the returned function
+    solves them for one alpha."""
+    xm, ym = X.mean(axis=0), Y.mean(axis=0)
+    Xc, Yc = X - xm, Y - ym
+    gram, cross = Xc.T @ Xc, Xc.T @ Yc
+    eye = np.eye(X.shape[1])
+
+    def solve(alpha: float) -> RidgeProbe:
+        W = np.linalg.solve(gram + alpha * eye, cross)
+        return RidgeProbe(weights=W, intercept=ym - xm @ W, ridge_alpha=alpha)
+
+    return solve
 
 
 def _solve_ridge(X: np.ndarray, Y: np.ndarray, alpha: float) -> RidgeProbe:
-    xm, ym = X.mean(axis=0), Y.mean(axis=0)
-    Xc, Yc = X - xm, Y - ym
-    A = Xc.T @ Xc + alpha * np.eye(X.shape[1])
-    W = np.linalg.solve(A, Xc.T @ Yc)
-    return RidgeProbe(weights=W, intercept=ym - xm @ W, ridge_alpha=alpha)
+    return _ridge_solver(X, Y)(alpha)
 
 
 def predict(probe: RidgeProbe, X: np.ndarray) -> np.ndarray:
@@ -141,10 +162,11 @@ def fit_ridge(
     """Closed-form solve per alpha on train; pick the validation-MSE winner."""
     if len(train[0]) < 2:
         raise ConfigurationError("ridge probe needs at least 2 training rows")
+    solve = _ridge_solver(*train)
     best: RidgeProbe | None = None
     best_mse = np.inf
     for alpha in alpha_grid:
-        probe = _solve_ridge(train[0], train[1], alpha)
+        probe = solve(alpha)
         mse, _ = score(probe, valid[0], valid[1])
         if mse < best_mse:
             best, best_mse = probe, mse
@@ -164,8 +186,14 @@ def evaluate_horizons(
     config_snapshot: dict | None = None,
     timestamp: str = "",
 ) -> ForecastReport:
-    """Per horizon: extract, fit on train, select alpha on valid, score on
-    test. Horizons that do not fit in a split become warning entries."""
+    """Per horizon: fit on train, select alpha on valid, score on test.
+    Horizons that do not fit in a split become warning entries.
+
+    Each split is encoded once, at the smallest fitting horizon; a longer
+    horizon P uses the first ``n - T - P + 1`` of those feature rows. The
+    chunks start at the same rows and the encoder maps each window on its
+    own, so the rows equal a per-horizon extraction bit for bit.
+    """
     report = ForecastReport(
         dataset=dataset_name or "unnamed",
         mode=mode,
@@ -173,22 +201,35 @@ def evaluate_horizons(
         timestamp=timestamp,
     )
     ranges = [split_spec.train_range, split_spec.valid_range, split_spec.test_range]
+    splits = [table.values[a:b] for a, b in ranges]
+    fitting = []
     for P in horizons:
         try:
-            parts = [
-                extract_features(
-                    model, table.values[a:b], T, P, table.target_index, mode
-                )
-                for a, b in ranges
-            ]
+            for values in splits:
+                _rows(len(values), T, P)
         except ConfigurationError as exc:
             report.warnings.append(f"horizon {P} skipped: {exc}")
             continue
-        probe = fit_ridge(parts[0], parts[1], alpha_grid)
-        mse, mae = score(probe, parts[2][0], parts[2][1])
-        report.entries.append(
-            {"horizon": P, "mse": mse, "mae": mae, "ridge_alpha": probe.ridge_alpha}
-        )
+        fitting.append(P)
+    if fitting:
+        P0 = min(fitting)
+        feats = [
+            extract_features(model, values, T, P0, table.target_index, mode)[0]
+            for values in splits
+        ]
+        for P in fitting:
+            parts = [
+                (
+                    X[: _rows(len(values), T, P)],
+                    _targets(values, T, P, table.target_index, mode),
+                )
+                for X, values in zip(feats, splits)
+            ]
+            probe = fit_ridge(parts[0], parts[1], alpha_grid)
+            mse, mae = score(probe, parts[2][0], parts[2][1])
+            report.entries.append(
+                {"horizon": P, "mse": mse, "mae": mae, "ridge_alpha": probe.ridge_alpha}
+            )
     report.finalize()
     return report
 

@@ -11,6 +11,7 @@ from . import encoder as enc_mod
 from . import facm as facm_mod
 from .ctcm import CtcmConfig
 from .encoder import BackboneConfig
+from .errors import ConfigurationError
 from .facm import FacmConfig
 from .fourier import ComplexSpectrum
 from .tensor import Parameter, Tensor
@@ -67,9 +68,9 @@ class Model:
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         for name, p in self.params.items():
             if name not in state:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
+                raise ConfigurationError(f"checkpoint is missing parameter {name!r}")
             if state[name].shape != p.data.shape:
-                raise ValueError(
+                raise ConfigurationError(
                     f"parameter {name!r}: checkpoint shape {state[name].shape} "
                     f"!= model shape {p.data.shape}"
                 )

@@ -4,6 +4,7 @@ decay, the epoch loop, binary checkpoints, and the fine-tune path."""
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -210,31 +211,62 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Parse a checkpoint; a file that cannot be read, ends early, runs on
+    past its last parameter or is otherwise malformed raises
+    ``ConfigurationError``."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read checkpoint {path}: {exc.strerror or exc}"
+        ) from None
     buf = io.BytesIO(raw)
+
+    def take(n: int) -> bytes:
+        at = buf.tell()
+        if n > len(raw) - at:
+            raise ConfigurationError(
+                f"{path}: checkpoint truncated: {n} bytes needed at offset {at}, "
+                f"file has {len(raw)}"
+            )
+        return buf.read(n)
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def text(n: int) -> str:
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"{path}: corrupt checkpoint text") from None
+
     if buf.read(len(_MAGIC)) != _MAGIC:
         raise ConfigurationError(f"{path} is not a checkpoint file")
-    (version,) = struct.unpack("<I", buf.read(4))
+    (version,) = unpack("<I")
     if version != _VERSION:
         raise ConfigurationError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<I", buf.read(4))
-    config_text = buf.read(cfg_len).decode("utf-8")
-    epoch, step = struct.unpack("<QQ", buf.read(16))
-    (count,) = struct.unpack("<I", buf.read(4))
+    (cfg_len,) = unpack("<I")
+    config_text = text(cfg_len)
+    epoch, step = unpack("<QQ")
+    (count,) = unpack("<I")
     params: dict[str, np.ndarray] = {}
     exempt: set[str] = set()
     for _ in range(count):
-        (nlen,) = struct.unpack("<H", buf.read(2))
-        name = buf.read(nlen).decode("utf-8")
-        (rank,) = struct.unpack("<B", buf.read(1))
-        shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(rank))
-        (is_exempt,) = struct.unpack("<B", buf.read(1))
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(buf.read(8 * size), dtype="<f8").reshape(shape).copy()
-        params[name] = arr
+        (nlen,) = unpack("<H")
+        name = text(nlen)
+        (rank,) = unpack("<B")
+        shape = unpack(f"<{rank}I")
+        (is_exempt,) = unpack("<B")
+        blob = take(8 * math.prod(shape))
+        try:
+            params[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+        except ValueError:
+            raise ConfigurationError(f"{path}: corrupt shape {shape} for {name!r}") from None
         if is_exempt:
             exempt.add(name)
+    if buf.tell() != len(raw):
+        raise ConfigurationError(f"{path}: {len(raw) - buf.tell()} trailing bytes")
     return Checkpoint(params, exempt, config_text, epoch, step)
 
 

@@ -142,6 +142,56 @@ def test_eval_reproducible_report(tmp_path, corpus, monkeypatch):
     assert reps[0] == reps[1]
 
 
+@pytest.fixture()
+def checkpoint(tmp_path, corpus):
+    ck = tmp_path / "m.bin"
+    assert main(["train", str(corpus), "--out", str(ck), *FAST]) == 0
+    return ck
+
+
+def _eval_stderr(ck, data, tmp_path, capsys) -> tuple[int, str]:
+    rep = tmp_path / "rep.json"
+    rc = main(["eval", str(ck), str(data), "--report", str(rep), "--horizons", "8"])
+    return rc, capsys.readouterr().err
+
+
+def test_eval_missing_checkpoint_exits_2(tmp_path, corpus, capsys):
+    rc, err = _eval_stderr(tmp_path / "nope.bin", corpus, tmp_path, capsys)
+    assert rc == 2 and "nope.bin" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_eval_truncated_checkpoint_exits_2(tmp_path, corpus, checkpoint, capsys):
+    raw = checkpoint.read_bytes()
+    checkpoint.write_bytes(raw[: len(raw) // 2])
+    rc, err = _eval_stderr(checkpoint, corpus, tmp_path, capsys)
+    assert rc == 2 and "truncated" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_eval_checkpoint_shape_mismatch_exits_2(tmp_path, checkpoint, capsys):
+    # the checkpoint was trained on 2 features; this corpus has 3
+    spec = tmp_path / "spec3.json"
+    spec.write_text(json.dumps({**SPEC, "features": (SPEC["features"] * 2)[:3]}))
+    wide = tmp_path / "wide.csv"
+    assert main(["synth", str(spec), str(wide)]) == 0
+    rc, err = _eval_stderr(checkpoint, wide, tmp_path, capsys)
+    assert rc == 2 and "shape" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_train_non_finite_cell_exits_3(tmp_path, corpus, capsys):
+    lines = corpus.read_text().splitlines()
+    stamp, *cells = lines[5].split(",")
+    lines[5] = ",".join([stamp, "nan", *cells[1:]])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["train", str(bad), "--out", str(tmp_path / "m.bin"), *FAST])
+    err = capsys.readouterr().err
+    assert rc == 3 and "row 5, column 'f0': non-finite" in err
+    assert "Traceback" not in err
+
+
 # -- ablate ------------------------------------------------------------------
 
 

@@ -54,6 +54,17 @@ def test_load_csv_non_numeric_names_row_and_column(tmp_path):
         D.load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_non_finite_names_first_row_and_column(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "date,a,b\n2020-01-01 00:00:00,1.0,2.0\n"
+        f"2020-01-01 01:00:00,1.0,{cell}\n2020-01-01 02:00:00,{cell},2.0\n"
+    )
+    with pytest.raises(DataError, match=r"row 2, column 'b': non-finite"):
+        D.load_csv(path)
+
+
 def test_load_csv_non_monotone_timestamps(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(

@@ -21,6 +21,7 @@ from mffftnet.evaluation import (
     score,
     train_mean_baseline,
 )
+from mffftnet.tensor import Tensor, no_grad
 from tests.test_training import tiny_model
 
 
@@ -128,6 +129,23 @@ def test_extract_features_deterministic_and_chunk_invariant(rng):
     np.testing.assert_allclose(X1, X2, atol=1e-12)
 
 
+def test_extract_features_equals_per_window_stack(rng):
+    # lookbacks come from a strided view; each chunk must reach the encoder
+    # with the same bytes as stacking the windows one by one
+    model = tiny_model()
+    values = rng.normal(size=(100, 2))
+    T, P, chunk = 16, 4, 32
+    X, Y = extract_features(model, values, T, P, 1, chunk=chunk)
+    m = len(values) - T - P + 1
+    feats = []
+    with no_grad():
+        for lo in range(0, m, chunk):
+            batch = np.stack([values[i : i + T] for i in range(lo, min(lo + chunk, m))])
+            feats.append(model.encode(Tensor(batch)).data[:, -1, :])
+    assert X.tobytes() == np.concatenate(feats).tobytes()
+    assert Y.tobytes() == np.stack([values[i + T : i + T + P].ravel() for i in range(m)]).tobytes()
+
+
 def test_extract_features_split_too_short(rng):
     model = tiny_model()
     with pytest.raises(ConfigurationError):
@@ -173,6 +191,42 @@ def test_evaluate_horizons_report(rng):
     assert abs(report.avg_mse - np.mean([e["mse"] for e in report.entries])) < 1e-12
     assert abs(report.avg_mae - np.mean([e["mae"] for e in report.entries])) < 1e-12
     assert all(np.isfinite(e["mse"]) and e["mse"] >= 0 for e in report.entries)
+
+
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+def test_evaluate_horizons_equals_per_horizon_reference(rng, mode):
+    # shared features and the hoisted ridge must reproduce, bit for bit, an
+    # extraction per horizon followed by a separate solve per alpha
+    table = make_table(rng)
+    spec = split(table)
+    table = standardize(table, spec)
+    model = tiny_model()
+    T = 16
+    report = evaluate_horizons(model, table, spec, T=T, horizons=[4, 8, 500], mode=mode)
+    expected = []
+    for P in (4, 8):
+        (X, Y), (Xv, Yv), (Xt, Yt) = [
+            extract_features(model, table.values[a:b], T, P, table.target_index, mode)
+            for a, b in (spec.train_range, spec.valid_range, spec.test_range)
+        ]
+        best, best_mse = None, np.inf
+        for alpha in DEFAULT_ALPHA_GRID:
+            probe = _solve_ridge(X, Y, alpha)
+            mse, _ = score(probe, Xv, Yv)
+            if mse < best_mse:
+                best, best_mse = probe, mse
+        mse, mae = score(best, Xt, Yt)
+        expected.append(
+            {"horizon": P, "mse": mse, "mae": mae, "ridge_alpha": best.ridge_alpha}
+        )
+        fitted = fit_ridge((X, Y), (Xv, Yv))
+        alone = _solve_ridge(X, Y, fitted.ridge_alpha)
+        assert fitted.weights.tobytes() == alone.weights.tobytes()
+        assert fitted.intercept.tobytes() == alone.intercept.tobytes()
+    assert report.entries == expected
+    assert report.warnings == [
+        "horizon 500 skipped: split of 156 rows too short for lookback 16 + horizon 500"
+    ]
 
 
 def test_probe_beats_baseline_on_periodic_signal(rng):

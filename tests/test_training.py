@@ -277,6 +277,41 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_corruption_raises_configuration_error(tmp_path):
+    # truncations, a seeded sample of bit flips, and trailing junk
+    # either load or raise ConfigurationError, never another exception
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, tiny_model(seed=4), "cfg-text", epoch=1, step=2)
+    raw = path.read_bytes()
+    rng = np.random.default_rng(0)
+    flips = []
+    for i in rng.integers(0, len(raw), size=1000):
+        b = bytearray(raw)
+        b[i] ^= 1 << int(rng.integers(0, 8))
+        flips.append(bytes(b))
+    cases = [raw[:n] for n in range(0, len(raw), 5)] + flips + [raw + b"junk"]
+    for case in cases:
+        path.write_bytes(case)
+        try:
+            load_checkpoint(path)
+        except ConfigurationError:
+            pass
+    for case in (raw[: len(raw) // 2], raw + b"junk"):
+        path.write_bytes(case)
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(path)
+
+
+def test_load_state_mismatch_raises_configuration_error():
+    model = tiny_model(seed=4)
+    state = model.state_arrays()
+    with pytest.raises(ConfigurationError, match="shape"):
+        tiny_model(D=3, seed=4).load_state(state)
+    del state["backbone.lin.w"]
+    with pytest.raises(ConfigurationError, match="missing"):
+        model.load_state(state)
+
+
 # -- fine-tuning -------------------------------------------------------------
 
 
