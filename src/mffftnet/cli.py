@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -200,6 +201,13 @@ def cmd_ablate(args, mapping) -> int:
     return 0
 
 
+def _perturb_train_rows(table, pert: PerturbationSpec, train_end: int):
+    """``table`` with ``pert`` applied to the rows before ``train_end`` only."""
+    values = data_mod.inject(table, pert).values
+    values[train_end:] = table.values[train_end:]
+    return replace(table, values=values)
+
+
 def cmd_robustness(args, mapping) -> int:
     cfg = _resolve_config(args, mapping)
     if args.kind not in ("noise", "missing"):
@@ -219,30 +227,12 @@ def cmd_robustness(args, mapping) -> int:
         if args.kind == "noise":
             # Noise hits the raw train rows; normalization statistics are
             # then recomputed so they reflect the corrupted train split.
-            noisy = data_mod.inject(table, pert)
-            train_end = spec.train_end
-            vals = noisy.values.copy()
-            vals[train_end:] = table.values[train_end:]
-            noisy = data_mod.SeriesTable(
-                timestamps=table.timestamps,
-                values=vals,
-                feature_names=table.feature_names,
-                target_index=table.target_index,
-            )
-            pspec = data_mod.split(noisy)
-            perturbed = data_mod.standardize(noisy, pspec)
+            noisy = _perturb_train_rows(table, pert, spec.train_end)
+            perturbed = data_mod.standardize(noisy, data_mod.split(noisy))
         else:
             # Missing cells are zeroed after standardization (train-mean
             # imputation), restricted to the train split.
-            masked = data_mod.inject(std, pert)
-            vals = masked.values.copy()
-            vals[spec.train_end :] = std.values[spec.train_end :]
-            perturbed = data_mod.SeriesTable(
-                timestamps=std.timestamps,
-                values=vals,
-                feature_names=std.feature_names,
-                target_index=std.target_index,
-            )
+            perturbed = _perturb_train_rows(std, pert, spec.train_end)
         model, _, _, vcfg = _build_and_fit(perturbed, spec, cfg, AblationFlags())
         report = _evaluate(model, table, std, spec, vcfg)
         rows.append(

@@ -1,9 +1,8 @@
 """Real-input FFT / inverse FFT over the time axis, with autodiff support.
 
 Convention: unnormalized forward transform X[j] = sum_t x[t] e^{-2 pi i j t / T},
-inverse with 1/T. Power-of-two lengths take an iterative radix-2 path; every
-other length goes through the Bluestein chirp-z algorithm, so any window
-length is exact (no padding).
+inverse with 1/T, which is numpy's ``np.fft`` default. Any window length is
+exact (no padding).
 
 Transforms act along axis -2 of a (..., T, F) array: one DFT per feature
 column, batched over leading axes. The forward/inverse maps are linear, so
@@ -18,78 +17,6 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 from .tensor import Tensor, _accum, _make, atan2, tsqrt
-
-# -- raw complex FFT (numpy arrays, no autodiff) ---------------------------
-
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(a: np.ndarray) -> np.ndarray:
-    """In-order iterative radix-2 FFT along the last axis (length 2^p)."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.astype(np.complex128, copy=True)
-    a = a[..., _bit_reverse_indices(n)].astype(np.complex128)
-    m = 2
-    while m <= n:
-        half = m // 2
-        w = np.exp(-2j * np.pi * np.arange(half) / m)
-        b = a.reshape(a.shape[:-1] + (n // m, m))
-        even = b[..., :half]
-        odd = b[..., half:] * w
-        a = np.concatenate([even + odd, even - odd], axis=-1).reshape(a.shape)
-        m *= 2
-    return a
-
-
-def _ifft_pow2(a: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(a))) / a.shape[-1]
-
-
-def _fft_bluestein(a: np.ndarray) -> np.ndarray:
-    """Arbitrary-length FFT along the last axis via chirp-z convolution."""
-    n = a.shape[-1]
-    t = np.arange(n)
-    # t^2 mod 2n keeps the chirp phase accurate for long inputs
-    chirp = np.exp(-1j * np.pi * ((t * t) % (2 * n)) / n)
-    m = 1
-    while m < 2 * n - 1:
-        m *= 2
-    A = np.zeros(a.shape[:-1] + (m,), dtype=np.complex128)
-    A[..., :n] = a * chirp
-    B = np.zeros(m, dtype=np.complex128)
-    B[:n] = np.conj(chirp)
-    B[m - n + 1 :] = np.conj(chirp)[1:][::-1]
-    conv = _ifft_pow2(_fft_pow2(A) * _fft_pow2(B))
-    return chirp * conv[..., :n]
-
-
-def _cfft_last(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    if n & (n - 1) == 0:
-        return _fft_pow2(a)
-    return _fft_bluestein(a)
-
-
-def cfft(a: np.ndarray, axis: int = -2) -> np.ndarray:
-    """Unnormalized complex DFT along ``axis``."""
-    moved = np.moveaxis(np.asarray(a, dtype=np.complex128), axis, -1)
-    return np.moveaxis(_cfft_last(moved), -1, axis)
-
-
-def icfft(a: np.ndarray, axis: int = -2) -> np.ndarray:
-    """Inverse complex DFT (1/T normalization) along ``axis``."""
-    n = np.asarray(a).shape[axis]
-    return np.conj(cfft(np.conj(a), axis=axis)) / n
-
 
 # -- spectrum containers ---------------------------------------------------
 
@@ -147,16 +74,15 @@ def rfft(x: Tensor) -> ComplexSpectrum:
     if T < 2:
         raise ParameterError(f"rfft needs T >= 2, got T={T}")
     c = T // 2 + 1
-    full = cfft(x.data, axis=-2)
-    bins = full[..., :c, :]
+    bins = np.fft.rfft(x.data, axis=-2)
 
     def _adjoint_into_x(g_complex: np.ndarray) -> np.ndarray:
         gpad = np.zeros(x.shape[:-2] + (T,) + x.shape[-1:], dtype=np.complex128)
         gpad[..., :c, :] = g_complex
-        return np.real(T * icfft(gpad, axis=-2))
+        return np.real(T * np.fft.ifft(gpad, axis=-2))
 
     def bw_re(g):
-        _accum(x, _adjoint_into_x(g.astype(np.complex128)))
+        _accum(x, _adjoint_into_x(g))
 
     def bw_im(g):
         _accum(x, _adjoint_into_x(1j * g))
@@ -171,22 +97,14 @@ def irfft(s: ComplexSpectrum) -> Tensor:
     s.validate()
     T = s.origin_length
     c = T // 2 + 1
-    bins = s.re.data + 1j * s.im.data
-    full = np.zeros(bins.shape[:-2] + (T,) + bins.shape[-1:], dtype=np.complex128)
-    full[..., :c, :] = bins
-    if T > c:
-        full[..., c:, :] = np.conj(bins[..., T - c : 0 : -1, :])
-    out_data = np.real(icfft(full, axis=-2))
+    out_data = np.fft.irfft(s.re.data + 1j * s.im.data, n=T, axis=-2)
 
     def bw(g):
-        gs = cfft(g.astype(np.complex128), axis=-2) / T
-        g_re = np.ascontiguousarray(gs.real[..., :c, :])
-        g_im = np.ascontiguousarray(gs.imag[..., :c, :])
-        if T > c:
-            g_re[..., 1 : T - c + 1, :] += gs.real[..., : c - 1 : -1, :]
-            g_im[..., 1 : T - c + 1, :] -= gs.imag[..., : c - 1 : -1, :]
-        _accum(s.re, g_re)
-        _accum(s.im, g_im)
+        # bins 1 .. T-c also stand for their conjugate mirror bins T-1 .. c
+        gs = np.fft.rfft(g, axis=-2) / T
+        gs[..., 1 : T - c + 1, :] *= 2.0
+        _accum(s.re, gs.real)
+        _accum(s.im, gs.imag)
 
     return _make(out_data, (s.re, s.im), bw)
 

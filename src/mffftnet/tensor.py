@@ -2,9 +2,9 @@
 
 Every tensor op records its inputs and a backward rule on an implicit tape
 (the parent links of the output). ``backward`` on a scalar walks the graph
-in reverse topological order and accumulates gradients with ``+=`` so
-parameters shared between branches (e.g. the two augmented views) receive
-contributions from both.
+in reverse topological order and accumulates gradients with ``+=`` so a
+tensor read by several ops (e.g. the backbone output, which feeds both
+FACM and CTCM) receives contributions from all of them.
 
 Ops are batch-agnostic: the documented shapes are the trailing axes and any
 leading axes are treated as batch dimensions.
@@ -13,14 +13,13 @@ leading axes are treated as batch dimensions.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError
 
 _grad_enabled = True
-_finite_checks = True
 
 
 @contextlib.contextmanager
@@ -33,12 +32,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the per-op finiteness assertion (on by default)."""
-    global _finite_checks
-    _finite_checks = enabled
 
 
 class Tensor:
@@ -142,7 +135,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    if _finite_checks and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericError("non-finite value produced by a tensor operation")
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -249,13 +242,20 @@ def ttanh(a: Tensor) -> Tensor:
     return _make(out_data, (a,), lambda g: _accum(a, g * (1.0 - out_data**2)))
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) without overflow: e^-x is capped at e^709, just under
+    the float64 limit, so x < -709 gives a tiny positive value instead of an
+    overflow warning, and every x >= -709 gets exactly the uncapped value."""
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, 709.0)))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _logistic(a.data)
     return _make(s, (a,), lambda g: _accum(a, g * s * (1.0 - s)))
 
 
 def silu(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _logistic(a.data)
 
     def bw(g):
         _accum(a, g * s * (1.0 + a.data * (1.0 - s)))
@@ -328,6 +328,20 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             _accum(t, piece)
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
+
+
+def unstack(a: Tensor) -> list[Tensor]:
+    """Split along the leading axis: ``unstack(a)[i].data == a.data[i]``."""
+
+    def piece(i: int) -> Tensor:
+        def bw(g):
+            gg = np.zeros_like(a.data)
+            gg[i] = g
+            _accum(a, gg)
+
+        return _make(a.data[i], (a,), bw)
+
+    return [piece(i) for i in range(a.shape[0])]
 
 
 def diagonal(a: Tensor) -> Tensor:
@@ -495,7 +509,3 @@ def finite_diff_check(
             numeric[i] = (hi - lo) / (2.0 * step)
     err = np.abs(analytic.ravel() - numeric) / (np.abs(analytic.ravel()) + 1e-8)
     return float(err.max()) if err.size else 0.0
-
-
-def parameters_of(params: Iterable[Parameter]) -> list[Parameter]:
-    return list(params)

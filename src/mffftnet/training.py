@@ -12,8 +12,10 @@ import numpy as np
 
 from . import ctcm as ctcm_mod
 from . import facm as facm_mod
+from . import tensor as tn
 from .augment import AugmentConfig, augment_view
 from .errors import ConfigurationError, NumericError
+from .fourier import ComplexSpectrum
 from .model import Model
 from .tensor import Parameter, Tensor
 
@@ -57,42 +59,40 @@ def total_loss(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """(L_total, L_time, L_freq) for one B x T x D batch of windows.
 
-    The two views share every parameter; ablation flags replace a branch's
-    output with zeros and drop its loss term.
+    The two augmented views are stacked on a leading axis of 2 and run
+    through every module as one (2, B, ...) batch, so they share every
+    parameter and one dropout seed per step. Ablation flags replace a
+    branch's output with zeros and drop its loss term.
     """
     flags = cfg.ablation
     if flags.disable_augmentation:
-        v1 = v2 = batch
+        views = np.stack([batch, batch])
     else:
         base = 2 * step * len(batch)
-        v1 = np.stack(
-            [augment_view(w, aug_cfg, base + 2 * i) for i, w in enumerate(batch)]
+        views = np.stack(
+            [
+                [augment_view(w, aug_cfg, base + 2 * i + v) for i, w in enumerate(batch)]
+                for v in (0, 1)
+            ]
         )
-        v2 = np.stack(
-            [augment_view(w, aug_cfg, base + 2 * i + 1) for i, w in enumerate(batch)]
-        )
-    r1 = model.encode(Tensor(v1), training, rng_seed=2 * step)
-    r2 = model.encode(Tensor(v2), training, rng_seed=2 * step + 1)
+    r = model.encode(Tensor(views), training, rng_seed=step)
 
-    half = model.config.backbone.output_dim // 2
     if flags.disable_facm:
         l_freq = Tensor(0.0)
-        h_hat1 = Tensor(np.zeros(r1.shape[:-1] + (half,)))
-        h_hat2 = Tensor(np.zeros(r2.shape[:-1] + (half,)))
+        h_hat = Tensor(np.zeros(r.shape[:-1] + (model.config.backbone.output_dim // 2,)))
     else:
-        h_hat1, s1 = model.facm(r1, training, rng_seed=2 * step)
-        h_hat2, s2 = model.facm(r2, training, rng_seed=2 * step + 1)
+        h_hat, s = model.facm(r, training, rng_seed=step)
+        s1, s2 = (
+            ComplexSpectrum(re=re, im=im, origin_length=s.origin_length)
+            for re, im in zip(tn.unstack(s.re), tn.unstack(s.im))
+        )
         _, _, l_freq = facm_mod.freq_contrastive_loss(s1, s2, model.config.facm.lam)
 
     if flags.disable_ctcm:
         l_time = Tensor(0.0)
     else:
-        h1 = model.fuse(model.ctcm(r1), h_hat1)
-        h2 = model.fuse(model.ctcm(r2), h_hat2)
-        l_time = (
-            ctcm_mod.time_contrastive_loss(r1, h1)
-            + ctcm_mod.time_contrastive_loss(r2, h2)
-        ) * 0.5
+        # the mean over the (2, B) leading axes is the mean of the two view losses
+        l_time = ctcm_mod.time_contrastive_loss(r, model.fuse(model.ctcm(r), h_hat))
 
     l_total = l_time * cfg.gamma1 + l_freq * cfg.gamma2
     return l_total, l_time, l_freq

@@ -237,14 +237,15 @@ def test_ablation_variant_table_complete():
 # -- robustness --------------------------------------------------------------
 
 
-def test_robustness_missing_rows(tmp_path, corpus):
+@pytest.mark.parametrize("kind", ["missing", "noise"])
+def test_robustness_missing_rows(tmp_path, corpus, kind):
     out = tmp_path / "rob.json"
     rc = main(
         [
             "robustness",
             str(corpus),
             "--kind",
-            "missing",
+            kind,
             "--ratios",
             "0.1",
             "--out",

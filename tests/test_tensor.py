@@ -200,6 +200,19 @@ def test_silu_gradient_at_zero():
     fdc(lambda t: tn.tsum(tn.silu(t)), np.array([0.0]), 1e-8)
 
 
+def test_sigmoid_silu_no_overflow_at_large_magnitudes():
+    for op in (tn.sigmoid, tn.silu):
+        x = Tensor([-1000.0, 1000.0], requires_grad=True)
+        with np.errstate(over="raise"):
+            tn.tsum(op(x)).backward()
+        assert np.all(np.isfinite(x.grad))
+    # every x >= -709 keeps the uncapped formula's exact value
+    x = np.linspace(-709.0, 709.0, 2001)
+    s = 1.0 / (1.0 + np.exp(-x))
+    np.testing.assert_array_equal(tn.sigmoid(Tensor(x)).data, s)
+    np.testing.assert_array_equal(tn.silu(Tensor(x)).data, x * s)
+
+
 def test_gelu_gradient(rng):
     fdc(lambda t: tn.tsum(tn.gelu(t)), rng.normal(size=(7,)), 1e-6)
 
@@ -321,6 +334,21 @@ def test_concat_and_gradient(rng):
     out = tn.concat([Tensor(a), Tensor(b)], axis=-1)
     np.testing.assert_array_equal(out.data, np.concatenate([a, b], axis=-1))
     fdc(lambda t: tn.tsum(tn.concat([t, Tensor(b)], axis=-1) * 1.5), a, 1e-6)
+
+
+def test_unstack_and_gradient(rng):
+    x = rng.normal(size=(2, 3, 2))
+    parts = tn.unstack(Tensor(x))
+    assert len(parts) == 2
+    for i, part in enumerate(parts):
+        np.testing.assert_array_equal(part.data, x[i])
+    w0, w1 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+
+    def f(t):
+        a, b = tn.unstack(t)
+        return tn.tsum(a * Tensor(w0)) + tn.tsum(b * b * Tensor(w1))
+
+    fdc(f, x, 1e-6)
 
 
 def test_transpose_reshape_gradient(rng):

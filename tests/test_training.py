@@ -1,16 +1,21 @@
 """Joint loss composition, SGD with momentum and decay, the epoch loop,
 checkpoint round-trips, and fine-tuning."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from mffftnet.augment import AugmentConfig
+from mffftnet import ctcm as ctcm_mod
+from mffftnet import facm as facm_mod
+from mffftnet.augment import AugmentConfig, augment_view
+from mffftnet.cli import ABLATION_VARIANTS
 from mffftnet.ctcm import CtcmConfig
 from mffftnet.encoder import BackboneConfig
 from mffftnet.errors import ConfigurationError
 from mffftnet.facm import FacmConfig
 from mffftnet.model import Model, ModelConfig
-from mffftnet.tensor import Parameter
+from mffftnet.tensor import Parameter, Tensor
 from mffftnet.training import (
     AblationFlags,
     Checkpoint,
@@ -94,6 +99,68 @@ def test_disable_augmentation_views_identical(rng):
     _, l_time_a, _ = total_loss(batch, model, cfg, AUG, step=0, training=False)
     _, l_time_b, _ = total_loss(batch, model, cfg, AUG, step=7, training=False)
     assert l_time_a.item() == l_time_b.item()  # step only seeds the views
+
+
+def two_pass_loss(batch, model, cfg, aug_cfg, step):
+    """``total_loss`` in eval mode, one graph per view: the reference for
+    the stacked single-graph path."""
+    flags = cfg.ablation
+    if flags.disable_augmentation:
+        views = [batch, batch]
+    else:
+        base = 2 * step * len(batch)
+        views = [
+            np.stack([augment_view(w, aug_cfg, base + 2 * i + v) for i, w in enumerate(batch)])
+            for v in (0, 1)
+        ]
+    rs = [model.encode(Tensor(v)) for v in views]
+    if flags.disable_facm:
+        l_freq = Tensor(0.0)
+        h_hats = [Tensor(np.zeros(r.shape[:-1] + (r.shape[-1] // 2,))) for r in rs]
+    else:
+        (h1, s1), (h2, s2) = (model.facm(r) for r in rs)
+        h_hats = [h1, h2]
+        _, _, l_freq = facm_mod.freq_contrastive_loss(s1, s2, model.config.facm.lam)
+    if flags.disable_ctcm:
+        l_time = Tensor(0.0)
+    else:
+        l_time = (
+            ctcm_mod.time_contrastive_loss(rs[0], model.fuse(model.ctcm(rs[0]), h_hats[0]))
+            + ctcm_mod.time_contrastive_loss(rs[1], model.fuse(model.ctcm(rs[1]), h_hats[1]))
+        ) * 0.5
+    return l_time * cfg.gamma1 + l_freq * cfg.gamma2, l_time, l_freq
+
+
+@pytest.mark.parametrize("variant", ["full", "wo-fm", "wo-cm", "wo-da"])
+def test_stacked_views_match_two_pass_reference(rng, variant):
+    model = tiny_model()
+    for name in ("facm.beta.re", "facm.beta.im"):
+        model.params[name].data += 0.05 * rng.normal(size=model.params[name].shape)
+    batch = tiny_batch(rng, B=3)
+    cfg = TrainConfig(gamma1=0.7, gamma2=1.3, ablation=ABLATION_VARIANTS[variant])
+
+    def run(loss_fn):
+        losses = loss_fn(batch, model, cfg, AUG, step=5)
+        model.zero_grad()
+        losses[0].backward()
+        grads = {n: p.grad for n, p in model.params.items()}
+        return [l.item() for l in losses], grads
+
+    stacked, stacked_grads = run(partial(total_loss, training=False))
+    reference, reference_grads = run(two_pass_loss)
+    for got, want in zip(stacked, reference):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    # a bias whose shift cancels in the softmax (fuse.b, ctcm.proj.b, ...)
+    # has a gradient that is zero up to rounding, so each parameter's scale
+    # is floored at a thousandth of the largest gradient
+    top = max(np.abs(g).max() for g in reference_grads.values() if g is not None)
+    for name, want in reference_grads.items():
+        got = stacked_grads[name]
+        if want is None:
+            assert got is None, name
+            continue
+        scale = max(np.abs(want).max(), 1e-3 * top)
+        assert np.abs(got - want).max() <= 1e-12 * scale, name
 
 
 def test_full_path_gradient_matches_finite_differences(rng):
