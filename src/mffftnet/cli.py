@@ -20,7 +20,7 @@ import numpy as np
 from . import data as data_mod
 from . import evaluation as eval_mod
 from . import training as train_mod
-from .config import DEFAULTS, PROFILES, RunConfig, parse_config_file
+from .config import DEFAULTS, PROFILES, RunConfig, parse_config_file, parse_config_text
 from .data import PerturbationSpec, SyntheticFeature
 from .errors import ConfigurationError, DataError, MffError, NumericError, ParameterError
 from .model import Model
@@ -70,19 +70,8 @@ def _resolve_config(args, mapping) -> RunConfig:
 
 
 def _runconfig_from_text(text: str) -> RunConfig:
-    overrides = {}
-    profile = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "profile":
-            profile = value
-        else:
-            overrides[key] = value
-    return RunConfig.resolve(profile, overrides, {})
+    overrides = parse_config_text(text, "checkpoint config")
+    return RunConfig.resolve(overrides.pop("profile", None), overrides, {})
 
 
 def _prepare(path, cfg: RunConfig):

@@ -111,24 +111,31 @@ def _coerce(key: str, raw) -> object:
         raise ConfigurationError(f"bad value {raw!r} for key {key!r}") from None
 
 
-def parse_config_file(path) -> dict[str, object]:
-    """Flat ``key = value`` lines; blank lines and # comments ignored."""
+def parse_config_text(text: str, origin) -> dict[str, object]:
+    """Flat ``key = value`` lines; blank lines and # comments ignored.
+    ``origin`` names the source in error messages."""
     overrides: dict[str, object] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(
+                f"{origin}:{lineno}: expected 'key = value', got {line!r}"
+            )
+        key, _, value = line.partition("=")
+        overrides[key.strip()] = value.strip()
+    return overrides
+
+
+def parse_config_file(path) -> dict[str, object]:
+    """``parse_config_text`` on the UTF-8 contents of ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: expected 'key = value', got {line!r}"
-                    )
-                key, _, value = line.partition("=")
-                overrides[key.strip()] = value.strip()
+            text = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    return overrides
+    return parse_config_text(text, path)
 
 
 class RunConfig:

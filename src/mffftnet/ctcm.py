@@ -1,11 +1,13 @@
 """Complementary time-domain contrastive module.
 
-Parallel causal 1-D convolutions at several kernel sizes produce a
-K x n x T stack; the multi-scale feature fusion (MSFF) block — 3x3 2-D
-convolution, SiLU, average pooling over the scale axis, 1x1 2-D
-convolution — collapses it to T x K/2. Fusion concatenates the time- and
-frequency-domain halves and projects back to K; the time contrastive loss
-ties each fused timestep to its backbone representation.
+Parallel causal 1-D convolutions at several kernel sizes produce an
+n x T x K stack (scales, time, channels; channels last throughout). The
+multi-scale feature fusion (MSFF) block collapses it to T x K/2: a 3x3
+2-D convolution over (scale, time), SiLU, the mean over the n scales (the
+paper's average pool spans the whole scale axis) and a per-timestep
+linear map (the paper's 1x1 convolution). Fusion concatenates the time-
+and frequency-domain halves and projects back to K; the time contrastive
+loss ties each fused timestep to its backbone representation.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ def make_ctcm_params(
         add(f"ctcm.scale{kj}.w", kaiming((kj, K, K), kj * K))
         add(f"ctcm.scale{kj}.b", np.zeros(K), exempt=True)
     add("ctcm.msff.conv1.w", kaiming((3, 3, K, H), 9 * K))
-    add("ctcm.msff.conv1.b", np.zeros((H, 1, 1)), exempt=True)
-    add("ctcm.msff.conv2.w", kaiming((1, 1, H, half), H))
-    add("ctcm.msff.conv2.b", np.zeros((half, 1, 1)), exempt=True)
+    add("ctcm.msff.conv1.b", np.zeros(H), exempt=True)
+    add("ctcm.msff.conv2.w", kaiming((H, half), H))
+    add("ctcm.msff.conv2.b", np.zeros(half), exempt=True)
     add("ctcm.proj.w", kaiming((half, half), half))
     add("ctcm.proj.b", np.zeros(half), exempt=True)
     add("fuse.w", kaiming((K, K), K))
@@ -68,38 +70,30 @@ def make_ctcm_params(
 def multiscale_conv(
     r: Tensor, params: dict[str, Parameter], kernels: tuple[int, ...]
 ) -> Tensor:
-    """Stack causal depth-preserving convolutions: (..., T, K) -> (..., K, n, T)."""
+    """Stack causal depth-preserving convolutions: (..., T, K) -> (..., n, T, K)."""
     T = r.shape[-2]
     for kj in kernels:
         if kj > T:
             raise ParameterError(f"kernel {kj} exceeds window length {T}")
     scales = []
-    axes = (*range(r.ndim - 2), r.ndim - 1, r.ndim - 2)  # swap (T, K) -> (K, T)
     for kj in kernels:
         y = tn.causal_conv1d(r, params[f"ctcm.scale{kj}.w"]) + params[f"ctcm.scale{kj}.b"]
-        y = tn.transpose(y, axes)
-        scales.append(tn.reshape(y, y.shape[:-1] + (1, y.shape[-1])))
-    return tn.concat(scales, axis=-2)
+        scales.append(tn.reshape(y, y.shape[:-2] + (1,) + y.shape[-2:]))
+    return tn.concat(scales, axis=-3)
 
 
 def msff(h_d: Tensor, params: dict[str, Parameter]) -> Tensor:
-    """(..., K, n, T) -> (..., K/2, 1, T) via conv / SiLU / pool / conv."""
-    n = h_d.shape[-2]
-    z = tn.conv2d(h_d, params["ctcm.msff.conv1.w"], padding="same")
-    z = tn.silu(z + params["ctcm.msff.conv1.b"])
-    z = tn.avg_pool2d(z, (n, 1))
-    z = tn.conv2d(z, params["ctcm.msff.conv2.w"], padding="same")
-    return z + params["ctcm.msff.conv2.b"]
+    """(..., n, T, K) -> (..., T, K/2) via 3x3 conv / SiLU / scale mean / linear."""
+    z = tn.conv2d(h_d, params["ctcm.msff.conv1.w"])
+    z = tn.tmean(tn.silu(z + params["ctcm.msff.conv1.b"]), axis=-3)
+    return tn.matmul(z, params["ctcm.msff.conv2.w"]) + params["ctcm.msff.conv2.b"]
 
 
 def ctcm_forward(
     r: Tensor, cfg: CtcmConfig, params: dict[str, Parameter]
 ) -> Tensor:
-    """(..., T, K) -> (..., T, K/2): multi-scale stack, MSFF, flatten, project."""
-    h2d = msff(multiscale_conv(r, params, cfg.kernels), params)
-    flat = tn.reshape(h2d, h2d.shape[:-2] + (h2d.shape[-1],))  # drop collapsed axis
-    axes = (*range(flat.ndim - 2), flat.ndim - 1, flat.ndim - 2)
-    h_t = tn.transpose(flat, axes)
+    """(..., T, K) -> (..., T, K/2): multi-scale stack, MSFF, project."""
+    h_t = msff(multiscale_conv(r, params, cfg.kernels), params)
     return tn.matmul(h_t, params["ctcm.proj.w"]) + params["ctcm.proj.b"]
 
 

@@ -107,16 +107,6 @@ def facm_apply(
     return h_hat, weighted
 
 
-def facm_forward(
-    r: Tensor,
-    params: dict[str, Parameter],
-    cfg: FacmConfig,
-    training: bool = False,
-    rng_seed: int = 0,
-) -> Tensor:
-    return facm_apply(r, params, cfg, training, rng_seed)[0]
-
-
 def _info_nce_rows(f1: Tensor, f2: Tensor) -> Tensor:
     """Row-wise InfoNCE over the trailing (rows, dim) block: positives are
     matching rows of the two views, negatives the other rows of view 2.

@@ -360,6 +360,31 @@ def diagonal(a: Tensor) -> Tensor:
 
 # -- neural primitives -----------------------------------------------------
 
+def _tap_conv(x: Tensor, w: Tensor, pad_spec, windows) -> Tensor:
+    """Shared body of the convolutions. ``x`` is zero-padded by ``pad_spec``
+    (one (before, after) pair per axis) and the output is the sum over taps
+    i of ``padded[windows[i]] @ w_i``, one matmul per tap, where the taps
+    are w's leading axes in C order. The backward pass scatters
+    ``g @ w_i^T`` into the same windows and crops the padding off."""
+    xp = np.pad(x.data, pad_spec)
+    wt = w.data.reshape((-1,) + w.shape[-2:])
+    taps = [xp[s] for s in windows]
+    out_data = np.zeros(taps[0].shape[:-1] + (w.shape[-1],))
+    for i in range(len(taps)):
+        out_data += np.matmul(taps[i], wt[i])
+
+    def bw(g):
+        gxp = np.zeros_like(xp)
+        gw = np.zeros_like(wt)
+        for i, s in enumerate(windows):
+            gxp[s] += np.matmul(g, wt[i].T)
+            gw[i] = np.tensordot(taps[i], g, axes=(range(g.ndim - 1), range(g.ndim - 1)))
+        _accum(x, gxp[tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_spec, x.shape))])
+        _accum(w, gw.reshape(w.shape))
+
+    return _make(out_data, (x, w), bw)
+
+
 def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     """Causal 1-D convolution: x (..., T, Cin), w (k, Cin, Cout) -> (..., T, Cout).
 
@@ -376,80 +401,32 @@ def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
             f"conv1d channel mismatch: input {x.shape} vs kernel {w.shape}"
         )
     T = x.shape[-2]
-    pad = (k - 1) * dilation
-    pad_spec = [(0, 0)] * (x.ndim - 2) + [(pad, 0), (0, 0)]
-    xp = np.pad(x.data, pad_spec)
-    out_data = np.zeros(x.shape[:-1] + (w.shape[2],))
-    taps = [xp[..., i * dilation : i * dilation + T, :] for i in range(k)]
-    for i in range(k):
-        out_data += np.matmul(taps[i], w.data[i])
-
-    def bw(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for i in range(k):
-            gxp[..., i * dilation : i * dilation + T, :] += np.matmul(
-                g, w.data[i].T
-            )
-            gw[i] = np.tensordot(taps[i], g, axes=(range(g.ndim - 1), range(g.ndim - 1)))
-        _accum(x, gxp[..., pad:, :])
-        _accum(w, gw)
-
-    return _make(out_data, (x, w), bw)
+    pad_spec = [(0, 0)] * (x.ndim - 2) + [((k - 1) * dilation, 0), (0, 0)]
+    windows = [(..., slice(i * dilation, i * dilation + T), slice(None)) for i in range(k)]
+    return _tap_conv(x, w, pad_spec, windows)
 
 
-def conv2d(x: Tensor, w: Tensor, padding: str = "none") -> Tensor:
-    """2-D cross-correlation: x (..., Cin, H, W), w (kh, kw, Cin, Cout).
+def conv2d(x: Tensor, w: Tensor) -> Tensor:
+    """Same-padded 2-D cross-correlation, channels last:
+    x (..., H, W, Cin), w (kh, kw, Cin, Cout) -> (..., H, W, Cout).
 
-    padding="same" keeps H and W via symmetric zero padding; "none" is valid
-    convolution and requires the kernel to fit the input.
+    The zero padding is (k-1)//2 before and the rest after on each axis, so
+    an even kernel pads one more row or column after than before.
     """
-    kh, kw, cin, cout = w.shape
-    if x.shape[-3] != cin:
+    kh, kw, cin, _ = w.shape
+    if x.shape[-1] != cin:
         raise DimensionError(
             f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}"
         )
-    H, W = x.shape[-2], x.shape[-1]
-    if padding == "same":
-        pt, pl = (kh - 1) // 2, (kw - 1) // 2
-        pb, pr = kh - 1 - pt, kw - 1 - pl
-    elif padding == "none":
-        pt = pb = pl = pr = 0
-        if kh > H or kw > W:
-            raise ParameterError(
-                f"kernel {kh}x{kw} larger than input {H}x{W} with padding=none"
-            )
-    else:
-        raise ParameterError(f"unknown padding mode {padding!r}")
-    pad_spec = [(0, 0)] * (x.ndim - 2) + [(pt, pb), (pl, pr)]
-    xp = np.pad(x.data, pad_spec)
-    Ho = xp.shape[-2] - kh + 1
-    Wo = xp.shape[-1] - kw + 1
-    out_data = np.zeros(x.shape[:-3] + (cout, Ho, Wo))
-    for a in range(kh):
-        for b in range(kw):
-            patch = xp[..., a : a + Ho, b : b + Wo]
-            out_data += np.einsum("...chw,co->...ohw", patch, w.data[a, b])
-
-    def bw(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for a in range(kh):
-            for b in range(kw):
-                patch = xp[..., a : a + Ho, b : b + Wo]
-                gxp[..., a : a + Ho, b : b + Wo] += np.einsum(
-                    "...ohw,co->...chw", g, w.data[a, b]
-                )
-                contrib = np.einsum("...chw,...ohw->...co", patch, g)
-                gw[a, b] = contrib.reshape(-1, cin, cout).sum(axis=0)
-        if pt or pb or pl or pr:
-            sl = [slice(None)] * (x.ndim - 2)
-            sl += [slice(pt, gxp.shape[-2] - pb), slice(pl, gxp.shape[-1] - pr)]
-            gxp = gxp[tuple(sl)]
-        _accum(x, gxp)
-        _accum(w, gw)
-
-    return _make(out_data, (x, w), bw)
+    H, W = x.shape[-3], x.shape[-2]
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    pad_spec = [(0, 0)] * (x.ndim - 3) + [(pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)]
+    windows = [
+        (..., slice(a, a + H), slice(b, b + W), slice(None))
+        for a in range(kh)
+        for b in range(kw)
+    ]
+    return _tap_conv(x, w, pad_spec, windows)
 
 
 def avg_pool2d(x: Tensor, window: tuple[int, int]) -> Tensor:

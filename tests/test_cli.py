@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from mffftnet import cli
 from mffftnet.cli import ABLATION_VARIANTS, main
-from mffftnet.data import load_csv
+from mffftnet.data import PerturbationSpec, load_csv, split
 from mffftnet.evaluation import ForecastReport
-from mffftnet.training import load_checkpoint
+from mffftnet.training import load_checkpoint, save_checkpoint
+from tests.test_training import tiny_model
 
 SPEC = {
     "n": 300,
@@ -180,6 +182,14 @@ def test_eval_checkpoint_shape_mismatch_exits_2(tmp_path, checkpoint, capsys):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_eval_checkpoint_config_line_without_equals_exits_2(tmp_path, corpus, capsys):
+    bad = tmp_path / "bad_config.bin"
+    save_checkpoint(bad, tiny_model(), "profile = desk\nstray line\n")
+    rc, err = _eval_stderr(bad, corpus, tmp_path, capsys)
+    assert rc == 2 and "checkpoint config:2: expected 'key = value'" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_train_non_finite_cell_exits_3(tmp_path, corpus, capsys):
     lines = corpus.read_text().splitlines()
     stamp, *cells = lines[5].split(",")
@@ -257,6 +267,14 @@ def test_robustness_missing_rows(tmp_path, corpus, kind):
     payload = json.loads(out.read_text())
     assert [r["ratio"] for r in payload["rows"]] == [0.0, 0.1]
     assert all(np.isfinite(r["avg_mse"]) for r in payload["rows"])
+    # only the train rows are perturbed; validation and test rows stay as read
+    table = load_csv(corpus)
+    train_end = split(table).train_end
+    perturbed = cli._perturb_train_rows(
+        table, PerturbationSpec(kind=kind, ratio=0.5), train_end
+    )
+    assert not np.array_equal(perturbed.values[:train_end], table.values[:train_end])
+    np.testing.assert_array_equal(perturbed.values[train_end:], table.values[train_end:])
 
 
 def test_robustness_bad_kind_exits_2(tmp_path, corpus):

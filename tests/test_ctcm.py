@@ -33,7 +33,7 @@ def test_kernel1_identity_weights(rng):
     params["ctcm.scale1.b"].data[:] = 0.0
     r = rng.normal(size=(10, K))
     h_d = multiscale_conv(Tensor(r), params, cfg.kernels)
-    np.testing.assert_allclose(h_d.data[:, 0, :], r.T, atol=1e-12)
+    np.testing.assert_allclose(h_d.data[0], r, atol=1e-12)
 
 
 def test_default_kernel_list_has_eight_scales(rng):
@@ -42,7 +42,7 @@ def test_default_kernel_list_has_eight_scales(rng):
     assert cfg.kernels == (1, 2, 4, 8, 16, 32, 64, 128)
     params = make_ctcm_params(K, cfg, 0)
     h_d = multiscale_conv(Tensor(rng.normal(size=(128, K))), params, cfg.kernels)
-    assert h_d.shape == (K, 8, 128)
+    assert h_d.shape == (8, 128, K)
 
 
 def test_multiscale_causality(rng):
@@ -54,8 +54,8 @@ def test_multiscale_causality(rng):
     r2 = r.copy()
     r2[t] += 1.0
     out = multiscale_conv(Tensor(r2), params, cfg.kernels).data
-    assert np.allclose(out[..., :t], base[..., :t], atol=1e-12)
-    assert not np.allclose(out[..., t:], base[..., t:])
+    assert np.allclose(out[..., :t, :], base[..., :t, :], atol=1e-12)
+    assert not np.allclose(out[..., t:, :], base[..., t:, :])
 
 
 def test_kernel_longer_than_window(rng):
@@ -69,28 +69,28 @@ def test_kernel_longer_than_window(rng):
 
 def test_msff_zero_input_zero_output():
     cfg, params = small_setup()
-    h_d = Tensor(np.zeros((8, 3, 10)))
+    h_d = Tensor(np.zeros((3, 10, 8)))
     out = msff(h_d, params)
-    np.testing.assert_array_equal(out.data, np.zeros((4, 1, 10)))
+    np.testing.assert_array_equal(out.data, np.zeros((10, 4)))
 
 
 def test_msff_full_scale_shape(rng):
     cfg = CtcmConfig(msff_hidden=96)
     params = make_ctcm_params(320, cfg, 0)
-    out = msff(Tensor(rng.normal(size=(320, 8, 48)) * 0.1), params)
-    assert out.shape == (160, 1, 48)
+    out = msff(Tensor(rng.normal(size=(8, 48, 320)) * 0.1), params)
+    assert out.shape == (48, 160)
 
 
 def test_msff_gradient(rng):
     cfg, params = small_setup(K=4, msff_hidden=3)
-    weight = Tensor(rng.normal(size=(2, 1, 6)))
+    weight = Tensor(rng.normal(size=(6, 2)))
 
     def f(h_d):
         return tn.tsum(msff(h_d, params) * weight)
 
     from mffftnet.tensor import finite_diff_check
 
-    err = finite_diff_check(f, Tensor(rng.normal(size=(4, 3, 6))))
+    err = finite_diff_check(f, Tensor(rng.normal(size=(3, 6, 4))))
     assert err < 1e-4
 
 

@@ -10,7 +10,6 @@ from mffftnet.errors import ContractError
 from mffftnet.facm import (
     FacmConfig,
     facm_apply,
-    facm_forward,
     freq_contrastive_loss,
     make_facm_params,
     mean_amplitude,
@@ -94,7 +93,7 @@ def test_identity_weights_round_trip(rng):
     params = identity_style_params(K, T)
     cfg = FacmConfig(mask_ratio=1.0, dropout_rate=0.0)
     r = rng.normal(size=(T, K))
-    out = facm_forward(Tensor(r), params, cfg, training=False)
+    out = facm_apply(Tensor(r), params, cfg, training=False)[0]
     np.testing.assert_allclose(out.data, r[:, : K // 2], atol=1e-9)
 
 
@@ -105,7 +104,7 @@ def test_pure_tone_energy_concentration():
     cfg = FacmConfig(mask_ratio=1.0 / c, dropout_rate=0.0)  # k = 1
     t = np.arange(T)
     r = np.tile(np.sin(2 * np.pi * t / 8)[:, None], (1, K))
-    out = facm_forward(Tensor(r), params, cfg, training=False)
+    out = facm_apply(Tensor(r), params, cfg, training=False)[0]
     spec = naive_dft(out)
     energy = np.abs(spec.values) ** 2
     target_bin = T // 8
@@ -126,24 +125,24 @@ def test_hard_masking_drops_masked_bins(rng):
     from mffftnet.fourier import irfft
 
     r_masked = irfft(spectrum_of(masked, T)).data
-    out1 = facm_forward(Tensor(r), params, cfg, training=False).data
-    out2 = facm_forward(Tensor(r_masked), params, cfg, training=False).data
+    out1 = facm_apply(Tensor(r), params, cfg, training=False)[0].data
+    out2 = facm_apply(Tensor(r_masked), params, cfg, training=False)[0].data
     np.testing.assert_allclose(out1, out2, atol=1e-9)
 
 
 def test_facm_output_shape(rng):
     K, T = 8, 20
     params = make_facm_params(K, T, 0)
-    out = facm_forward(
+    out = facm_apply(
         Tensor(rng.normal(size=(T, K))), params, FacmConfig(dropout_rate=0.0)
-    )
+    )[0]
     assert out.shape == (T, K // 2)
 
 
 def test_facm_k_mismatch(rng):
     params = make_facm_params(8, 16, 0)
     with pytest.raises(ContractError):
-        facm_forward(Tensor(rng.normal(size=(16, 6))), params, FacmConfig())
+        facm_apply(Tensor(rng.normal(size=(16, 6))), params, FacmConfig())
 
 
 def test_facm_dropout_active_in_training(rng):
@@ -151,8 +150,8 @@ def test_facm_dropout_active_in_training(rng):
     params = make_facm_params(K, T, 0)
     cfg = FacmConfig(dropout_rate=0.5)
     r = Tensor(rng.normal(size=(T, K)))
-    train = facm_forward(r, params, cfg, training=True, rng_seed=1).data
-    eval_ = facm_forward(r, params, cfg, training=False, rng_seed=1).data
+    train = facm_apply(r, params, cfg, training=True, rng_seed=1)[0].data
+    eval_ = facm_apply(r, params, cfg, training=False, rng_seed=1)[0].data
     assert not np.allclose(train, eval_)
 
 
@@ -166,7 +165,7 @@ def test_omega_gradient_matches_finite_differences(rng):
     weight = Tensor(rng.normal(size=(T, K // 2)))
 
     def objective():
-        return tn.tsum(facm_forward(Tensor(r), params, cfg, training=False) * weight)
+        return tn.tsum(facm_apply(Tensor(r), params, cfg, training=False)[0] * weight)
 
     def loss() -> float:
         with tn.no_grad():

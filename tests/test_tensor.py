@@ -111,44 +111,72 @@ def test_conv1d_causality(rng):
 # -- conv2d ------------------------------------------------------------------
 
 
+def conv2d_loop_oracle(x, w):
+    """Direct cross-correlation, one output cell and one tap at a time, with
+    (k-1)//2 zeros before and the rest after on each spatial axis."""
+    kh, kw, _, cout = w.shape
+    H, W = x.shape[-3], x.shape[-2]
+    out = np.zeros(x.shape[:-1] + (cout,))
+    for i in range(H):
+        for j in range(W):
+            for a in range(kh):
+                for b in range(kw):
+                    u, v = i + a - (kh - 1) // 2, j + b - (kw - 1) // 2
+                    if 0 <= u < H and 0 <= v < W:
+                        out[..., i, j, :] += x[..., u, v, :] @ w[a, b]
+    return out
+
+
 def test_conv2d_1x1_identity():
-    x = np.arange(6.0).reshape(1, 2, 3)
+    x = np.arange(6.0).reshape(2, 3, 1)
     w = np.ones((1, 1, 1, 1))
-    out = tn.conv2d(Tensor(x), Tensor(w), padding="none")
+    out = tn.conv2d(Tensor(x), Tensor(w))
     np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
 def test_conv2d_ones_hand_case():
-    out = tn.conv2d(
-        Tensor(np.ones((1, 3, 3))), Tensor(np.ones((3, 3, 1, 1))), padding="none"
+    out = tn.conv2d(Tensor(np.ones((3, 3, 1))), Tensor(np.ones((3, 3, 1, 1))))
+    np.testing.assert_allclose(
+        out.data[..., 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]
     )
-    np.testing.assert_allclose(out.data, [[[9.0]]])
-
-
-def test_conv2d_kernel_too_large():
-    with pytest.raises(ParameterError):
-        tn.conv2d(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((3, 3, 1, 1))), "none")
 
 
 def test_conv2d_same_padding_preserves_shape(rng):
-    x = rng.normal(size=(2, 6, 8))
+    x = rng.normal(size=(6, 8, 2))
     w = rng.normal(size=(3, 3, 2, 4))
-    out = tn.conv2d(Tensor(x), Tensor(w), padding="same")
-    assert out.shape == (4, 6, 8)
+    out = tn.conv2d(Tensor(x), Tensor(w))
+    assert out.shape == (6, 8, 4)
+
+
+@pytest.mark.parametrize("kh,kw", [(3, 3), (2, 2)], ids=["3x3", "2x2"])
+def test_conv2d_matches_loop_oracle(rng, kh, kw):
+    x = rng.normal(size=(2, 4, 5, 3))
+    w = rng.normal(size=(kh, kw, 3, 2))
+    out = tn.conv2d(Tensor(x), Tensor(w))
+    np.testing.assert_allclose(out.data, conv2d_loop_oracle(x, w), rtol=0, atol=1e-12)
+    # the even kernel pads unevenly, so its backward crop is checked too
+    g = rng.normal(size=out.shape)
+    fdc(lambda t: tn.tsum(tn.conv2d(t, Tensor(w)) * Tensor(g)), x, 1e-5)
+    fdc(lambda t: tn.tsum(tn.conv2d(Tensor(x), t) * Tensor(g)), w, 1e-5)
+
+
+def test_conv2d_channel_mismatch():
+    with pytest.raises(DimensionError):
+        tn.conv2d(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2, 1))))
 
 
 def test_conv2d_gradient(rng):
     w = rng.normal(size=(3, 3, 2, 2))
 
     def fx(x):
-        return tn.tsum(tn.conv2d(x, Tensor(w), padding="same"))
+        return tn.tsum(tn.conv2d(x, Tensor(w)))
 
-    fdc(fx, rng.normal(size=(2, 6, 8)), 1e-5)
+    fdc(fx, rng.normal(size=(6, 8, 2)), 1e-5)
 
-    x = rng.normal(size=(2, 6, 8))
+    x = rng.normal(size=(6, 8, 2))
 
     def fw(wt):
-        return tn.tsum(tn.conv2d(Tensor(x), wt, padding="same"))
+        return tn.tsum(tn.conv2d(Tensor(x), wt))
 
     fdc(fw, w, 1e-5)
 

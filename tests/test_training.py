@@ -10,6 +10,7 @@ from mffftnet import ctcm as ctcm_mod
 from mffftnet import facm as facm_mod
 from mffftnet.augment import AugmentConfig, augment_view
 from mffftnet.cli import ABLATION_VARIANTS
+from mffftnet.config import RunConfig
 from mffftnet.ctcm import CtcmConfig
 from mffftnet.encoder import BackboneConfig
 from mffftnet.errors import ConfigurationError
@@ -208,6 +209,20 @@ def test_full_path_gradient_matches_finite_differences(rng):
             rel = abs(grad[idx] - numeric) / (abs(grad[idx]) + 1e-8)
             worst = max(worst, rel)
     assert worst < 1e-3, worst
+
+
+def test_paper_shaped_step_is_finite():
+    # default dimensions (T=201, K=320, kernels 1..128, MSFF hidden 96) at
+    # B=2; numpy overflow, invalid values and division by zero all raise
+    cfg = RunConfig.resolve("paper")
+    model = Model.build(cfg.model_config(input_dim=7))
+    batch = np.random.default_rng(0).normal(size=(2, int(cfg["window.length"]), 7))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        losses = total_loss(batch, model, cfg.train_config(), cfg.augment_config())
+        losses[0].backward()
+    assert all(np.isfinite(loss.item()) for loss in losses)
+    for name, p in model.params.items():
+        assert p.grad is not None and np.all(np.isfinite(p.grad)), name
 
 
 # -- optimizer ---------------------------------------------------------------
