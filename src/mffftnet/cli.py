@@ -282,7 +282,7 @@ def cmd_transfer(args, mapping) -> int:
 def cmd_synth(args, mapping) -> int:
     try:
         spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read synthetic spec {args.spec}: {exc}") from exc
     features = [
         SyntheticFeature(

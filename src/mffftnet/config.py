@@ -133,7 +133,7 @@ def parse_config_file(path) -> dict[str, object]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, path)
 

@@ -103,6 +103,41 @@ def _parse_timestamp(text: str, row: int) -> datetime:
         raise DataError(f"row {row}: cannot parse timestamp {text!r}") from exc
 
 
+def _read_rows(reader, path) -> tuple[list[str], list[str], list[list[float]]]:
+    """The feature names, timestamps and numeric rows of ``reader``'s
+    records, each row checked."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty") from None
+    if len(header) < 2:
+        raise DataError(f"{path}: no feature columns")
+    timestamps: list[str] = []
+    rows: list[list[float]] = []
+    prev: datetime | None = None
+    for i, rec in enumerate(reader, start=1):
+        if len(rec) != len(header):
+            raise DataError(f"row {i}: expected {len(header)} cells, got {len(rec)}")
+        stamp = _parse_timestamp(rec[0], i)
+        if prev is not None:
+            if (stamp.tzinfo is None) != (prev.tzinfo is None):
+                raise DataError(f"row {i}: timestamps mix time zone offsets and none")
+            if stamp <= prev:
+                raise DataError(f"row {i}: timestamps not strictly increasing")
+        prev = stamp
+        vals = []
+        for j, cell in enumerate(rec[1:], start=1):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"row {i}, column {header[j]!r}: non-numeric cell {cell!r}"
+                ) from None
+        timestamps.append(rec[0])
+        rows.append(vals)
+    return header[1:], timestamps, rows
+
+
 def load_csv(path, target_index: int | None = None) -> SeriesTable:
     """Read an ETT-style CSV (date column + numeric features)."""
     try:
@@ -110,34 +145,12 @@ def load_csv(path, target_index: int | None = None) -> SeriesTable:
     except OSError as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        names = header[1:]
-        if not names:
-            raise DataError(f"{path}: no feature columns")
-        timestamps: list[str] = []
-        rows: list[list[float]] = []
-        prev: datetime | None = None
-        for i, rec in enumerate(reader, start=1):
-            if len(rec) != len(header):
-                raise DataError(f"row {i}: expected {len(header)} cells, got {len(rec)}")
-            stamp = _parse_timestamp(rec[0], i)
-            if prev is not None and stamp <= prev:
-                raise DataError(f"row {i}: timestamps not strictly increasing")
-            prev = stamp
-            vals = []
-            for j, cell in enumerate(rec[1:], start=1):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"row {i}, column {header[j]!r}: non-numeric cell {cell!r}"
-                    ) from None
-            timestamps.append(rec[0])
-            rows.append(vals)
+            names, timestamps, rows = _read_rows(csv.reader(fh), path)
+        except UnicodeDecodeError:
+            raise DataError(f"{path} is not valid UTF-8 text") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: malformed CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)

@@ -97,13 +97,19 @@ def _rows(n: int, T: int, P: int) -> int:
     return m
 
 
-def _targets(
+def _after_lookback(
+    values: np.ndarray, T: int, target_index: int, mode: str
+) -> np.ndarray:
+    """The target columns of the rows after the first lookback."""
+    return values[T:, [target_index] if mode == "univariate" else slice(None)]
+
+
+def _target_windows(
     values: np.ndarray, T: int, P: int, target_index: int, mode: str
 ) -> np.ndarray:
-    """Row i holds the P rows after lookback i, flattened: M x (P*D_out)."""
-    cols = [target_index] if mode == "univariate" else slice(None)
-    w = sliding_window_view(values[T:, cols], P, axis=0)  # M x D_out x P
-    return w.transpose(0, 2, 1).reshape(len(w), -1)
+    """A view: [i, p] holds the row p + 1 steps after lookback i, M x P x D_out."""
+    u = _after_lookback(values, T, target_index, mode)
+    return sliding_window_view(u, P, axis=0).transpose(0, 2, 1)
 
 
 def extract_features(
@@ -115,63 +121,121 @@ def extract_features(
     mode: str = "multivariate",
     chunk: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(features M x K, targets M x (P*D_out)) over one split's rows."""
+    """(features M x K, targets M x (P*D_out)) over one split's rows; target
+    row i is the P rows after lookback i, flattened."""
     m = _rows(len(values), T, P)
     lookbacks = sliding_window_view(values[: m + T - 1], T, axis=0)  # M x D x T
     feats = []
     with no_grad():
         for lo in range(0, m, chunk):
             batch = np.ascontiguousarray(lookbacks[lo : lo + chunk].transpose(0, 2, 1))
-            feats.append(model.encode(Tensor(batch), training=False).data[:, -1, :])
-    return np.concatenate(feats), _targets(values, T, P, target_index, mode)
+            # copy the last step, or the view keeps the whole chunk output alive
+            feats.append(model.encode(Tensor(batch), training=False).data[:, -1, :].copy())
+    targets = _target_windows(values, T, P, target_index, mode).reshape(m, -1)
+    return np.concatenate(feats), targets
 
 
-def _ridge_solver(X: np.ndarray, Y: np.ndarray):
-    """Centre and form the normal equations once; the returned function
-    solves them for one alpha."""
-    xm, ym = X.mean(axis=0), Y.mean(axis=0)
-    Xc, Yc = X - xm, Y - ym
-    gram, cross = Xc.T @ Xc, Xc.T @ Yc
-    eye = np.eye(X.shape[1])
+@dataclass
+class Moments:
+    """What the ridge probe needs of one split's (features x, targets y)
+    rows, taken about a centre (x0, y0): the train split's own means for
+    the split the probe is fitted on, the train means for the others."""
 
-    def solve(alpha: float) -> RidgeProbe:
-        W = np.linalg.solve(gram + alpha * eye, cross)
-        return RidgeProbe(weights=W, intercept=ym - xm @ W, ridge_alpha=alpha)
+    rows: int
+    x0: np.ndarray  # K
+    y0: np.ndarray  # P * D_out
+    gram: np.ndarray  # K x K: sum of (x - x0)(x - x0)^T
+    cross: np.ndarray  # K x (P * D_out): sum of (x - x0)(y - y0)^T
+    syy: float  # sum of |y - y0|^2
 
-    return solve
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2·3·5-smooth integer >= n; pocketfft is several times
+    slower on lengths with a large prime factor."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
-def _solve_ridge(X: np.ndarray, Y: np.ndarray, alpha: float) -> RidgeProbe:
-    return _ridge_solver(X, Y)(alpha)
+class _TargetSeries:
+    """A split's post-lookback values u (M + P - 1 rows for horizon P),
+    transformed once for every horizon: the rfft of each column and the
+    running sums of u and u^2.
+
+    Target row i of horizon P is u[i : i + P] flattened, so the cross
+    moment sum_i a_i y_i^T is, per lag p < P, the cross-correlation of the
+    feature columns with u at lag p: one rfft of a, a product per bin and
+    one irfft give every lag at once. The FFT length L >= len(u) keeps the
+    circular correlation free of wrap-around for all lags below P."""
+
+    def __init__(self, u: np.ndarray):
+        self.n = len(u)
+        self.fft_len = _smooth_length(self.n)
+        self.spectrum = np.fft.rfft(u.T, self.fft_len)  # D_out x F
+        zero = np.zeros((1, u.shape[1]))
+        self.sums = np.concatenate([zero, np.cumsum(u, axis=0)])
+        self.squares = np.concatenate([zero, np.cumsum(u * u, axis=0)])
+
+    def moments(self, X: np.ndarray, P: int, centre: Moments | None = None) -> Moments:
+        """Moments of the first ``n - P + 1`` rows of ``X`` against their
+        horizon-P targets, about ``centre``'s (x0, y0) or, without one,
+        about their own means."""
+        m = self.n - P + 1
+        X = X[:m]
+        ysum = (self.sums[m : m + P] - self.sums[:P]).ravel()
+        ysq = (self.squares[m : m + P] - self.squares[:P]).ravel()
+        x0, y0 = (X.mean(axis=0), ysum / m) if centre is None else (centre.x0, centre.y0)
+        a = X - x0
+        lags = np.fft.irfft(
+            np.fft.rfft(a.T, self.fft_len).conj()[:, None, :] * self.spectrum, self.fft_len
+        )[..., :P]  # K x D_out x P
+        cross = lags.transpose(0, 2, 1).reshape(len(x0), -1) - np.outer(a.sum(axis=0), y0)
+        syy = float(np.sum(ysq - 2 * y0 * ysum + m * y0 * y0))
+        return Moments(rows=m, x0=x0, y0=y0, gram=a.T @ a, cross=cross, syy=syy)
 
 
 def predict(probe: RidgeProbe, X: np.ndarray) -> np.ndarray:
-    return X @ probe.weights + probe.intercept
+    out = X @ probe.weights
+    out += probe.intercept
+    return out
 
 
 def score(probe: RidgeProbe, X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
-    err = predict(probe, X) - Y
-    return float(np.mean(err**2)), float(np.mean(np.abs(err)))
+    """(MSE, MAE) of the predictions for X; Y is M x (P*D_out) or the
+    M x P x D_out target windows. The error array is the only M-row array
+    it allocates."""
+    err = predict(probe, X).reshape(Y.shape)
+    err -= Y
+    np.abs(err, out=err)
+    mae = float(np.mean(err))
+    err *= err
+    return float(np.mean(err)), mae
 
 
 def fit_ridge(
-    train: tuple[np.ndarray, np.ndarray],
-    valid: tuple[np.ndarray, np.ndarray],
-    alpha_grid=DEFAULT_ALPHA_GRID,
+    train: Moments, valid: Moments, alpha_grid=DEFAULT_ALPHA_GRID
 ) -> RidgeProbe:
-    """Closed-form solve per alpha on train; pick the validation-MSE winner."""
-    if len(train[0]) < 2:
+    """Closed-form solve per alpha on the train moments; pick the alpha with
+    the lowest validation SSE, tr(W^T G W) - 2 tr(W^T C) + Syy over the
+    validation moments about the train means. The first alpha on the grid
+    wins a tie."""
+    if train.rows < 2:
         raise ConfigurationError("ridge probe needs at least 2 training rows")
-    solve = _ridge_solver(*train)
-    best: RidgeProbe | None = None
-    best_mse = np.inf
+    eye = np.eye(len(train.gram))
+    best, best_sse = None, np.inf
     for alpha in alpha_grid:
-        probe = solve(alpha)
-        mse, _ = score(probe, valid[0], valid[1])
-        if mse < best_mse:
-            best, best_mse = probe, mse
+        W = np.linalg.solve(train.gram + alpha * eye, train.cross)
+        sse = np.sum(W * (valid.gram @ W)) - 2 * np.sum(W * valid.cross) + valid.syy
+        if sse < best_sse:
+            best, best_sse = (alpha, W), sse
     assert best is not None
-    return best
+    alpha, W = best
+    return RidgeProbe(weights=W, intercept=train.y0 - train.x0 @ W, ridge_alpha=alpha)
 
 
 def evaluate_horizons(
@@ -193,6 +257,11 @@ def evaluate_horizons(
     horizon P uses the first ``n - T - P + 1`` of those feature rows. The
     chunks start at the same rows and the encoder maps each window on its
     own, so the rows equal a per-horizon extraction bit for bit.
+
+    No target matrix is formed: the ridge fit and the alpha choice read
+    the train and validation splits through their moments
+    (``_TargetSeries``), and the test split is scored against a strided
+    view of its values, since MAE needs every error.
     """
     report = ForecastReport(
         dataset=dataset_name or "unnamed",
@@ -217,16 +286,19 @@ def evaluate_horizons(
             extract_features(model, values, T, P0, table.target_index, mode)[0]
             for values in splits
         ]
+        train, valid = (
+            _TargetSeries(_after_lookback(values, T, table.target_index, mode))
+            for values in splits[:2]
+        )
         for P in fitting:
-            parts = [
-                (
-                    X[: _rows(len(values), T, P)],
-                    _targets(values, T, P, table.target_index, mode),
-                )
-                for X, values in zip(feats, splits)
-            ]
-            probe = fit_ridge(parts[0], parts[1], alpha_grid)
-            mse, mae = score(probe, parts[2][0], parts[2][1])
+            fit = train.moments(feats[0], P)
+            probe = fit_ridge(fit, valid.moments(feats[1], P, centre=fit), alpha_grid)
+            m = _rows(len(splits[2]), T, P)
+            mse, mae = score(
+                probe,
+                feats[2][:m],
+                _target_windows(splits[2], T, P, table.target_index, mode),
+            )
             report.entries.append(
                 {"horizon": P, "mse": mse, "mae": mae, "ridge_alpha": probe.ridge_alpha}
             )

@@ -364,8 +364,13 @@ def _tap_conv(x: Tensor, w: Tensor, pad_spec, windows) -> Tensor:
     """Shared body of the convolutions. ``x`` is zero-padded by ``pad_spec``
     (one (before, after) pair per axis) and the output is the sum over taps
     i of ``padded[windows[i]] @ w_i``, one matmul per tap, where the taps
-    are w's leading axes in C order. The backward pass scatters
-    ``g @ w_i^T`` into the same windows and crops the padding off."""
+    are w's leading axes in C order, so reversing the tap order mirrors
+    every window.
+
+    The input gradient is the same tap loop run on ``g`` padded the other
+    way round, (after, before) per axis: tap i reads the mirrored window
+    and multiplies by ``w_i^T``. The weight gradient of tap i is one
+    (Cin x N) @ (N x Cout) GEMM of that tap's window against ``g``."""
     xp = np.pad(x.data, pad_spec)
     wt = w.data.reshape((-1,) + w.shape[-2:])
     taps = [xp[s] for s in windows]
@@ -374,13 +379,15 @@ def _tap_conv(x: Tensor, w: Tensor, pad_spec, windows) -> Tensor:
         out_data += np.matmul(taps[i], wt[i])
 
     def bw(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wt)
-        for i, s in enumerate(windows):
-            gxp[s] += np.matmul(g, wt[i].T)
-            gw[i] = np.tensordot(taps[i], g, axes=(range(g.ndim - 1), range(g.ndim - 1)))
-        _accum(x, gxp[tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_spec, x.shape))])
-        _accum(w, gw.reshape(w.shape))
+        gp = np.pad(g, [(hi, lo) for lo, hi in pad_spec])
+        wtt = np.ascontiguousarray(wt.transpose(0, 2, 1))
+        gx = np.zeros(x.shape)
+        for i in range(len(windows)):
+            gx += np.matmul(gp[windows[-1 - i]], wtt[i])
+        g2 = g.reshape(-1, g.shape[-1])
+        gw = [np.ascontiguousarray(t).reshape(-1, t.shape[-1]).T @ g2 for t in taps]
+        _accum(x, gx)
+        _accum(w, np.reshape(gw, w.shape))
 
     return _make(out_data, (x, w), bw)
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process, on tiny synthetic corpora."""
 
+import csv
 import json
 
 import numpy as np
@@ -200,6 +201,47 @@ def test_train_non_finite_cell_exits_3(tmp_path, corpus, capsys):
     err = capsys.readouterr().err
     assert rc == 3 and "row 5, column 'f0': non-finite" in err
     assert "Traceback" not in err
+
+
+def _train_stderr(tmp_path, data, capsys, *extra):
+    rc = main(["train", str(data), "--out", str(tmp_path / "m.bin"), *FAST, *extra])
+    return rc, capsys.readouterr().err
+
+
+def test_train_config_not_utf8_exits_2(tmp_path, corpus, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    rc, err = _train_stderr(tmp_path, corpus, capsys, "--config", str(cfg))
+    assert rc == 2 and "bad.cfg" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_train_csv_not_utf8_exits_3(tmp_path, corpus, capsys):
+    bad = tmp_path / "bad.csv"
+    raw = corpus.read_bytes()
+    bad.write_bytes(raw[:200] + b"\xff" + raw[200:])
+    rc, err = _train_stderr(tmp_path, bad, capsys)
+    assert rc == 3 and "not valid UTF-8" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_train_csv_field_over_size_limit_exits_3(tmp_path, corpus, capsys):
+    lines = corpus.read_text().splitlines()
+    lines[3] += "9" * (csv.field_size_limit() + 1)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc, err = _train_stderr(tmp_path, bad, capsys)
+    assert rc == 3 and "field larger than field limit" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_synth_spec_not_utf8_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{"n": 10, "features": []}\xff')
+    assert main(["synth", str(spec), str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read synthetic spec" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 # -- ablate ------------------------------------------------------------------

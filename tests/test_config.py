@@ -1,6 +1,8 @@
 """Layered configuration resolution and the canonical text form."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mffftnet.config import DEFAULTS, PROFILES, RunConfig, parse_config_file
 from mffftnet.errors import ConfigurationError
@@ -71,6 +73,24 @@ def test_malformed_config_file(tmp_path):
     f.write_text("train.epochs 7\n")
     with pytest.raises(ConfigurationError, match="key = value"):
         parse_config_file(f)
+
+
+def test_config_file_not_utf8(tmp_path):
+    f = tmp_path / "bad.cfg"
+    f.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConfigurationError, match="cannot read config file"):
+        parse_config_file(f)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=120) | st.text(max_size=120).map(str.encode))
+def test_fuzz_parse_config_file_raises_only_configuration_error(tmp_path, raw):
+    f = tmp_path / "fuzz.cfg"
+    f.write_bytes(raw)
+    try:
+        parse_config_file(f)
+    except ConfigurationError:
+        pass
 
 
 def test_canonical_text_sorted_and_stable():

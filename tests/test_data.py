@@ -3,7 +3,7 @@ generation, and perturbation injection."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mffftnet import data as D
@@ -72,6 +72,45 @@ def test_load_csv_non_monotone_timestamps(tmp_path):
     )
     with pytest.raises(DataError, match="strictly increasing"):
         D.load_csv(path)
+
+
+def test_load_csv_mixed_time_zone_offsets(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("date,a\n2020-01-01 00:00:00,1.0\n2020-01-01 01:00:00+05:00,2.0\n")
+    with pytest.raises(DataError, match="row 2: timestamps mix time zone"):
+        D.load_csv(path)
+
+
+# byte strings that reach the decoder's, the CSV dialect's and the
+# timestamp parser's corner cases more often than uniform random bytes do
+_TOKENS = [b"\xff", b"\xc3", b"\x00", b'"', b"\r", b"\n", b",", b"+05:00", b"T", b"nan", b"1e999"]
+
+
+@st.composite
+def _mutated_golden(draw):
+    raw = bytearray(GOLDEN.encode())
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(0, len(raw)))
+        chunk = draw(st.sampled_from(_TOKENS) | st.binary(min_size=1, max_size=4))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "delete":
+            del raw[i : i + len(chunk)]
+        elif kind == "insert":
+            raw[i:i] = chunk
+        else:
+            raw[i : i + len(chunk)] = chunk
+    return bytes(raw)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=_mutated_golden())
+def test_fuzz_load_csv_raises_only_data_error(tmp_path, raw):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(raw)
+    try:
+        D.load_csv(path)
+    except DataError:
+        pass
 
 
 # -- split -------------------------------------------------------------------

@@ -11,8 +11,12 @@ from mffftnet.evaluation import (
     ForecastReport,
     HOURLY_HORIZONS,
     QUARTER_HOUR_HORIZONS,
+    Moments,
     RidgeProbe,
-    _solve_ridge,
+    _after_lookback,
+    _smooth_length,
+    _target_windows,
+    _TargetSeries,
     evaluate_horizons,
     extract_features,
     fit_ridge,
@@ -44,6 +48,28 @@ def test_score_hand_case():
 
 
 # -- ridge solver ------------------------------------------------------------
+
+
+def dense_moments(X, Y, centre=None):
+    """The probe's moments straight from dense rows: the oracle for the FFT
+    path and the input the solver tests hand to ``fit_ridge``."""
+    if centre is None:
+        x0, y0 = X.mean(axis=0), Y.mean(axis=0)
+    else:
+        x0, y0 = centre.x0, centre.y0
+    a, z = X - x0, Y - y0
+    return Moments(
+        rows=len(X), x0=x0, y0=y0, gram=a.T @ a, cross=a.T @ z, syy=float(np.sum(z * z))
+    )
+
+
+def dense_fit(train, valid, alpha_grid=DEFAULT_ALPHA_GRID):
+    fit = dense_moments(*train)
+    return fit_ridge(fit, dense_moments(*valid, centre=fit), alpha_grid)
+
+
+def _solve_ridge(X, Y, alpha):
+    return dense_fit((X, Y), (X, Y), (alpha,))
 
 
 def test_ridge_recovers_linear_map(rng):
@@ -80,7 +106,7 @@ def test_fit_ridge_selects_validation_winner(rng):
     Y = X @ W
     Xv = rng.normal(size=(50, 4))
     Yv = Xv @ W
-    probe = fit_ridge((X, Y), (Xv, Yv))
+    probe = dense_fit((X, Y), (Xv, Yv))
     # a clean linear relation favors the weakest regularizer on the grid
     assert probe.ridge_alpha == min(DEFAULT_ALPHA_GRID)
 
@@ -89,14 +115,71 @@ def test_fit_ridge_alpha_ignores_test_data(rng):
     # alpha selection must touch only train and valid
     X, Y = rng.normal(size=(80, 4)), rng.normal(size=(80, 2))
     Xv, Yv = rng.normal(size=(30, 4)), rng.normal(size=(30, 2))
-    a = fit_ridge((X, Y), (Xv, Yv)).ridge_alpha
-    b = fit_ridge((X, Y), (Xv, Yv)).ridge_alpha
+    a = dense_fit((X, Y), (Xv, Yv)).ridge_alpha
+    b = dense_fit((X, Y), (Xv, Yv)).ridge_alpha
     assert a == b
 
 
 def test_fit_ridge_too_few_rows(rng):
     with pytest.raises(ConfigurationError):
-        fit_ridge((np.zeros((1, 2)), np.zeros((1, 2))), (np.zeros((2, 2)), np.zeros((2, 2))))
+        dense_fit((np.zeros((1, 2)), np.zeros((1, 2))), (np.zeros((2, 2)), np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("grid", [(10.0, 0.1, 1.0), (0.1, 1.0, 10.0)])
+def test_fit_ridge_exact_tie_picks_first_alpha(rng, grid):
+    # constant train features leave W = 0 at every alpha, so every alpha has
+    # the same validation SSE bit for bit; the first on the grid must win
+    X, Y = np.ones((40, 3)), rng.normal(size=(40, 2))
+    Xv, Yv = rng.normal(size=(20, 3)), rng.normal(size=(20, 2))
+    assert dense_fit((X, Y), (Xv, Yv), grid).ridge_alpha == grid[0]
+
+
+def test_fit_ridge_sse_ranks_alphas_like_dense_mse(rng):
+    X, Y = rng.normal(size=(60, 5)), rng.normal(size=(60, 3))
+    Xv, Yv = rng.normal(size=(30, 5)), rng.normal(size=(30, 3))
+    mses = {a: score(_solve_ridge(X, Y, a), Xv, Yv)[0] for a in DEFAULT_ALPHA_GRID}
+    assert dense_fit((X, Y), (Xv, Yv)).ridge_alpha == min(mses, key=mses.get)
+
+
+# -- moments by FFT correlation ------------------------------------------------
+
+
+def test_smooth_length():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for n in range(1, 300):
+        got = _smooth_length(n)
+        assert got >= n and smooth(got)
+        assert not any(smooth(k) for k in range(n, got))
+    assert _smooth_length(8576) == 8640  # 8576 = 2^7 * 67
+
+
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+@pytest.mark.parametrize("n_after", [97, 134, 211])  # prime, 2*67, prime
+def test_target_series_moments_match_dense(rng, mode, n_after):
+    T, P0, K = 8, 2, 5
+    values = rng.normal(size=(T + n_after, 3)) + 0.5
+    series = _TargetSeries(_after_lookback(values, T, 1, mode))
+    feats = rng.normal(size=(n_after - P0 + 1, K)) + 1.0
+    for P in (P0, 7, n_after // 2):
+        m = n_after - P + 1
+        Y = _target_windows(values, T, P, 1, mode).reshape(m, -1)
+        # an off-split centre, as the validation moments use the train means
+        centre = dense_moments(rng.normal(size=(9, K)), rng.normal(size=(9, Y.shape[1])))
+        for got, want in (
+            (series.moments(feats, P), dense_moments(feats[:m], Y)),
+            (series.moments(feats, P, centre), dense_moments(feats[:m], Y, centre)),
+        ):
+            assert got.rows == want.rows == m
+            for name in ("x0", "y0", "gram", "cross"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.shape == w.shape
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
+            assert abs(got.syy - want.syy) <= 1e-12 * want.syy
 
 
 # -- feature extraction ------------------------------------------------------
@@ -195,35 +278,35 @@ def test_evaluate_horizons_report(rng):
 
 @pytest.mark.parametrize("mode", ["multivariate", "univariate"])
 def test_evaluate_horizons_equals_per_horizon_reference(rng, mode):
-    # shared features and the hoisted ridge must reproduce, bit for bit, an
-    # extraction per horizon followed by a separate solve per alpha
+    # shared features and the moment-based fit and alpha choice must agree
+    # with an extraction per horizon and a dense solve and validation score
+    # per alpha: the same alphas, and metrics within 1e-10 relative (the FFT
+    # correlation sums in another order than a GEMM over the target matrix)
     table = make_table(rng)
     spec = split(table)
     table = standardize(table, spec)
     model = tiny_model()
     T = 16
     report = evaluate_horizons(model, table, spec, T=T, horizons=[4, 8, 500], mode=mode)
-    expected = []
-    for P in (4, 8):
+    assert [e["horizon"] for e in report.entries] == [4, 8]
+    for P, entry in zip((4, 8), report.entries):
         (X, Y), (Xv, Yv), (Xt, Yt) = [
             extract_features(model, table.values[a:b], T, P, table.target_index, mode)
             for a, b in (spec.train_range, spec.valid_range, spec.test_range)
         ]
+        xm, ym = X.mean(axis=0), Y.mean(axis=0)
+        Xc = X - xm
         best, best_mse = None, np.inf
         for alpha in DEFAULT_ALPHA_GRID:
-            probe = _solve_ridge(X, Y, alpha)
-            mse, _ = score(probe, Xv, Yv)
+            W = np.linalg.solve(Xc.T @ Xc + alpha * np.eye(X.shape[1]), Xc.T @ (Y - ym))
+            probe = RidgeProbe(weights=W, intercept=ym - xm @ W, ridge_alpha=alpha)
+            mse = float(np.mean((Xv @ W + probe.intercept - Yv) ** 2))
             if mse < best_mse:
                 best, best_mse = probe, mse
-        mse, mae = score(best, Xt, Yt)
-        expected.append(
-            {"horizon": P, "mse": mse, "mae": mae, "ridge_alpha": best.ridge_alpha}
-        )
-        fitted = fit_ridge((X, Y), (Xv, Yv))
-        alone = _solve_ridge(X, Y, fitted.ridge_alpha)
-        assert fitted.weights.tobytes() == alone.weights.tobytes()
-        assert fitted.intercept.tobytes() == alone.intercept.tobytes()
-    assert report.entries == expected
+        assert entry["ridge_alpha"] == best.ridge_alpha
+        err = Xt @ best.weights + best.intercept - Yt
+        for key, want in (("mse", np.mean(err**2)), ("mae", np.mean(np.abs(err)))):
+            assert abs(entry[key] - want) <= 1e-10 * want
     assert report.warnings == [
         "horizon 500 skipped: split of 156 rows too short for lookback 16 + horizon 500"
     ]

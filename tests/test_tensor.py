@@ -108,6 +108,22 @@ def test_conv1d_causality(rng):
         np.testing.assert_allclose(out[: t + 1], base[: t + 1], atol=1e-12)
 
 
+@pytest.mark.parametrize("k,dilation", [(3, 4), (16, 1), (128, 1)])
+def test_conv1d_backward_matches_tap_oracle(rng, k, dilation):
+    # tap i reads x[t - s] with s = (k - 1 - i) * dilation
+    T = (k - 1) * dilation + 7
+    x, w, g = rng.normal(size=(2, T, 3)), rng.normal(size=(k, 3, 2)), rng.normal(size=(2, T, 2))
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    tn.tsum(tn.causal_conv1d(xt, wt, dilation) * Tensor(g)).backward()
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for i in range(k):
+        s = (k - 1 - i) * dilation
+        gx[:, : T - s] += g[:, s:] @ w[i].T
+        gw[i] = np.einsum("btc,bto->co", x[:, : T - s], g[:, s:])
+    np.testing.assert_allclose(xt.grad, gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(wt.grad, gw, rtol=0, atol=1e-12)
+
+
 # -- conv2d ------------------------------------------------------------------
 
 
