@@ -3,7 +3,13 @@ per-timestep projection to the K-dimensional latent space.
 
 Block i computes y = x + conv2(act(conv1(x))) with both convolutions
 causal at dilation 2^i, so the stack's receptive field doubles per block
-while output length stays T.
+while output length stays T. With kernel size k and n blocks, output row t
+reads input rows t - R + 1 .. t, where
+
+    R = 1 + 2·(k − 1)·(2^n − 1)
+
+is ``BackboneConfig.receptive_field``: 61 for the desk backbone (k = 3,
+n = 4) and 1021 for the default one (n = 8).
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ class BackboneConfig:
             raise ConfigurationError("num_blocks and kernel_size must be >= 1")
         if self.activation not in ("silu", "gelu"):
             raise ConfigurationError(f"unknown activation {self.activation!r}")
+
+    @property
+    def receptive_field(self) -> int:
+        """Input rows that one output row depends on (derived, not a key)."""
+        return 1 + 2 * (self.kernel_size - 1) * (2**self.num_blocks - 1)
 
 
 def _kaiming_uniform(rng, shape, fan_in):

@@ -113,26 +113,37 @@ def _target_windows(
 
 
 def extract_features(
-    model: Model,
-    values: np.ndarray,
-    T: int,
-    P: int,
-    target_index: int,
-    mode: str = "multivariate",
-    chunk: int = 64,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(features M x K, targets M x (P*D_out)) over one split's rows; target
-    row i is the P rows after lookback i, flattened."""
+    model: Model, values: np.ndarray, T: int, P: int, chunk: int = 64
+) -> np.ndarray:
+    """Features M x K over one split's rows: row i is the encoder output at
+    the last step of lookback i, the T rows ending at row i + T - 1.
+
+    Each encoder call sees a segment of T + S - 1 consecutive rows and keeps
+    its last S outputs, the features of S consecutive lookbacks. When the
+    backbone's receptive field fits in T, the last step of a lookback never
+    reads the zero padding before it, so it equals the output at that row
+    of any causal pass over a longer run of rows ending there: S is then
+    as large as ``chunk * T`` rows per call allow. Otherwise S = 1, and a
+    call encodes ``chunk`` lookbacks as a batch. No call holds more than
+    ``chunk * T`` rows, and both ways give the per-lookback features bit
+    for bit."""
     m = _rows(len(values), T, P)
-    lookbacks = sliding_window_view(values[: m + T - 1], T, axis=0)  # M x D x T
+    if model.config.backbone.receptive_field <= T:
+        S, per_call = (chunk - 1) * T + 1, 1
+    else:
+        S, per_call = 1, chunk
     feats = []
     with no_grad():
-        for lo in range(0, m, chunk):
-            batch = np.ascontiguousarray(lookbacks[lo : lo + chunk].transpose(0, 2, 1))
-            # copy the last step, or the view keeps the whole chunk output alive
-            feats.append(model.encode(Tensor(batch), training=False).data[:, -1, :].copy())
-    targets = _target_windows(values, T, P, target_index, mode).reshape(m, -1)
-    return np.concatenate(feats), targets
+        for lo in range(0, m, S * per_call):
+            hi = min(lo + S * per_call, m)
+            segments = sliding_window_view(
+                values[lo : hi + T - 1], T + min(S, hi - lo) - 1, axis=0
+            )[::S]  # segments x D x rows
+            batch = np.ascontiguousarray(segments.transpose(0, 2, 1))
+            out = model.encode(Tensor(batch), training=False).data[:, T - 1 :]
+            # copy, or the view keeps the whole call's output alive
+            feats.append(out.reshape(-1, out.shape[-1]).copy())
+    return np.concatenate(feats)
 
 
 @dataclass
@@ -254,9 +265,11 @@ def evaluate_horizons(
     Horizons that do not fit in a split become warning entries.
 
     Each split is encoded once, at the smallest fitting horizon; a longer
-    horizon P uses the first ``n - T - P + 1`` of those feature rows. The
-    chunks start at the same rows and the encoder maps each window on its
-    own, so the rows equal a per-horizon extraction bit for bit.
+    horizon P uses the first ``n - T - P + 1`` of those feature rows. A
+    feature row is the encoder output at the last step of its lookback,
+    whether ``extract_features`` encodes lookbacks one by one or, when the
+    receptive field fits in T, long causal segments that each yield many
+    rows; so the rows equal a per-horizon extraction bit for bit.
 
     No target matrix is formed: the ridge fit and the alpha choice read
     the train and validation splits through their moments
@@ -282,10 +295,7 @@ def evaluate_horizons(
         fitting.append(P)
     if fitting:
         P0 = min(fitting)
-        feats = [
-            extract_features(model, values, T, P0, table.target_index, mode)[0]
-            for values in splits
-        ]
+        feats = [extract_features(model, values, T, P0) for values in splits]
         train, valid = (
             _TargetSeries(_after_lookback(values, T, table.target_index, mode))
             for values in splits[:2]

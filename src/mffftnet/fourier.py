@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .tensor import Tensor, _accum, _make, atan2, tsqrt
+from .tensor import Tensor, _accum, _make, atan2, tsqrt, unstack
 
 # -- spectrum containers ---------------------------------------------------
 
@@ -76,19 +76,13 @@ def rfft(x: Tensor) -> ComplexSpectrum:
     c = T // 2 + 1
     bins = np.fft.rfft(x.data, axis=-2)
 
-    def _adjoint_into_x(g_complex: np.ndarray) -> np.ndarray:
+    def bw(g):
+        # one adjoint for both parts: it is linear, and g[1] enters as i·g_im
         gpad = np.zeros(x.shape[:-2] + (T,) + x.shape[-1:], dtype=np.complex128)
-        gpad[..., :c, :] = g_complex
-        return np.real(T * np.fft.ifft(gpad, axis=-2))
+        gpad[..., :c, :] = g[0] + 1j * g[1]
+        _accum(x, np.real(T * np.fft.ifft(gpad, axis=-2)))
 
-    def bw_re(g):
-        _accum(x, _adjoint_into_x(g))
-
-    def bw_im(g):
-        _accum(x, _adjoint_into_x(1j * g))
-
-    re = _make(np.ascontiguousarray(bins.real), (x,), bw_re)
-    im = _make(np.ascontiguousarray(bins.imag), (x,), bw_im)
+    re, im = unstack(_make(np.stack([bins.real, bins.imag]), (x,), bw))
     return ComplexSpectrum(re=re, im=im, origin_length=T)
 
 

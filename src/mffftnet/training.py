@@ -105,16 +105,20 @@ def sgd_step(
     momentum: float,
     weight_decay: float,
 ) -> None:
-    """v <- momentum*v + grad + W*param; param <- param - lr*v.
-    Decay-exempt parameters skip the W term."""
+    """v <- momentum*v + grad + W*param; param <- param - lr*v, both in
+    place. Decay-exempt parameters skip the W term. A new velocity is a copy
+    of the gradient, so no velocity aliases a ``.grad``."""
     for p in params:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if weight_decay and not p.weight_decay_exempt:
             g = g + weight_decay * p.data
         v = velocities.get(p.name)
-        v = g if v is None else momentum * v + g
-        velocities[p.name] = v
-        p.data = p.data - lr * v
+        if v is None:
+            v = velocities[p.name] = g.copy()
+        else:
+            v *= momentum
+            v += g
+        p.data -= lr * v
 
 
 def fit(

@@ -27,7 +27,7 @@ from mffftnet.data import (
     window_batch,
 )
 from mffftnet.errors import ConfigurationError
-from mffftnet.evaluation import evaluate_horizons, extract_features, fit_ridge, score, train_mean_baseline
+from mffftnet.evaluation import evaluate_horizons, fit_ridge, score, train_mean_baseline
 from mffftnet.facm import (
     FacmConfig,
     facm_apply,
@@ -41,6 +41,7 @@ from mffftnet.fourier import ComplexSpectrum, irfft, naive_dft, rfft
 from mffftnet.model import Model
 from mffftnet.tensor import Tensor, finite_diff_check
 from mffftnet.training import AblationFlags, TrainConfig, fit, total_loss
+from tests.test_evaluation import probe_targets
 from tests.test_training import tiny_model
 
 
@@ -256,9 +257,9 @@ def test_criterion_06_training_progress():
         P = 24
         report = evaluate_horizons(model, std, spec, T=T, horizons=[P])
         a, b = spec.train_range
-        _, train_y = extract_features(model, std.values[a:b], T, P, std.target_index)
+        train_y = probe_targets(std.values[a:b], T, P, std.target_index)
         a, b = spec.test_range
-        _, test_y = extract_features(model, std.values[a:b], T, P, std.target_index)
+        test_y = probe_targets(std.values[a:b], T, P, std.target_index)
         base_mse, _ = train_mean_baseline(train_y, test_y)
         probe_mse = report.entries[0]["mse"]
         assert probe_mse <= 0.7 * base_mse, (probe_mse, base_mse)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mffftnet import encoder as enc
+from mffftnet.config import RunConfig
 from mffftnet.encoder import BackboneConfig, encode, make_backbone
 from mffftnet.errors import ConfigurationError, DimensionError
 from mffftnet.tensor import Tensor
@@ -53,18 +54,20 @@ def test_causality(rng):
 
 
 def test_receptive_field(rng):
-    # kernel 3, 3 blocks with two convolutions each at dilation 2^i:
-    # field = 1 + 2 * 2 * (2^3 - 1) = 29
-    cfg = small_cfg()
-    params = make_backbone(cfg, 0)
-    T = 64
-    x = rng.normal(size=(T, 2))
-    base = encode(Tensor(x), params, cfg).data
-    x2 = x.copy()
-    x2[0] += 1.0
-    delta = np.abs(encode(Tensor(x2), params, cfg).data - base).sum(axis=1)
-    affected = np.nonzero(delta > 1e-12)[0]
-    assert affected[0] == 0 and affected[-1] == 28
+    # kernel 3, n blocks with two convolutions each at dilation 2^i:
+    # field = 1 + 2 * 2 * (2^n - 1): 29 for 3 blocks, 61 for the desk's 4
+    desk = RunConfig.resolve("desk").model_config(2).backbone
+    for cfg, field in ((small_cfg(), 29), (desk, 61)):
+        assert cfg.receptive_field == field
+        params = make_backbone(cfg, 0)
+        T = 80
+        x = rng.normal(size=(T, 2))
+        base = encode(Tensor(x), params, cfg).data
+        x2 = x.copy()
+        x2[0] += 1.0
+        delta = np.abs(encode(Tensor(x2), params, cfg).data - base).sum(axis=1)
+        affected = np.nonzero(delta > 1e-12)[0]
+        assert affected[0] == 0 and affected[-1] == field - 1
 
 
 def test_parameter_count_formula():

@@ -185,14 +185,34 @@ def test_target_series_moments_match_dense(rng, mode, n_after):
 # -- feature extraction ------------------------------------------------------
 
 
+def probe_targets(values, T, P, target_index, mode="multivariate"):
+    """Dense M x (P*D_out) targets: row i is the P rows after lookback i,
+    flattened."""
+    windows = _target_windows(values, T, P, target_index, mode)
+    return windows.reshape(len(windows), -1)
+
+
+def per_window_features(model, values, T, P, chunk):
+    """The reference for ``extract_features``: every lookback stacked one
+    by one, ``chunk`` to an encoder call, keeping the last step."""
+    m = len(values) - T - P + 1
+    feats = []
+    with no_grad():
+        for lo in range(0, m, chunk):
+            batch = np.stack([values[i : i + T] for i in range(lo, min(lo + chunk, m))])
+            feats.append(model.encode(Tensor(batch)).data[:, -1, :])
+    return np.concatenate(feats)
+
+
 def test_extract_features_count_and_widths(rng):
     model = tiny_model()
     values = rng.normal(size=(40, 2))
     T, P = 16, 4
-    X, Y = extract_features(model, values, T, P, target_index=1)
+    X = extract_features(model, values, T, P)
+    Y = probe_targets(values, T, P, target_index=1)
     assert X.shape == (40 - T - P + 1, 8)  # M x K
     assert Y.shape == (21, P * 2)
-    Xu, Yu = extract_features(model, values, T, P, target_index=1, mode="univariate")
+    Yu = probe_targets(values, T, P, target_index=1, mode="univariate")
     assert Yu.shape == (21, P)
     np.testing.assert_array_equal(Yu[0], values[T : T + P, 1])
 
@@ -200,15 +220,17 @@ def test_extract_features_count_and_widths(rng):
 def test_extract_features_targets_follow_window(rng):
     model = tiny_model()
     values = rng.normal(size=(30, 2))
-    _, Y = extract_features(model, values, 16, 3, target_index=0)
+    X = extract_features(model, values, 16, 3)
+    Y = probe_targets(values, 16, 3, target_index=0)
+    assert len(Y) == len(X)
     np.testing.assert_array_equal(Y[2], values[18:21].ravel())
 
 
 def test_extract_features_deterministic_and_chunk_invariant(rng):
     model = tiny_model()
     values = rng.normal(size=(60, 2))
-    X1, _ = extract_features(model, values, 16, 4, 1, chunk=64)
-    X2, _ = extract_features(model, values, 16, 4, 1, chunk=5)
+    X1 = extract_features(model, values, 16, 4, chunk=64)
+    X2 = extract_features(model, values, 16, 4, chunk=5)
     np.testing.assert_allclose(X1, X2, atol=1e-12)
 
 
@@ -218,21 +240,51 @@ def test_extract_features_equals_per_window_stack(rng):
     model = tiny_model()
     values = rng.normal(size=(100, 2))
     T, P, chunk = 16, 4, 32
-    X, Y = extract_features(model, values, T, P, 1, chunk=chunk)
+    X = extract_features(model, values, T, P, chunk=chunk)
+    Y = probe_targets(values, T, P, 1)
     m = len(values) - T - P + 1
-    feats = []
-    with no_grad():
-        for lo in range(0, m, chunk):
-            batch = np.stack([values[i : i + T] for i in range(lo, min(lo + chunk, m))])
-            feats.append(model.encode(Tensor(batch)).data[:, -1, :])
-    assert X.tobytes() == np.concatenate(feats).tobytes()
+    assert X.tobytes() == per_window_features(model, values, T, P, chunk).tobytes()
     assert Y.tobytes() == np.stack([values[i + T : i + T + P].ravel() for i in range(m)]).tobytes()
+
+
+def record_encoder_calls(model, monkeypatch):
+    """Shapes (batch, rows) of every later ``model.encode`` input."""
+    calls = []
+    encode = model.encode
+
+    def spy(x, *args, **kwargs):
+        calls.append(x.shape[:-1])
+        return encode(x, *args, **kwargs)
+
+    monkeypatch.setattr(model, "encode", spy)
+    return calls
+
+
+@pytest.mark.parametrize("T, segmented", [(13, True), (12, False), (8, False)])
+def test_extract_features_segments_equal_per_window_stack(rng, monkeypatch, T, segmented):
+    # tiny_model's receptive field is 13 rows. At T = 13 the last step of a
+    # lookback reads no zero padding, so causal segments of many rows give
+    # the same bytes; at T = 12 it reads one padded row, and at T = 8 more,
+    # so each lookback must be encoded on its own
+    model = tiny_model(T=T)
+    assert model.config.backbone.receptive_field == 13
+    values = rng.normal(size=(300, 2))
+    P, chunk = 4, 5
+    calls = record_encoder_calls(model, monkeypatch)
+    X = extract_features(model, values, T, P, chunk=chunk)
+    calls = list(calls)
+    assert all(batch * rows <= chunk * T for batch, rows in calls)
+    if segmented:
+        assert calls[0] == (1, chunk * T) and len(calls) > 2
+    else:
+        assert all(rows == T for _, rows in calls)
+    assert X.tobytes() == per_window_features(model, values, T, P, chunk).tobytes()
 
 
 def test_extract_features_split_too_short(rng):
     model = tiny_model()
     with pytest.raises(ConfigurationError):
-        extract_features(model, rng.normal(size=(18, 2)), 16, 4, 1)
+        extract_features(model, rng.normal(size=(18, 2)), 16, 4)
 
 
 # -- horizon grids -----------------------------------------------------------
@@ -291,7 +343,10 @@ def test_evaluate_horizons_equals_per_horizon_reference(rng, mode):
     assert [e["horizon"] for e in report.entries] == [4, 8]
     for P, entry in zip((4, 8), report.entries):
         (X, Y), (Xv, Yv), (Xt, Yt) = [
-            extract_features(model, table.values[a:b], T, P, table.target_index, mode)
+            (
+                extract_features(model, table.values[a:b], T, P),
+                probe_targets(table.values[a:b], T, P, table.target_index, mode),
+            )
             for a, b in (spec.train_range, spec.valid_range, spec.test_range)
         ]
         xm, ym = X.mean(axis=0), Y.mean(axis=0)
@@ -320,9 +375,9 @@ def test_probe_beats_baseline_on_periodic_signal(rng):
     T, P = 16, 4
     report = evaluate_horizons(model, table, spec, T=T, horizons=[P])
     a, b = spec.train_range
-    _, train_y = extract_features(model, table.values[a:b], T, P, table.target_index)
+    train_y = probe_targets(table.values[a:b], T, P, table.target_index)
     a, b = spec.test_range
-    _, test_y = extract_features(model, table.values[a:b], T, P, table.target_index)
+    test_y = probe_targets(table.values[a:b], T, P, table.target_index)
     base_mse, _ = train_mean_baseline(train_y, test_y)
     # even an untrained encoder's final-step features carry enough phase
     # information to beat the constant predictor on a clean sinusoid
