@@ -272,7 +272,7 @@ def test_extract_features_segments_equal_per_window_stack(rng, monkeypatch, T, s
     P, chunk = 4, 5
     calls = record_encoder_calls(model, monkeypatch)
     X = extract_features(model, values, T, P, chunk=chunk)
-    calls = list(calls)
+    calls = list(calls)  # before the reference below adds its own calls
     assert all(batch * rows <= chunk * T for batch, rows in calls)
     if segmented:
         assert calls[0] == (1, chunk * T) and len(calls) > 2
