@@ -26,9 +26,10 @@ class AugmentConfig:
 
 
 def series_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and population standard deviation over time."""
+    """Per-feature mean and population standard deviation over time, the
+    second-to-last axis of one T x D window or a stack of them."""
     x = np.asarray(x, dtype=np.float64)
-    return x.mean(axis=0), x.std(axis=0)
+    return x.mean(axis=-2), x.std(axis=-2)
 
 
 def draw_factors(
@@ -43,9 +44,19 @@ def draw_factors(
 
 
 def augment_view(x: np.ndarray, cfg: AugmentConfig, draw_index: int) -> np.ndarray:
-    """One augmented copy of a T x D window; deterministic in
-    (x, cfg, draw_index)."""
+    """Augmented copies of T x D windows; deterministic in
+    (x, cfg, draw_index). ``x`` is one window, drawn with ``draw_index``,
+    or a stack (..., T, D) whose windows are numbered from ``draw_index``
+    in column-major order: in a (2, B, T, D) stack of two views, window i
+    of view v draws with ``draw_index + 2i + v``. Each window gets the
+    factors and bytes it would get on its own."""
     x = np.asarray(x, dtype=np.float64)
-    _, sigma = series_stats(x)
-    eps_s, eps_b = draw_factors(cfg, sigma, draw_index)
+    _, sigma = series_stats(x)  # (..., D)
+    lead = sigma.shape[:-1]
+    index = draw_index + np.arange(int(np.prod(lead))).reshape(lead, order="F")
+    draws = [
+        draw_factors(cfg, s, int(i))
+        for s, i in zip(sigma.reshape(-1, sigma.shape[-1]), index.ravel())
+    ]
+    eps_s, eps_b = (np.reshape(e, sigma.shape)[..., None, :] for e in zip(*draws))
     return eps_s * x + eps_b

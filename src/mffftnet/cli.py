@@ -373,7 +373,10 @@ def main(argv=None) -> int:
     parser, mapping = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, mapping)
+        # a non-finite tensor value raises NumericError naming the op, its
+        # shape and the step; numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args, mapping)
     except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

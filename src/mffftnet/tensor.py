@@ -136,7 +136,10 @@ def _as_tensor(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     if not np.all(np.isfinite(data)):
-        raise NumericError("non-finite value produced by a tensor operation")
+        # an op's backward rule is defined inside it, so its qualified name
+        # starts with the op's name
+        op = backward_fn.__qualname__.split(".")[0]
+        raise NumericError(f"non-finite value in the {op} output of shape {np.shape(data)}")
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -360,7 +363,7 @@ def diagonal(a: Tensor) -> Tensor:
 
 # -- neural primitives -----------------------------------------------------
 
-def _tap_conv(x: Tensor, w: Tensor, pad_spec, windows) -> Tensor:
+def _tap_conv(x: Tensor, w: Tensor, pad_spec, windows, op: str) -> Tensor:
     """Shared body of the convolutions. ``x`` is zero-padded by ``pad_spec``
     (one (before, after) pair per axis) and the output is the sum over taps
     i of ``padded[windows[i]] @ w_i``, one matmul per tap, where the taps
@@ -370,7 +373,10 @@ def _tap_conv(x: Tensor, w: Tensor, pad_spec, windows) -> Tensor:
     The input gradient is the same tap loop run on ``g`` padded the other
     way round, (after, before) per axis: tap i reads the mirrored window
     and multiplies by ``w_i^T``. The weight gradient of tap i is one
-    (Cin x N) @ (N x Cout) GEMM of that tap's window against ``g``."""
+    (Cin x N) @ (N x Cout) GEMM of that tap's window against ``g``.
+
+    ``op`` is the calling op's name; the backward rule carries it in its
+    qualified name, as every other op's does."""
     xp = np.pad(x.data, pad_spec)
     wt = w.data.reshape((-1,) + w.shape[-2:])
     taps = [xp[s] for s in windows]
@@ -389,6 +395,7 @@ def _tap_conv(x: Tensor, w: Tensor, pad_spec, windows) -> Tensor:
         _accum(x, gx)
         _accum(w, np.reshape(gw, w.shape))
 
+    bw.__qualname__ = f"{op}.<locals>.bw"
     return _make(out_data, (x, w), bw)
 
 
@@ -410,7 +417,7 @@ def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     T = x.shape[-2]
     pad_spec = [(0, 0)] * (x.ndim - 2) + [((k - 1) * dilation, 0), (0, 0)]
     windows = [(..., slice(i * dilation, i * dilation + T), slice(None)) for i in range(k)]
-    return _tap_conv(x, w, pad_spec, windows)
+    return _tap_conv(x, w, pad_spec, windows, "causal_conv1d")
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
@@ -433,7 +440,7 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
         for a in range(kh)
         for b in range(kw)
     ]
-    return _tap_conv(x, w, pad_spec, windows)
+    return _tap_conv(x, w, pad_spec, windows, "conv2d")
 
 
 def avg_pool2d(x: Tensor, window: tuple[int, int]) -> Tensor:

@@ -65,16 +65,10 @@ def total_loss(
     branch's output with zeros and drop its loss term.
     """
     flags = cfg.ablation
-    if flags.disable_augmentation:
-        views = np.stack([batch, batch])
-    else:
-        base = 2 * step * len(batch)
-        views = np.stack(
-            [
-                [augment_view(w, aug_cfg, base + 2 * i + v) for i, w in enumerate(batch)]
-                for v in (0, 1)
-            ]
-        )
+    views = np.stack([batch, batch])
+    if not flags.disable_augmentation:
+        # window i of view v draws with index 2 * step * B + 2i + v
+        views = augment_view(views, aug_cfg, 2 * step * len(batch))
     r = model.encode(Tensor(views), training, rng_seed=step)
 
     if flags.disable_facm:
@@ -143,11 +137,14 @@ def fit(
         totals, times, freqs = [], [], []
         for lo in range(0, len(order) - cfg.batch_size + 1, cfg.batch_size):
             batch = train_windows[order[lo : lo + cfg.batch_size]]
-            l_total, l_time, l_freq = total_loss(
-                batch, model, cfg, aug_cfg, step=step, training=True
-            )
-            if not np.isfinite(l_total.item()):
-                raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
+            try:
+                l_total, l_time, l_freq = total_loss(
+                    batch, model, cfg, aug_cfg, step=step, training=True
+                )
+                if not np.isfinite(l_total.item()):
+                    raise NumericError("non-finite loss")
+            except NumericError as exc:
+                raise NumericError(f"{exc} at epoch {epoch}, step {step}") from None
             model.zero_grad()
             l_total.backward()
             sgd_step(

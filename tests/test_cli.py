@@ -208,6 +208,13 @@ def _train_stderr(tmp_path, data, capsys, *extra):
     return rc, capsys.readouterr().err
 
 
+def test_train_divergence_exits_4_naming_the_step(tmp_path, corpus, capsys):
+    rc, err = _train_stderr(tmp_path, corpus, capsys, "--train.learning-rate", "1e100")
+    assert rc == 4 and "numeric failure: non-finite value in the" in err
+    assert "at epoch 0, step 1" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_train_config_not_utf8_exits_2(tmp_path, corpus, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"\xff\xfe")

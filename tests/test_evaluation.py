@@ -14,6 +14,7 @@ from mffftnet.evaluation import (
     Moments,
     RidgeProbe,
     _after_lookback,
+    _SCORE_ROWS,
     _smooth_length,
     _target_windows,
     _TargetSeries,
@@ -45,6 +46,21 @@ def test_score_hand_case():
     mse, mae = score(probe, np.zeros((2, 1)), Y)
     assert mse == (1 + 4 + 9 + 16) / 4  # 7.5
     assert mae == (1 + 2 + 3 + 4) / 4  # 2.5
+
+
+@pytest.mark.parametrize("rows", [_SCORE_ROWS - 3, 2 * _SCORE_ROWS, 2 * _SCORE_ROWS + 1])
+def test_score_blocks_match_dense(rng, rows):
+    # below one block, at a block multiple, and one row past it
+    probe = RidgeProbe(
+        weights=rng.normal(size=(4, 6)), intercept=rng.normal(size=6), ridge_alpha=1.0
+    )
+    X = rng.normal(size=(rows, 4))
+    values = rng.normal(size=(rows + 2, 2))
+    Y = _target_windows(values, 0, 3, 0, "multivariate")  # rows x 3 x 2 view
+    err = predict(probe, X) - Y.reshape(rows, -1)
+    mse, mae = score(probe, X, Y)
+    assert abs(mse - np.mean(err**2)) <= 1e-12 * np.mean(err**2)
+    assert abs(mae - np.mean(np.abs(err))) <= 1e-12 * np.mean(np.abs(err))
 
 
 # -- ridge solver ------------------------------------------------------------
@@ -161,18 +177,20 @@ def test_smooth_length():
 @pytest.mark.parametrize("mode", ["multivariate", "univariate"])
 @pytest.mark.parametrize("n_after", [97, 134, 211])  # prime, 2*67, prime
 def test_target_series_moments_match_dense(rng, mode, n_after):
+    # one series per split serves every horizon from P0 up to its P_max
     T, P0, K = 8, 2, 5
+    P_max = n_after // 2
     values = rng.normal(size=(T + n_after, 3)) + 0.5
-    series = _TargetSeries(_after_lookback(values, T, 1, mode))
     feats = rng.normal(size=(n_after - P0 + 1, K)) + 1.0
-    for P in (P0, 7, n_after // 2):
+    series = _TargetSeries(feats, _after_lookback(values, T, 1, mode), P_max)
+    for P in range(P0, P_max + 1):
         m = n_after - P + 1
         Y = _target_windows(values, T, P, 1, mode).reshape(m, -1)
         # an off-split centre, as the validation moments use the train means
         centre = dense_moments(rng.normal(size=(9, K)), rng.normal(size=(9, Y.shape[1])))
         for got, want in (
-            (series.moments(feats, P), dense_moments(feats[:m], Y)),
-            (series.moments(feats, P, centre), dense_moments(feats[:m], Y, centre)),
+            (series.moments(P), dense_moments(feats[:m], Y)),
+            (series.moments(P, centre), dense_moments(feats[:m], Y, centre)),
         ):
             assert got.rows == want.rows == m
             for name in ("x0", "y0", "gram", "cross"):

@@ -425,6 +425,19 @@ def test_finite_check_raises_on_overflow():
         tn.texp(Tensor([1e308]))
 
 
+def test_numeric_error_names_op_and_shape():
+    a, b = Tensor(np.full((2, 3), 1e200)), Tensor(np.full((3, 4), 1e200))
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericError, match=r"matmul output of shape \(2, 4\)"
+    ):
+        tn.matmul(a, b)
+    x, w = Tensor(np.full((1, 5, 3), 1e200)), Tensor(np.full((2, 3, 4), 1e200))
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericError, match=r"causal_conv1d output of shape \(1, 5, 4\)"
+    ):
+        tn.causal_conv1d(x, w)
+
+
 def test_finite_diff_check_sum_of_squares(rng):
     err = finite_diff_check(lambda t: tn.tsum(t * t), Tensor(rng.normal(size=(6,))))
     assert err < 1e-9

@@ -5,15 +5,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mffftnet import ctcm as ctcm_mod
 from mffftnet import facm as facm_mod
-from mffftnet.augment import AugmentConfig, augment_view
+from mffftnet.augment import AugmentConfig, augment_view, draw_factors, series_stats
 from mffftnet.cli import ABLATION_VARIANTS
 from mffftnet.config import RunConfig
 from mffftnet.ctcm import CtcmConfig
 from mffftnet.encoder import BackboneConfig
-from mffftnet.errors import ConfigurationError
+from mffftnet.errors import ConfigurationError, NumericError
 from mffftnet.facm import FacmConfig
 from mffftnet.model import Model, ModelConfig
 from mffftnet.tensor import Parameter, Tensor
@@ -100,6 +102,25 @@ def test_disable_augmentation_views_identical(rng):
     _, l_time_a, _ = total_loss(batch, model, cfg, AUG, step=0, training=False)
     _, l_time_b, _ = total_loss(batch, model, cfg, AUG, step=7, training=False)
     assert l_time_a.item() == l_time_b.item()  # step only seeds the views
+
+
+def test_total_loss_views_equal_per_window_draws(rng, monkeypatch):
+    # one augment_view call on the stacked views gives each window the bytes
+    # of its own draw, keyed 2 * step * B + 2i + v
+    model, batch, step = tiny_model(), tiny_batch(rng, B=4), 3
+    seen = []
+    encode = Model.encode
+    monkeypatch.setattr(
+        Model, "encode", lambda self, x, *a, **k: seen.append(x.data) or encode(self, x, *a, **k)
+    )
+    total_loss(batch, model, TrainConfig(), AUG, step=step)
+    want = []
+    for v in (0, 1):
+        for i, w in enumerate(batch):
+            _, sigma = series_stats(w)
+            eps_s, eps_b = draw_factors(AUG, sigma, 2 * step * len(batch) + 2 * i + v)
+            want.append(eps_s * w + eps_b)
+    assert seen[0].tobytes() == np.stack(want).reshape(seen[0].shape).tobytes()
 
 
 def two_pass_loss(batch, model, cfg, aug_cfg, step):
@@ -292,6 +313,15 @@ def test_fit_insufficient_windows(rng):
         fit(tiny_batch(rng, B=1), model, TrainConfig(batch_size=2), AUG)
 
 
+def test_fit_divergence_names_op_and_step(rng):
+    wins = tiny_batch(rng, B=4)
+    cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=1e100)
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericError, match=r"output of shape \(.*\) at epoch 0, step 1$"
+    ):
+        fit(wins, tiny_model(), cfg, AUG)
+
+
 def test_batch_size_below_two_rejected():
     with pytest.raises(ConfigurationError):
         TrainConfig(batch_size=1)
@@ -382,6 +412,31 @@ def test_checkpoint_corruption_raises_configuration_error(tmp_path):
         path.write_bytes(case)
         with pytest.raises(ConfigurationError):
             load_checkpoint(path)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    cut=st.integers(0, 2**20),
+    flips=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 7)), max_size=6),
+    tail=st.binary(max_size=12),
+)
+def test_checkpoint_fuzz_raises_only_configuration_error(tmp_path, cut, flips, tail):
+    # any truncation, then bit flips, then trailing bytes: the file either
+    # loads or raises ConfigurationError
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, tiny_model(seed=4), "cfg-text", epoch=1, step=2)
+    raw = path.read_bytes()
+    case = bytearray(raw[: cut % (len(raw) + 1)])
+    for at, bit in flips:
+        if case:
+            case[at % len(case)] ^= 1 << bit
+    path.write_bytes(bytes(case) + tail)
+    try:
+        load_checkpoint(path)
+    except ConfigurationError:
+        pass
 
 
 def test_load_state_mismatch_raises_configuration_error():
