@@ -1,13 +1,17 @@
 """Complementary time-domain contrastive module.
 
 Parallel causal 1-D convolutions at several kernel sizes produce an
-n x T x K stack (scales, time, channels; channels last throughout). The
-multi-scale feature fusion (MSFF) block collapses it to T x K/2: a 3x3
-2-D convolution over (scale, time), SiLU, the mean over the n scales (the
-paper's average pool spans the whole scale axis) and a per-timestep
-linear map (the paper's 1x1 convolution). Fusion concatenates the time-
-and frequency-domain halves and projects back to K; the time contrastive
-loss ties each fused timestep to its backbone representation.
+n x T x K stack (scales, time, channels; channels last throughout). All n
+scales are one ``tensor._tap_conv`` call over the shared input: each tap of
+each scale contracts the K input channels first, and its product lands,
+shifted in time, in its scale's slot of the stack, which starts out
+holding the biases. The multi-scale feature fusion (MSFF) block collapses
+the stack to T x K/2: a 3x3 2-D convolution over (scale, time), SiLU, the
+mean over the n scales (the paper's average pool spans the whole scale
+axis) and a per-timestep linear map (the paper's 1x1 convolution). Fusion
+concatenates the time- and frequency-domain halves and projects back to
+K; the time contrastive loss ties each fused timestep to its backbone
+representation.
 """
 
 from __future__ import annotations
@@ -70,16 +74,24 @@ def make_ctcm_params(
 def multiscale_conv(
     r: Tensor, params: dict[str, Parameter], kernels: tuple[int, ...]
 ) -> Tensor:
-    """Stack causal depth-preserving convolutions: (..., T, K) -> (..., n, T, K)."""
-    T = r.shape[-2]
+    """Stack causal depth-preserving convolutions: (..., T, K) -> (..., n, T, K).
+
+    One ``tn._tap_conv`` call runs the taps of every scale on the shared
+    input and adds each scale, over its bias, straight into its slot of the
+    stack: one tape node for all n scales.
+    """
+    T, K = r.shape[-2:]
     for kj in kernels:
         if kj > T:
             raise ParameterError(f"kernel {kj} exceeds window length {T}")
-    scales = []
-    for kj in kernels:
-        y = tn.causal_conv1d(r, params[f"ctcm.scale{kj}.w"]) + params[f"ctcm.scale{kj}.b"]
-        scales.append(tn.reshape(y, y.shape[:-2] + (1,) + y.shape[-2:]))
-    return tn.concat(scales, axis=-3)
+    out = np.empty(r.shape[:-2] + (len(kernels), T, K))
+    taps, biases = [], []
+    for j, kj in enumerate(kernels):
+        b = params[f"ctcm.scale{kj}.b"]
+        out[..., j, :, :] = b.data
+        biases.append((b, (..., j, slice(None), slice(None))))
+        taps += tn._causal_taps(params[f"ctcm.scale{kj}.w"], T, at=(j,))
+    return tn._tap_conv(r, taps, out, "multiscale_conv", biases)
 
 
 def msff(h_d: Tensor, params: dict[str, Parameter]) -> Tensor:

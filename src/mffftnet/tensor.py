@@ -152,8 +152,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # an owned copy: g may be a view of another node's gradient
+        t.grad = np.array(g)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -362,48 +364,107 @@ def diagonal(a: Tensor) -> Tensor:
 
 
 # -- neural primitives -----------------------------------------------------
+#
+# Every convolution is a list of taps run by one core, ``_tap_conv``. A tap
+# is a (Cin x Cout) weight matrix and a shift: channels first, it multiplies
+# the unpadded input by its matrix, and the product lands in the output
+# shifted along the spatial axes. ``causal_conv1d``, ``conv2d`` and the CTCM
+# scale stack differ only in their taps.
 
-def _tap_conv(x: Tensor, w: Tensor, pad_spec, windows, op: str) -> Tensor:
-    """Shared body of the convolutions. ``x`` is zero-padded by ``pad_spec``
-    (one (before, after) pair per axis) and the output is the sum over taps
-    i of ``padded[windows[i]] @ w_i``, one matmul per tap, where the taps
-    are w's leading axes in C order, so reversing the tap order mirrors
-    every window.
+# Columns of the largest gradient block: with Cout output channels a block
+# holds _BLOCK_COLS // Cout taps (at least one). Without a bound the paper
+# stack's 255 taps at 320 channels would make one N x 81 600 block (2.1 GB at
+# B=8). The value is measured in CHANGES.md.
+_BLOCK_COLS = 1024
 
-    The input gradient is the same tap loop run on ``g`` padded the other
-    way round, (after, before) per axis: tap i reads the mirrored window
-    and multiplies by ``w_i^T``. The weight gradient of tap i is one
-    (Cin x N) @ (N x Cout) GEMM of that tap's window against ``g``.
+
+def _tap_conv(x: Tensor, taps, out: np.ndarray, op: str, biases=()) -> Tensor:
+    """Channels-first core of every convolution: each tap contracts the
+    channels of the unpadded input, and its shift is a slice add after.
+
+    Each tap is ``(w, i, src, dst)``. ``w`` is a weight tensor of shape
+    (..., Cin, Cout) and ``i`` the tap's index over w's leading axes in C
+    order. ``src`` is a tuple ``(..., s_1, ..., s_d)`` of slices over x's
+    d spatial axes, and ``dst`` an index tuple into ``out``, channel axis
+    included, of the same shape. The tap adds ``x[src] @ w_i`` into
+    ``out[dst]``, so no zero-padded border is built; a tap that would read
+    only the border (its shift is at least the axis length) is left out by
+    the caller. ``out`` is the buffer the taps add into (zeros, or biases
+    already in place); each ``(b, dst)`` in ``biases`` names a bias tensor
+    added into ``out[dst]``, for its gradient.
+
+    The forward pass runs one matmul per tap; on the desk step that beat
+    one GEMM per tap block followed by slice adds (CHANGES.md). The
+    backward pass is the kn2row form of Vasudevan et al. (arXiv
+    1704.04428) on blocks of at most ``_BLOCK_COLS`` columns: each tap's
+    ``g[dst]`` goes into its rows and columns of a zeroed (N x block) gQ,
+    then two GEMMs give ``gx += gQ @ W_blockᵀ`` and ``gW_block = xᵀ @ gQ``,
+    where W_block = [w_i | w_i+1 | ...] is (Cin x block).
 
     ``op`` is the calling op's name; the backward rule carries it in its
     qualified name, as every other op's does."""
-    xp = np.pad(x.data, pad_spec)
-    wt = w.data.reshape((-1,) + w.shape[-2:])
-    taps = [xp[s] for s in windows]
-    out_data = np.zeros(taps[0].shape[:-1] + (w.shape[-1],))
-    for i in range(len(taps)):
-        out_data += np.matmul(taps[i], wt[i])
+    cin, cout = x.shape[-1], out.shape[-1]
+    weights = list({id(w): w for w, _, _, _ in taps}.values())
+
+    def tap_weight(w, i):
+        return w.data.reshape(-1, cin, cout)[i]
+
+    for w, i, src, dst in taps:
+        out[dst] += x.data[src + (slice(None),)] @ tap_weight(w, i)
 
     def bw(g):
-        gp = np.pad(g, [(hi, lo) for lo, hi in pad_spec])
-        wtt = np.ascontiguousarray(wt.transpose(0, 2, 1))
-        gx = np.zeros(x.shape)
-        for i in range(len(windows)):
-            gx += np.matmul(gp[windows[-1 - i]], wtt[i])
-        g2 = g.reshape(-1, g.shape[-1])
-        gw = [np.ascontiguousarray(t).reshape(-1, t.shape[-1]).T @ g2 for t in taps]
-        _accum(x, gx)
-        _accum(w, np.reshape(gw, w.shape))
+        x2 = x.data.reshape(-1, cin)
+        gx = np.zeros(x2.shape)
+        gw = {id(w): np.zeros(w.shape) for w, _, _, _ in taps}
+        per = max(1, _BLOCK_COLS // cout)
+        for j in range(0, len(taps), per):
+            block = taps[j:j + per]
+            gq = np.zeros(x.shape[:-1] + (len(block), cout))
+            for b, (_, _, src, dst) in enumerate(block):
+                gq[src + (b, slice(None))] = g[dst]
+            gq = gq.reshape(len(x2), -1)
+            wb = np.stack([tap_weight(w, i) for w, i, _, _ in block], axis=1)
+            gx += gq @ wb.reshape(cin, -1).T
+            gwb = (x2.T @ gq).reshape(cin, len(block), cout)
+            for b, (w, i, _, _) in enumerate(block):
+                gw[id(w)].reshape(-1, cin, cout)[i] = gwb[:, b]
+        _accum(x, gx.reshape(x.shape))
+        for w in weights:
+            _accum(w, gw.pop(id(w)))  # freed once _accum has its copy
+        for b, dst in biases:
+            gb = g[dst]
+            _accum(b, gb.sum(axis=tuple(range(gb.ndim - 1))))
 
     bw.__qualname__ = f"{op}.<locals>.bw"
-    return _make(out_data, (x, w), bw)
+    return _make(out, (x, *weights, *(b for b, _ in biases)), bw)
+
+
+def _shift(o: int, n: int) -> tuple[slice, slice]:
+    """(src, dst) slices of an axis of length n for the offset o, so that
+    out[dst] reads in[src] = in[dst + o]; |o| < n."""
+    return slice(max(o, 0), n + min(o, 0)), slice(max(-o, 0), n - max(o, 0))
+
+
+def _causal_taps(w: Tensor, T: int, dilation: int = 1, at: tuple = ()) -> list:
+    """``_tap_conv`` taps of a causal kernel w (k, Cin, Cout) over T steps:
+    tap i reads (k-1-i)*dilation steps back and writes ``out[..., *at, t, :]``
+    from t = its shift on; taps that shift by T or more are left out."""
+    taps = []
+    for i in range(w.shape[0]):
+        s = (w.shape[0] - 1 - i) * dilation
+        if s < T:
+            src, dst = _shift(-s, T)
+            taps.append((w, i, (..., src), (..., *at, dst, slice(None))))
+    return taps
 
 
 def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     """Causal 1-D convolution: x (..., T, Cin), w (k, Cin, Cout) -> (..., T, Cout).
 
-    The input is left-padded with (k-1)*dilation zeros so the output keeps
-    length T and position t never sees inputs later than t.
+    Tap i reads the input (k-1-i)*dilation steps back, so the output keeps
+    length T and position t never sees inputs later than t; rows before the
+    start read zeros. It runs on ``_tap_conv``: a tap whose shift is at
+    least T reads only zeros and is skipped.
     """
     k = w.shape[0]
     if k < 1 or dilation < 1:
@@ -414,18 +475,19 @@ def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
         raise DimensionError(
             f"conv1d channel mismatch: input {x.shape} vs kernel {w.shape}"
         )
-    T = x.shape[-2]
-    pad_spec = [(0, 0)] * (x.ndim - 2) + [((k - 1) * dilation, 0), (0, 0)]
-    windows = [(..., slice(i * dilation, i * dilation + T), slice(None)) for i in range(k)]
-    return _tap_conv(x, w, pad_spec, windows, "causal_conv1d")
+    taps = _causal_taps(w, x.shape[-2], dilation)
+    return _tap_conv(x, taps, np.zeros(x.shape[:-1] + w.shape[-1:]), "causal_conv1d")
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
     """Same-padded 2-D cross-correlation, channels last:
     x (..., H, W, Cin), w (kh, kw, Cin, Cout) -> (..., H, W, Cout).
 
-    The zero padding is (k-1)//2 before and the rest after on each axis, so
-    an even kernel pads one more row or column after than before.
+    Output cell (h, v) reads tap (a, b) at input cell (h + a - (kh-1)//2,
+    v + b - (kw-1)//2) and zeros outside the input, so an even kernel reads
+    one more row or column after than before. It runs on ``_tap_conv``: a
+    tap whose offset is at least the axis length (a 3x3 kernel over one
+    row) is skipped.
     """
     kh, kw, cin, _ = w.shape
     if x.shape[-1] != cin:
@@ -433,14 +495,14 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
             f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}"
         )
     H, W = x.shape[-3], x.shape[-2]
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    pad_spec = [(0, 0)] * (x.ndim - 3) + [(pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)]
-    windows = [
-        (..., slice(a, a + H), slice(b, b + W), slice(None))
-        for a in range(kh)
-        for b in range(kw)
-    ]
-    return _tap_conv(x, w, pad_spec, windows, "conv2d")
+    taps = []
+    for a in range(kh):
+        for b in range(kw):
+            oa, ob = a - (kh - 1) // 2, b - (kw - 1) // 2
+            if abs(oa) < H and abs(ob) < W:
+                (sa, da), (sb, db) = _shift(oa, H), _shift(ob, W)
+                taps.append((w, a * kw + b, (..., sa, sb), (..., da, db, slice(None))))
+    return _tap_conv(x, taps, np.zeros(x.shape[:-1] + w.shape[-1:]), "conv2d")
 
 
 def avg_pool2d(x: Tensor, window: tuple[int, int]) -> Tensor:

@@ -108,18 +108,34 @@ def test_conv1d_causality(rng):
         np.testing.assert_allclose(out[: t + 1], base[: t + 1], atol=1e-12)
 
 
-@pytest.mark.parametrize("k,dilation", [(3, 4), (16, 1), (128, 1)])
-def test_conv1d_backward_matches_tap_oracle(rng, k, dilation):
-    # tap i reads x[t - s] with s = (k - 1 - i) * dilation
-    T = (k - 1) * dilation + 7
+@pytest.mark.parametrize(
+    "k,dilation,T",
+    [
+        pytest.param(3, 4, None, id="3-4"),
+        pytest.param(16, 1, None, id="16-1"),
+        pytest.param(128, 1, None, id="128-1"),
+        # taps whose shift reaches past the window read only zeros
+        pytest.param(3, 8, 10, id="3-8-T10"),
+        pytest.param(4, 3, 7, id="4-3-T7"),
+        pytest.param(5, 1, 1, id="5-1-T1"),
+    ],
+)
+def test_conv1d_backward_matches_tap_oracle(rng, k, dilation, T):
+    # tap i reads x[t - s] with s = (k - 1 - i) * dilation, and nothing when s >= T
+    T = (k - 1) * dilation + 7 if T is None else T
     x, w, g = rng.normal(size=(2, T, 3)), rng.normal(size=(k, 3, 2)), rng.normal(size=(2, T, 2))
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    tn.tsum(tn.causal_conv1d(xt, wt, dilation) * Tensor(g)).backward()
-    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    out = tn.causal_conv1d(xt, wt, dilation)
+    tn.tsum(out * Tensor(g)).backward()
+    y, gx, gw = np.zeros(g.shape), np.zeros_like(x), np.zeros_like(w)
     for i in range(k):
         s = (k - 1 - i) * dilation
+        if s >= T:
+            continue
+        y[:, s:] += x[:, : T - s] @ w[i]
         gx[:, : T - s] += g[:, s:] @ w[i].T
         gw[i] = np.einsum("btc,bto->co", x[:, : T - s], g[:, s:])
+    np.testing.assert_allclose(out.data, y, rtol=0, atol=1e-12)
     np.testing.assert_allclose(xt.grad, gx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(wt.grad, gw, rtol=0, atol=1e-12)
 
@@ -164,9 +180,15 @@ def test_conv2d_same_padding_preserves_shape(rng):
     assert out.shape == (6, 8, 4)
 
 
-@pytest.mark.parametrize("kh,kw", [(3, 3), (2, 2)], ids=["3x3", "2x2"])
-def test_conv2d_matches_loop_oracle(rng, kh, kw):
-    x = rng.normal(size=(2, 4, 5, 3))
+@pytest.mark.parametrize(
+    "kh,kw,H,W",
+    [(3, 3, 4, 5), (2, 2, 4, 5), (3, 3, 1, 5), (2, 2, 1, 1), (7, 3, 2, 5)],
+    # H=1 is a one-kernel CTCM stack; there and at 7x3 on H=2 some taps read
+    # only the zero border
+    ids=["3x3", "2x2", "3x3-H1", "2x2-H1-W1", "7x3-H2"],
+)
+def test_conv2d_matches_loop_oracle(rng, kh, kw, H, W):
+    x = rng.normal(size=(2, H, W, 3))
     w = rng.normal(size=(kh, kw, 3, 2))
     out = tn.conv2d(Tensor(x), Tensor(w))
     np.testing.assert_allclose(out.data, conv2d_loop_oracle(x, w), rtol=0, atol=1e-12)
@@ -338,6 +360,24 @@ def test_backward_deterministic_after_reset(rng):
         return p.grad.copy()
 
     np.testing.assert_array_equal(run(), run())
+
+
+def test_first_gradient_is_an_owned_copy(rng):
+    # add hands the same g to both parents; p is read twice
+    p = Parameter(rng.normal(size=(3, 2)), name="p")
+    q = Parameter(rng.normal(size=(3, 2)), name="q")
+    c = rng.normal(size=(3, 2))
+    s = p + q
+    y = p + p
+    (tn.tsum(s * Tensor(c)) + tn.tsum(y * Tensor(c))).backward()
+    np.testing.assert_allclose(p.grad, 3 * c, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(q.grad, c, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(s.grad, c, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(y.grad, c, rtol=0, atol=1e-15)
+    grads = [p.grad, q.grad, s.grad, y.grad]
+    for i in range(len(grads)):
+        for j in range(i):
+            assert not np.shares_memory(grads[i], grads[j])
 
 
 def test_unreachable_parameter_gets_no_gradient():
