@@ -415,7 +415,7 @@ def _tap_conv(x: Tensor, taps, out: np.ndarray, op: str, biases=()) -> Tensor:
     def bw(g):
         x2 = x.data.reshape(-1, cin)
         gx = np.zeros(x2.shape)
-        gw = {id(w): np.zeros(w.shape) for w, _, _, _ in taps}
+        gw = {id(w): np.zeros(w.shape) for w in weights}
         per = max(1, _BLOCK_COLS // cout)
         for j in range(0, len(taps), per):
             block = taps[j:j + per]
