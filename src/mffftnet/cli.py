@@ -20,7 +20,14 @@ import numpy as np
 from . import data as data_mod
 from . import evaluation as eval_mod
 from . import training as train_mod
-from .config import DEFAULTS, PROFILES, RunConfig, parse_config_file, parse_config_text
+from .config import (
+    DEFAULTS,
+    PROFILES,
+    RunConfig,
+    number_list,
+    parse_config_file,
+    parse_config_text,
+)
 from .data import PerturbationSpec, SyntheticFeature
 from .errors import ConfigurationError, DataError, MffError, NumericError, ParameterError
 from .model import Model
@@ -66,7 +73,10 @@ def _resolve_config(args, mapping) -> RunConfig:
             flag_overrides[key] = val
     if args.seed is not None:
         flag_overrides["seed"] = args.seed
-    return RunConfig.resolve(args.profile, file_overrides, flag_overrides)
+    cfg = RunConfig.resolve(args.profile, file_overrides, flag_overrides)
+    # a bad probe grid fails before any training, not at the probe after it
+    eval_mod.check_probe_grid(cfg.int_list("eval.horizons"), cfg.float_list("eval.ridge_alphas"))
+    return cfg
 
 
 def _runconfig_from_text(text: str) -> RunConfig:
@@ -146,7 +156,7 @@ def cmd_eval(args, mapping) -> int:
     model = Model.build(cfg.model_config(std.num_features), init_seed=int(cfg["seed"]))
     model.load_state(ckpt.params)
     horizons = (
-        [int(h) for h in args.horizons.split(",")]
+        number_list(args.horizons, int, "--horizons")
         if args.horizons
         else eval_mod.horizon_grid(Path(args.data).stem)
     )

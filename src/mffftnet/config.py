@@ -138,6 +138,15 @@ def parse_config_file(path) -> dict[str, object]:
     return parse_config_text(text, path)
 
 
+def number_list(raw, kind, origin) -> list:
+    """The comma-separated numbers in ``raw`` as ``kind`` (int or float);
+    empty items are skipped. ``origin`` names the source in the error."""
+    try:
+        return [kind(tok) for tok in str(raw).split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigurationError(f"bad value {raw!r} for {origin}") from None
+
+
 class RunConfig:
     def __init__(self, values: dict[str, object]):
         self.values = values
@@ -170,10 +179,10 @@ class RunConfig:
         return self.values.get(key, default)
 
     def int_list(self, key) -> list[int]:
-        return [int(tok) for tok in str(self.values[key]).split(",") if tok.strip()]
+        return number_list(self.values[key], int, f"key {key!r}")
 
     def float_list(self, key) -> list[float]:
-        return [float(tok) for tok in str(self.values[key]).split(",") if tok.strip()]
+        return number_list(self.values[key], float, f"key {key!r}")
 
     def to_canonical_text(self) -> str:
         lines = [f"{key} = {self.values[key]}" for key in sorted(self.values)]

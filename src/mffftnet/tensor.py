@@ -148,12 +148,15 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g into t's gradient. The first g is kept as it is when ``owned``
+    (the backward rule built it for t alone), and copied otherwise: it may
+    be another node's gradient or a view of one, as ``add`` passes its own
+    g to both parents."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # an owned copy: g may be a view of another node's gradient
-        t.grad = np.array(g)
+        t.grad = g if owned else np.array(g)
     else:
         t.grad += g
 
@@ -180,14 +183,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(a, _unbroadcast(g * b.data, a.shape), owned=True)
+        _accum(b, _unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(a.data * b.data, (a, b), bw)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: _accum(a, -g))
+    return _make(-a.data, (a,), lambda g: _accum(a, -g, owned=True))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -201,8 +204,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     def bw(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
+        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), owned=True)
 
     return _make(np.matmul(a.data, b.data), (a, b), bw)
 
@@ -210,10 +213,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bw(g):
         if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
+            _accum(a, np.broadcast_to(g, a.shape).copy(), owned=True)
             return
         gg = g if keepdims else np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.shape).copy())
+        _accum(a, np.broadcast_to(gg, a.shape).copy(), owned=True)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
@@ -237,7 +240,7 @@ def tsqrt(a: Tensor) -> Tensor:
 
     def bw(g):
         # guarded at zero so masked-to-zero amplitudes don't blow up
-        _accum(a, g * 0.5 / np.maximum(out_data, 1e-12))
+        _accum(a, g * 0.5 / np.maximum(out_data, 1e-12), owned=True)
 
     return _make(out_data, (a,), bw)
 
@@ -263,7 +266,7 @@ def silu(a: Tensor) -> Tensor:
     s = _logistic(a.data)
 
     def bw(g):
-        _accum(a, g * s * (1.0 + a.data * (1.0 - s)))
+        _accum(a, g * s * (1.0 + a.data * (1.0 - s)), owned=True)
 
     return _make(a.data * s, (a,), bw)
 
@@ -279,7 +282,7 @@ def gelu(a: Tensor) -> Tensor:
 
     def bw(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner))
+        _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner), owned=True)
 
     return _make(0.5 * x * (1.0 + t), (a,), bw)
 
@@ -288,8 +291,8 @@ def atan2(y: Tensor, x: Tensor) -> Tensor:
     def bw(g):
         denom = x.data**2 + y.data**2
         denom = np.maximum(denom, 1e-24)
-        _accum(y, _unbroadcast(g * x.data / denom, y.shape))
-        _accum(x, _unbroadcast(-g * y.data / denom, x.shape))
+        _accum(y, _unbroadcast(g * x.data / denom, y.shape), owned=True)
+        _accum(x, _unbroadcast(-g * y.data / denom, x.shape), owned=True)
 
     return _make(np.arctan2(y.data, x.data), (y, x), bw)
 
@@ -301,7 +304,7 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     out_data = np.squeeze(m + np.log(s), axis=axis)
 
     def bw(g):
-        _accum(a, np.expand_dims(g, axis) * (e / s))
+        _accum(a, np.expand_dims(g, axis) * (e / s), owned=True)
 
     return _make(out_data, (a,), bw)
 
@@ -342,7 +345,7 @@ def unstack(a: Tensor) -> list[Tensor]:
         def bw(g):
             gg = np.zeros_like(a.data)
             gg[i] = g
-            _accum(a, gg)
+            _accum(a, gg, owned=True)
 
         return _make(a.data[i], (a,), bw)
 
@@ -358,7 +361,7 @@ def diagonal(a: Tensor) -> Tensor:
         gg = np.zeros_like(a.data)
         idx = np.arange(a.shape[-1])
         gg[..., idx, idx] = g
-        _accum(a, gg)
+        _accum(a, gg, owned=True)
 
     return _make(np.diagonal(a.data, axis1=-2, axis2=-1).copy(), (a,), bw)
 
@@ -428,9 +431,9 @@ def _tap_conv(x: Tensor, taps, out: np.ndarray, op: str, biases=()) -> Tensor:
             gwb = (x2.T @ gq).reshape(cin, len(block), cout)
             for b, (w, i, _, _) in enumerate(block):
                 gw[id(w)].reshape(-1, cin, cout)[i] = gwb[:, b]
-        _accum(x, gx.reshape(x.shape))
+        _accum(x, gx.reshape(x.shape), owned=True)
         for w in weights:
-            _accum(w, gw.pop(id(w)))  # freed once _accum has its copy
+            _accum(w, gw.pop(id(w)), owned=True)
         for b, dst in biases:
             gb = g[dst]
             _accum(b, gb.sum(axis=tuple(range(gb.ndim - 1))))
@@ -534,7 +537,7 @@ def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
         return _make(x.data.copy(), (x,), lambda g: _accum(x, g))
     rng = np.random.default_rng(rng_seed)
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return _make(x.data * mask, (x,), lambda g: _accum(x, g * mask))
+    return _make(x.data * mask, (x,), lambda g: _accum(x, g * mask, owned=True))
 
 
 # -- gradient oracle -------------------------------------------------------

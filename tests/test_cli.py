@@ -10,6 +10,7 @@ from mffftnet import cli
 from mffftnet.cli import ABLATION_VARIANTS, main
 from mffftnet.data import PerturbationSpec, load_csv, split
 from mffftnet.evaluation import ForecastReport
+from mffftnet.model import Model
 from mffftnet.training import load_checkpoint, save_checkpoint
 from tests.test_training import tiny_model
 
@@ -189,6 +190,55 @@ def test_eval_checkpoint_config_line_without_equals_exits_2(tmp_path, corpus, ca
     rc, err = _eval_stderr(bad, corpus, tmp_path, capsys)
     assert rc == 2 and "checkpoint config:2: expected 'key = value'" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+BAD_ALPHA_GRIDS = ["abc", "nan", ",", "-1", "0"]
+
+
+def _one_line_error(err: str) -> bool:
+    return "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("grid", BAD_ALPHA_GRIDS)
+def test_train_bad_ridge_alphas_exits_2(tmp_path, corpus, capsys, grid):
+    out = tmp_path / "m.bin"
+    rc = main(["train", str(corpus), "--out", str(out), *FAST, "--eval.ridge-alphas", grid])
+    err = capsys.readouterr().err
+    assert rc == 2 and "alpha" in err and _one_line_error(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", BAD_ALPHA_GRIDS)
+def test_eval_checkpoint_with_bad_ridge_alphas_exits_2(tmp_path, corpus, checkpoint, capsys, grid):
+    # a checkpoint written before the grid was checked at train time
+    ckpt = load_checkpoint(checkpoint)
+    text = ckpt.config_text.replace(
+        "eval.ridge_alphas = 0.01,0.1,1,10,100", f"eval.ridge_alphas = {grid}"
+    )
+    assert text != ckpt.config_text
+    cfg = cli._runconfig_from_text(ckpt.config_text)
+    model = Model.build(cfg.model_config(2), init_seed=int(cfg["seed"]))
+    model.load_state(ckpt.params)
+    bad = tmp_path / "bad_grid.bin"
+    save_checkpoint(bad, model, text)
+    rc, err = _eval_stderr(bad, corpus, tmp_path, capsys)
+    assert rc == 2 and "alpha" in err and _one_line_error(err)
+
+
+@pytest.mark.parametrize("horizons", ["0", "-5", "abc", "8,0"])
+def test_eval_bad_horizons_exits_2(tmp_path, corpus, checkpoint, capsys, horizons):
+    rep = tmp_path / "rep.json"
+    rc = main(["eval", str(checkpoint), str(corpus), "--report", str(rep), "--horizons", horizons])
+    err = capsys.readouterr().err
+    assert rc == 2 and "horizons" in err and _one_line_error(err)
+    assert not rep.exists()
+
+
+def test_train_bad_eval_horizons_exits_2(tmp_path, corpus, capsys):
+    out = tmp_path / "m.bin"
+    rc = main(["train", str(corpus), "--out", str(out), *FAST, "--eval.horizons", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "horizons" in err and _one_line_error(err)
 
 
 def test_train_non_finite_cell_exits_3(tmp_path, corpus, capsys):

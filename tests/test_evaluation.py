@@ -4,6 +4,7 @@ extraction geometry, horizon grids, and report serialization."""
 import numpy as np
 import pytest
 
+from mffftnet import evaluation
 from mffftnet.data import SeriesTable, split, standardize
 from mffftnet.errors import ConfigurationError
 from mffftnet.evaluation import (
@@ -14,6 +15,7 @@ from mffftnet.evaluation import (
     Moments,
     RidgeProbe,
     _after_lookback,
+    _CORR_ROWS,
     _SCORE_ROWS,
     _smooth_length,
     _target_windows,
@@ -157,6 +159,47 @@ def test_fit_ridge_sse_ranks_alphas_like_dense_mse(rng):
     assert dense_fit((X, Y), (Xv, Yv)).ridge_alpha == min(mses, key=mses.get)
 
 
+@pytest.mark.parametrize(
+    "rows, K, Q, noise",
+    # the validation winner is 0.01, 10 and 100 here; 8 rows of 12 features
+    # leave the train Gram rank 7, so its clipped zero eigenvalues are used
+    [(80, 5, 3, 0.5), (30, 12, 40, 3.0), (8, 12, 6, 1.0), (200, 6, 4, 20.0)],
+)
+def test_fit_ridge_matches_one_solve_per_alpha(rng, rows, K, Q, noise):
+    # an oracle that shares no code with fit_ridge: one dense solve and one
+    # dense validation MSE per alpha
+    W0 = rng.normal(size=(K, Q))
+    X, Xv = rng.normal(size=(rows, K)) + 0.3, rng.normal(size=(40, K)) + 0.3
+    Y = X @ W0 + noise * rng.normal(size=(rows, Q))
+    Yv = Xv @ W0 + noise * rng.normal(size=(40, Q))
+    fit = dense_moments(X, Y)
+    valid = dense_moments(Xv, Yv, centre=fit)
+    xm, ym = X.mean(axis=0), Y.mean(axis=0)
+    Xc = X - xm
+    mses = {}
+    for alpha in DEFAULT_ALPHA_GRID:
+        W = np.linalg.solve(Xc.T @ Xc + alpha * np.eye(K), Xc.T @ (Y - ym))
+        probe = fit_ridge(fit, valid, (alpha,))
+        assert np.abs(probe.weights - W).max() <= 1e-10 * np.abs(W).max()
+        mses[alpha] = float(np.mean((Xv @ W + (ym - xm @ W) - Yv) ** 2))
+    assert fit_ridge(fit, valid).ridge_alpha == min(mses, key=mses.get)
+
+
+@pytest.mark.parametrize("grid", [(), (float("nan"),), (0.1, float("inf")), (1.0, -1.0), (0.0,)])
+def test_fit_ridge_rejects_bad_alpha_grid(rng, grid):
+    fit = dense_moments(rng.normal(size=(20, 3)), rng.normal(size=(20, 2)))
+    with pytest.raises(ConfigurationError, match="alpha"):
+        fit_ridge(fit, fit, grid)
+
+
+@pytest.mark.parametrize("horizons", [[0], [4, -5], [2.5], [True]])
+def test_evaluate_horizons_rejects_bad_horizon(rng, horizons):
+    table = make_table(rng)
+    spec = split(table)
+    with pytest.raises(ConfigurationError, match="horizons"):
+        evaluate_horizons(tiny_model(), table, spec, T=16, horizons=horizons)
+
+
 # -- moments by FFT correlation ------------------------------------------------
 
 
@@ -174,12 +217,10 @@ def test_smooth_length():
     assert _smooth_length(8576) == 8640  # 8576 = 2^7 * 67
 
 
-@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
-@pytest.mark.parametrize("n_after", [97, 134, 211])  # prime, 2*67, prime
-def test_target_series_moments_match_dense(rng, mode, n_after):
-    # one series per split serves every horizon from P0 up to its P_max
-    T, P0, K = 8, 2, 5
-    P_max = n_after // 2
+def check_series_moments(rng, mode, n_after, P0, P_max):
+    """Every horizon's moments from one ``_TargetSeries`` against dense
+    rows, about their own means and about an off-split centre."""
+    T, K = 8, 5
     values = rng.normal(size=(T + n_after, 3)) + 0.5
     feats = rng.normal(size=(n_after - P0 + 1, K)) + 1.0
     series = _TargetSeries(feats, _after_lookback(values, T, 1, mode), P_max)
@@ -198,6 +239,33 @@ def test_target_series_moments_match_dense(rng, mode, n_after):
                 assert g.shape == w.shape
                 np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
             assert abs(got.syy - want.syy) <= 1e-12 * want.syy
+
+
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+@pytest.mark.parametrize("n_after", [97, 134, 211])  # prime, 2*67, prime
+def test_target_series_moments_match_dense(rng, mode, n_after):
+    # one series per split serves every horizon from P0 up to its P_max
+    check_series_moments(rng, mode, n_after, 2, n_after // 2)
+
+
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+@pytest.mark.parametrize(
+    "block, n_after, P0, P_max",
+    [
+        # B = 16 -> F = 24 -> B = 17: 210 rows in 12 full blocks and 6 more
+        (16, 211, 2, 8),
+        # P_max = 1: F = 16 and 15 blocks of 16 rows and 9 more
+        (16, 249, 1, 1),
+        # the shipped block length: F = 1080 -> B = 1057, 2599 rows in 2
+        # full blocks and 485 more
+        (_CORR_ROWS, 2600, 2, 24),
+    ],
+)
+def test_target_series_moments_span_blocks(rng, monkeypatch, mode, block, n_after, P0, P_max):
+    # splits much longer than the longest horizon: the correlation runs
+    # over several row blocks, the last one partial
+    monkeypatch.setattr(evaluation, "_CORR_ROWS", block)
+    check_series_moments(rng, mode, n_after, P0, P_max)
 
 
 # -- feature extraction ------------------------------------------------------
