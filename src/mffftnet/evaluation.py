@@ -174,15 +174,45 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-# Feature rows per correlation block in ``_TargetSeries``. With the longest
-# horizon P_max a block is transformed at F = the smallest 2-3-5-smooth
-# length >= B + P_max - 1, and B then grows to F - P_max + 1. On the
-# ETTh1-shaped probe (K=32, D_out=7, P_max=720; 8553 train and 2793
+# Rows per block in ``_lag_sums``. With L lags a block is transformed at F =
+# the smallest 2-3-5-smooth length >= B + L - 1, and B then grows to F - L +
+# 1. On the ETTh1-shaped probe (K=32, D_out=7, L=720; 8553 train and 2793
 # validation rows; 2 cores, numpy 2.4 pocketfft) the two splits took, as
 # medians of 25 interleaved runs, 28 ms at B=256, 24 ms at 512, 22-23 ms at
 # 768-1024, 25-26 ms at 1329-1536, 30 ms at 2048 and 48 ms at 4096, against
 # 71 ms for one full-length correlation per split.
 _CORR_ROWS = 1024
+
+
+def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int) -> np.ndarray:
+    """K x lags x D: [k, p, d] = sum_i A[i, k] u[i + p, d], with u read as
+    zero past its last row.
+
+    An overlap-add correlation: block b of B rows, A[bB : bB + B], is
+    correlated with the F values of u from row bB on. At the FFT length F
+    >= B + lags - 1 no lag below ``lags`` wraps around, so the per-bin
+    products of all blocks add up to the spectrum of the lag sums, and one
+    irfft of length F gives them. F follows ``lags`` and ``_CORR_ROWS``, not
+    len(A); at most B rows are one block. The sums match a dense sum within
+    ~1e-15 relative."""
+    (m, K), D = A.shape, u.shape[1]
+    fft_len = _smooth_length(min(_CORR_ROWS, m) + lags - 1)
+    rows = min(fft_len - lags + 1, m)  # B, widened to fill F
+    blocks = -(-m // rows)
+    a = np.zeros((blocks * rows, K))
+    a[:m] = A
+    padded = np.zeros(((blocks - 1) * rows + fft_len, D))  # past it no lag reads u
+    n = min(len(u), len(padded))
+    padded[:n] = u[:n]
+    segments = sliding_window_view(padded, fft_len, axis=0)[::rows]  # blocks x D x F
+    fa = np.fft.rfft(a.reshape(blocks, rows, K), fft_len, axis=1)
+    np.conj(fa, out=fa)
+    fu = np.fft.rfft(segments, fft_len)
+    # bins x K x D: the products of every block summed, one GEMM per bin
+    spectrum = np.matmul(fa.transpose(1, 2, 0), fu.transpose(2, 0, 1))
+    # K x D x lags, then a copy, or the view keeps every lag of the irfft alive
+    sums = np.fft.irfft(spectrum.transpose(1, 2, 0), fft_len)[..., :lags]
+    return np.ascontiguousarray(sums.transpose(0, 2, 1))
 
 
 class _TargetSeries:
@@ -193,44 +223,22 @@ class _TargetSeries:
     Target row i of horizon P is u[i : i + P] flattened, so the cross
     moment sum_i a_i y_i^T is, per lag p < P, the cross-correlation of the
     feature columns with u at lag p. The features are centred once on the
-    mean c of all m0 rows, A = X - c, and the lag sums over all m0 rows for
-    every lag below ``max_horizon`` come from an overlap-add correlation:
-    block b of B rows, A[bB : bB + B], is correlated with the F values of
-    u from row bB on (zero past row n). At the FFT length F >= B +
-    max_horizon - 1 no lag below ``max_horizon`` wraps around, so the
-    per-bin products of all blocks add up to the spectrum of the lag sums,
-    and one irfft of length F gives them. F follows the longest horizon
-    and ``_CORR_ROWS``, not the split length; a split of at most B rows is
-    one block. The lag sums match a dense sum within ~1e-15 relative.
+    mean c of all m0 rows, A = X - c, and one block-wise FFT correlation
+    (``_lag_sums``) gives the lag sums over all m0 rows for every lag below
+    ``max_horizon``.
 
     Horizon P keeps the first m = n - P + 1 rows: it subtracts the lag sums
-    of the P - P0 tail rows A[m:m0], one small matmul per lag, and moves
-    the centre from c to its x0 exactly, through (c - x0) times the target
-    sums. The running sums of u and u^2 give the target sums and Syy."""
+    of the P - P0 tail rows A[m:m0], one more correlation of P lags, and
+    moves the centre from c to its x0 exactly, through (c - x0) times the
+    target sums. The running sums of u and u^2 give the target sums and
+    Syy."""
 
     def __init__(self, X: np.ndarray, u: np.ndarray, max_horizon: int):
         self.X, self.u = X, u
         self.c = X.mean(axis=0)
         self.A = X - self.c
-        (m0, K), D = X.shape, u.shape[1]
-        fft_len = _smooth_length(min(_CORR_ROWS, m0) + max_horizon - 1)
-        rows = min(fft_len - max_horizon + 1, m0)  # B, widened to fill F
-        blocks = -(-m0 // rows)
-        a = np.zeros((blocks * rows, K))
-        a[:m0] = self.A
-        padded = np.zeros(((blocks - 1) * rows + fft_len, D))
-        padded[: len(u)] = u
-        segments = sliding_window_view(padded, fft_len, axis=0)[::rows]  # blocks x D x F
-        fa = np.fft.rfft(a.reshape(blocks, rows, K), fft_len, axis=1)
-        np.conj(fa, out=fa)
-        fu = np.fft.rfft(segments, fft_len)
-        # bins x K x D: the products of every block summed, one GEMM per bin
-        spectrum = np.matmul(fa.transpose(1, 2, 0), fu.transpose(2, 0, 1))
-        # K x D x max_horizon: [k, d, p] = sum_i A[i, k] u[i + p, d]
-        lags = np.fft.irfft(spectrum.transpose(1, 2, 0), fft_len)[..., :max_horizon]
-        # a copy, or the view keeps every lag of the irfft alive
-        self.lags = np.ascontiguousarray(lags.transpose(0, 2, 1))
-        zero = np.zeros((1, D))
+        self.lags = _lag_sums(self.A, u, max_horizon)
+        zero = np.zeros((1, u.shape[1]))
         self.sums = np.concatenate([zero, np.cumsum(u, axis=0)])
         self.squares = np.concatenate([zero, np.cumsum(u * u, axis=0)])
 
@@ -238,18 +246,15 @@ class _TargetSeries:
         """Moments of the first ``n - P + 1`` feature rows against their
         horizon-P targets, about ``centre``'s (x0, y0) or, without one,
         about their own means."""
-        n, m = len(self.u), len(self.u) - P + 1
+        m = len(self.u) - P + 1
         X = self.X[:m]
         ysum = self.sums[m : m + P] - self.sums[:P]  # P x D_out
         ysq = (self.squares[m : m + P] - self.squares[:P]).ravel()
         x0, y0 = (X.mean(axis=0), ysum.ravel() / m) if centre is None else (centre.x0, centre.y0)
         a = X - x0
         lags = self.lags[:, :P] + np.multiply.outer(self.c - x0, ysum)
-        tail = self.A[m:]
-        if len(tail):
-            for p in range(P):
-                rows = min(len(tail), n - p - m)  # past that, u is zero padding
-                lags[:, p] -= tail[:rows].T @ self.u[m + p : m + p + rows]
+        if m < len(self.A):
+            lags -= _lag_sums(self.A[m:], self.u[m:], P)
         cross = lags.reshape(len(x0), -1) - np.outer(a.sum(axis=0), y0)
         ysum = ysum.ravel()
         syy = float(np.sum(ysq - 2 * y0 * ysum + m * y0 * y0))
@@ -282,6 +287,7 @@ def score(probe: RidgeProbe, X: np.ndarray, Y: np.ndarray) -> tuple[float, float
         err = err.ravel()
         sq += float(err @ err)
         ab += float(np.abs(err, out=err).sum())
+        del err  # or the next block's predictions are made beside it
     return sq / Y.size, ab / Y.size
 
 

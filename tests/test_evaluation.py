@@ -256,6 +256,9 @@ def test_target_series_moments_match_dense(rng, mode, n_after):
         (16, 211, 2, 8),
         # P_max = 1: F = 16 and 15 blocks of 16 rows and 9 more
         (16, 249, 1, 1),
+        # B = 4 -> F = 45 -> B = 6: 99 rows in 16 full blocks and 3 more,
+        # and the dropped tail rows of a long horizon span blocks too
+        (4, 100, 2, 40),
         # the shipped block length: F = 1080 -> B = 1057, 2599 rows in 2
         # full blocks and 485 more
         (_CORR_ROWS, 2600, 2, 24),
