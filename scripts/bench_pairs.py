@@ -8,7 +8,8 @@ Usage:
 
 For every workload and seed it runs ``python3 perfbench/run.py --workload W
 --seed S --seconds N --trace T`` once in each checkout, parent first on the
-first seed and the change first on the next, and so on. Each run keeps its
+first seed and the change first on the next, and so on; a seed may repeat
+(``--seeds 1,1,1`` runs three pairs on seed 1). Each run keeps its
 last two output lines: the metadata line and the result line. A traced run
 also gets the mean self time per call of every module span in its span file.
 
@@ -16,8 +17,10 @@ The output file gets one *set* per call, under ``--label``: the runs, each
 side's median and quartiles per metric, and per metric the change's wins
 (pairs where it is better, in the direction ``BENCHMARK.json`` gives, or
 lower for the span times), the difference of the medians (positive when the
-change is better) and the parent's interquartile range. A call on an
-existing file adds its set to the file.
+change is better) and the parent's interquartile range. A metric or span
+that only one side of a pair reports is not compared; the set lists it
+under ``only_on_one_side``. A call on an existing file adds its set to the
+file.
 """
 
 from __future__ import annotations
@@ -78,36 +81,39 @@ def _values(run: dict) -> dict[str, float]:
             **{f"span_self_s:{k}": v for k, v in run.get("span_self_s", {}).items()}}
 
 
-def _summary(runs: list[dict], better: dict[str, str]) -> dict:
+def _summary(runs: list[dict], better: dict[str, str]) -> tuple[dict, dict]:
     """Per workload and metric: each side's quartiles, the change's wins
-    over the pairs, the median difference and the parent's IQR."""
-    out: dict = {}
+    over the pairs, the median difference and the parent's IQR. Only a
+    name that both runs of a pair report is compared; the second value
+    lists, per workload, the names that only one side reported."""
+    values: dict = defaultdict(lambda: defaultdict(lambda: {"parent": [], "change": []}))
+    one_sided: dict = defaultdict(lambda: {"parent": set(), "change": set()})
     by_pair = defaultdict(dict)
     for run in runs:
-        by_pair[(run["workload"], run["seed"])][run["side"]] = run
+        by_pair[(run["workload"], run["pair"])][run["side"]] = run
     for (workload, _), pair in by_pair.items():
-        parent, change = _values(pair["parent"]), _values(pair["change"])
-        for name, p in parent.items():
-            entry = out.setdefault(workload, {}).setdefault(name, {"wins": 0, "pairs": 0})
-            c = change.get(name)
-            if c is None:
-                continue
-            entry["pairs"] += 1
-            sign = 1 if better.get(name, "lower") == "higher" else -1
-            entry["wins"] += sign * (c - p) > 0
-            for side, v in (("parent", p), ("change", c)):
-                entry.setdefault(side + "_values", []).append(v)
-    for metrics in out.values():
-        for name, entry in metrics.items():
-            sign = 1 if better.get(name, "lower") == "higher" else -1
+        sides = {side: _values(pair[side]) for side in ("parent", "change")}
+        for side, other in (("parent", "change"), ("change", "parent")):
+            one_sided[workload][side] |= sides[side].keys() - sides[other].keys()
+        for name in sides["parent"].keys() & sides["change"].keys():
             for side in ("parent", "change"):
-                values = entry.pop(side + "_values")
-                q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                                  else values * 3)
+                values[workload][name][side].append(sides[side][name])
+    out: dict = {}
+    for workload, metrics in values.items():
+        for name in sorted(metrics):
+            sign = 1 if better.get(name, "lower") == "higher" else -1
+            pairs = list(zip(metrics[name]["parent"], metrics[name]["change"]))
+            entry = {"wins": sum(sign * (c - p) > 0 for p, c in pairs), "pairs": len(pairs)}
+            for side, side_values in metrics[name].items():
+                q1, median, q3 = (statistics.quantiles(side_values, n=4) if len(side_values) > 1
+                                  else side_values * 3)
                 entry[side] = {"median": median, "q1": q1, "q3": q3}
             entry["median_gain"] = sign * (entry["change"]["median"] - entry["parent"]["median"])
             entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
-    return out
+            out.setdefault(workload, {})[name] = entry
+    only = {workload: {side: sorted(names) for side, names in sides.items()}
+            for workload, sides in one_sided.items() if any(sides.values())}
+    return out, only
 
 
 def main(argv=None) -> int:
@@ -132,10 +138,11 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
                 run = _run(sides[side], workload, seed, args.seconds, args.trace)
-                runs.append({"workload": workload, "seed": seed, "side": side,
+                runs.append({"workload": workload, "seed": seed, "pair": i, "side": side,
                              "pair_position": position, **run})
                 print(f"{workload} seed {seed} {side}: {run['result']['metrics']}",
                       file=sys.stderr)
+    summary, one_sided = _summary(runs, better)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"sets": []}
     doc["sets"].append({
         "label": args.label,
@@ -144,7 +151,8 @@ def main(argv=None) -> int:
         "commits": {side: _git_commit(path) for side, path in sides.items()},
         "host": {k: runs[0]["metadata"]["meta"][k] for k in ("nproc", "numpy", "python", "blas")},
         "seeds": _seeds(args.seeds),
-        "summary": _summary(runs, better),
+        "summary": summary,
+        "only_on_one_side": one_sided,
         "runs": runs,
     })
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

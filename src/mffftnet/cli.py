@@ -211,18 +211,21 @@ def cmd_robustness(args, mapping) -> int:
     cfg = _resolve_config(args, mapping)
     if args.kind not in ("noise", "missing"):
         raise ConfigurationError(f"kind must be noise or missing, got {args.kind!r}")
-    ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
-    table, spec, std = _prepare(args.data, cfg)
-    cfg.values["dataset_name"] = Path(args.data).stem
-    rows = []
-    for ratio in [0.0] + ratios:
-        pert = PerturbationSpec(
+    # every ratio is checked here, before the first model trains
+    perts = [
+        PerturbationSpec(
             kind=args.kind,
             ratio=ratio,
             noise_mean=args.noise_mean,
             noise_std=args.noise_std,
             seed=int(cfg["seed"]),
         )
+        for ratio in [0.0] + number_list(args.ratios, float, "--ratios")
+    ]
+    table, spec, std = _prepare(args.data, cfg)
+    cfg.values["dataset_name"] = Path(args.data).stem
+    rows = []
+    for pert in perts:
         if args.kind == "noise":
             # Noise hits the raw train rows; normalization statistics are
             # then recomputed so they reflect the corrupted train split.
@@ -235,7 +238,7 @@ def cmd_robustness(args, mapping) -> int:
         model, _, _, vcfg = _build_and_fit(perturbed, spec, cfg, AblationFlags())
         report = _evaluate(model, table, std, spec, vcfg)
         rows.append(
-            {"ratio": ratio, "avg_mse": report.avg_mse, "avg_mae": report.avg_mae}
+            {"ratio": pert.ratio, "avg_mse": report.avg_mse, "avg_mae": report.avg_mae}
         )
     payload = {
         "dataset": Path(args.data).stem,
@@ -289,22 +292,47 @@ def cmd_transfer(args, mapping) -> int:
     return 0
 
 
+def _synthetic_spec(spec) -> tuple[int, list[SyntheticFeature], int]:
+    """Row count, features and seed of a decoded synth spec: an object with
+    ``n``, ``features`` (objects with ``waves`` of [period, amplitude,
+    phase], ``slope`` and ``noise_std``) and ``seed``. A malformed spec
+    raises ConfigurationError."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"synthetic spec must be a JSON object, got {type(spec).__name__}")
+    try:
+        n, seed = int(spec["n"]), int(spec.get("seed", 0))
+        features = [
+            SyntheticFeature(
+                waves=[tuple(float(v) for v in w) for w in f.get("waves", [])],
+                slope=float(f.get("slope", 0.0)),
+                noise_std=float(f.get("noise_std", 0.0)),
+            )
+            for f in spec["features"]
+        ]
+    except KeyError as exc:
+        raise ConfigurationError(f"synthetic spec has no {exc} field") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad synthetic spec: {exc}") from None
+    if n < 1 or not features:
+        raise ConfigurationError(
+            f"synthetic spec needs n >= 1 and a feature, got n={n} and {len(features)} features"
+        )
+    for f in features:
+        for w in f.waves:
+            if len(w) != 3:
+                raise ConfigurationError(
+                    f"a synthetic wave is [period, amplitude, phase], got {list(w)}"
+                )
+    return n, features, seed
+
+
 def cmd_synth(args, mapping) -> int:
     try:
         spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read synthetic spec {args.spec}: {exc}") from exc
-    features = [
-        SyntheticFeature(
-            waves=[tuple(w) for w in f.get("waves", [])],
-            slope=float(f.get("slope", 0.0)),
-            noise_std=float(f.get("noise_std", 0.0)),
-        )
-        for f in spec["features"]
-    ]
-    table = data_mod.gen_synthetic(
-        int(spec["n"]), len(features), features, seed=int(spec.get("seed", 0))
-    )
+    n, features, seed = _synthetic_spec(spec)
+    table = data_mod.gen_synthetic(n, len(features), features, seed=seed)
     lines = ["date," + ",".join(table.feature_names)]
     for stamp, row in zip(table.timestamps, table.values):
         lines.append(stamp + "," + ",".join(repr(float(v)) for v in row))

@@ -398,11 +398,7 @@ def _tap_conv(x: Tensor, taps, out: np.ndarray, op: str, biases=()) -> Tensor:
 
     The forward pass runs one matmul per tap; on the desk step that beat
     one GEMM per tap block followed by slice adds (CHANGES.md). The
-    backward pass is the kn2row form of Vasudevan et al. (arXiv
-    1704.04428) on blocks of at most ``_BLOCK_COLS`` columns: each tap's
-    ``g[dst]`` goes into its rows and columns of a zeroed (N x block) gQ,
-    then two GEMMs give ``gx += gQ @ W_blockᵀ`` and ``gW_block = xᵀ @ gQ``,
-    where W_block = [w_i | w_i+1 | ...] is (Cin x block).
+    backward pass is ``_kn2row``.
 
     ``op`` is the calling op's name; the backward rule carries it in its
     qualified name, as every other op's does."""
@@ -416,22 +412,12 @@ def _tap_conv(x: Tensor, taps, out: np.ndarray, op: str, biases=()) -> Tensor:
         out[dst] += x.data[src + (slice(None),)] @ tap_weight(w, i)
 
     def bw(g):
-        x2 = x.data.reshape(-1, cin)
-        gx = np.zeros(x2.shape)
         gw = {id(w): np.zeros(w.shape) for w in weights}
-        per = max(1, _BLOCK_COLS // cout)
-        for j in range(0, len(taps), per):
-            block = taps[j:j + per]
-            gq = np.zeros(x.shape[:-1] + (len(block), cout))
-            for b, (_, _, src, dst) in enumerate(block):
-                gq[src + (b, slice(None))] = g[dst]
-            gq = gq.reshape(len(x2), -1)
-            wb = np.stack([tap_weight(w, i) for w, i, _, _ in block], axis=1)
-            gx += gq @ wb.reshape(cin, -1).T
-            gwb = (x2.T @ gq).reshape(cin, len(block), cout)
-            for b, (w, i, _, _) in enumerate(block):
-                gw[id(w)].reshape(-1, cin, cout)[i] = gwb[:, b]
-        _accum(x, gx.reshape(x.shape), owned=True)
+        gx = _kn2row(x.data, g, [
+            (tap_weight(w, i), gw[id(w)].reshape(-1, cin, cout)[i], src, dst)
+            for w, i, src, dst in taps
+        ])
+        _accum(x, gx, owned=True)
         for w in weights:
             _accum(w, gw.pop(id(w)), owned=True)
         for b, dst in biases:
@@ -440,6 +426,34 @@ def _tap_conv(x: Tensor, taps, out: np.ndarray, op: str, biases=()) -> Tensor:
 
     bw.__qualname__ = f"{op}.<locals>.bw"
     return _make(out, (x, *weights, *(b for b, _ in biases)), bw)
+
+
+def _kn2row(x: np.ndarray, g: np.ndarray, taps) -> np.ndarray:
+    """Backward pass of a tap list: the kn2row form of Vasudevan et al.
+    (arXiv 1704.04428) on blocks of at most ``_BLOCK_COLS`` columns.
+
+    Each tap is ``(w, gw, src, dst)``: its (Cin x Cout) weight matrix, the
+    (Cin x Cout) array its weight gradient is written into, and its slices
+    as in ``_tap_conv``; ``g`` is the gradient of the output. Each tap's
+    ``g[dst]`` goes into its rows and columns of a zeroed (N x block) gQ,
+    then two GEMMs give ``gx += gQ @ W_blockᵀ`` and ``gW_block = xᵀ @ gQ``,
+    where W_block = [w_i | w_i+1 | ...] is (Cin x block). Returns gx."""
+    cin, cout = x.shape[-1], g.shape[-1]
+    x2 = x.reshape(-1, cin)
+    gx = np.zeros(x2.shape)
+    per = max(1, _BLOCK_COLS // cout)
+    for j in range(0, len(taps), per):
+        block = taps[j:j + per]
+        gq = np.zeros(x.shape[:-1] + (len(block), cout))
+        for b, (_, _, src, dst) in enumerate(block):
+            gq[src + (b, slice(None))] = g[dst]
+        gq = gq.reshape(len(x2), -1)
+        wb = np.stack([w for w, _, _, _ in block], axis=1)
+        gx += gq @ wb.reshape(cin, -1).T
+        gwb = (x2.T @ gq).reshape(cin, len(block), cout)
+        for b, (_, gw, _, _) in enumerate(block):
+            gw[...] = gwb[:, b]
+    return gx.reshape(x.shape)
 
 
 def _shift(o: int, n: int) -> tuple[slice, slice]:

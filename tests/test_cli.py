@@ -68,6 +68,26 @@ def test_synth_bad_spec(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"n": 10},
+        {"n": "x", "features": []},
+        {"n": 10, "features": [{"waves": [[24, 1.0]]}]},
+        [SPEC],
+        {"n": 10, "features": []},
+    ],
+    ids=["no-features", "n-not-a-number", "short-wave", "top-level-list", "zero-features"],
+)
+def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    assert main(["synth", str(bad), str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 # -- train -------------------------------------------------------------------
 
 
@@ -390,6 +410,19 @@ def test_robustness_bad_kind_exits_2(tmp_path, corpus):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("ratios", ["abc", "0.1,1.5", "nan"])
+def test_robustness_bad_ratios_exit_2_before_training(tmp_path, corpus, capsys, monkeypatch, ratios):
+    def no_training(*args):
+        raise AssertionError("a model was trained before the ratios were checked")
+
+    monkeypatch.setattr(cli, "_build_and_fit", no_training)
+    rc = main(["robustness", str(corpus), "--kind", "noise", "--ratios", ratios,
+               "--out", str(tmp_path / "r.json"), *FAST])
+    assert rc == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 # -- transfer ----------------------------------------------------------------

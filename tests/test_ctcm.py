@@ -1,12 +1,17 @@
 """Time-domain module: multi-scale causal stack, MSFF collapse, fusion,
 and the per-timestep contrastive loss."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from mffftnet import ctcm as ctcm_mod
 from mffftnet import tensor as tn
+from mffftnet.config import RunConfig
 from mffftnet.ctcm import (
     CtcmConfig,
+    composite_conv,
     ctcm_forward,
     fuse,
     make_ctcm_params,
@@ -15,7 +20,9 @@ from mffftnet.ctcm import (
     time_contrastive_loss,
 )
 from mffftnet.errors import ConfigurationError, ContractError, ParameterError
+from mffftnet.model import Model
 from mffftnet.tensor import Tensor
+from mffftnet.training import total_loss
 
 
 def small_setup(K=8, kernels=(1, 2, 4), msff_hidden=4, seed=0):
@@ -145,6 +152,95 @@ def test_msff_gradient(rng):
     assert err < 1e-4
 
 
+# -- composite_conv ----------------------------------------------------------
+
+
+def unfused_front_end(r, params, kernels):
+    """The scale stack, then MSFF's 3x3 conv and bias: what composite_conv folds."""
+    z = tn.conv2d(multiscale_conv(r, params, kernels), params["ctcm.msff.conv1.w"])
+    return z + params["ctcm.msff.conv1.b"]
+
+
+def random_biases(rng, params, kernels, K, H):
+    for kj in kernels:
+        params[f"ctcm.scale{kj}.b"].data = rng.normal(size=K)
+    params["ctcm.msff.conv1.b"].data = rng.normal(size=H)
+
+
+@pytest.mark.parametrize(
+    "kernels,T,K,H",
+    [
+        ((1, 2, 4, 8, 16), 64, 32, 16),
+        ((1, 2, 4, 8, 16, 32, 64, 128), 130, 3, 4),
+        ((4,), 9, 4, 3),
+        ((1,), 1, 4, 3),
+        ((1, 2), 2, 4, 3),
+        ((3, 5), 5, 4, 3),
+    ],
+    ids=["desk", "paper-kernels", "one-scale", "T1", "T2", "kernel-equals-T"],
+)
+def test_composite_conv_matches_unfused(rng, kernels, T, K, H):
+    cfg, params = small_setup(K=K, kernels=kernels, msff_hidden=H)
+    random_biases(rng, params, kernels, K, H)
+    r = rng.normal(size=(2, 3, T, K))
+    g = rng.normal(size=(2, 3, len(kernels), T, H))
+    names = [f"ctcm.scale{kj}.{part}" for kj in kernels for part in "wb"]
+    names += ["ctcm.msff.conv1.w", "ctcm.msff.conv1.b"]
+    results = []
+    for front_end in (composite_conv, unfused_front_end):
+        rt = Tensor(r, requires_grad=True)
+        for p in params.values():
+            p.zero_grad()
+        out = front_end(rt, params, cfg.kernels)
+        tn.tsum(out * Tensor(g)).backward()
+        results.append([out.data, rt.grad] + [params[n].grad for n in names])
+    for got, want in zip(*results):
+        scale = max(1.0, np.abs(want).max())
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def test_composite_conv_finite_differences(rng):
+    kernels, K, H = (1, 2, 4), 3, 2
+    cfg, params = small_setup(K=K, kernels=kernels, msff_hidden=H)
+    random_biases(rng, params, kernels, K, H)
+    r = rng.normal(size=(2, 6, K))
+    g = Tensor(rng.normal(size=(2, 3, 6, H)))
+
+    def loss(x, name=None):
+        if name is None:
+            return tn.tsum(composite_conv(x, params, kernels) * g)
+        return tn.tsum(composite_conv(Tensor(r), {**params, name: x}, kernels) * g)
+
+    err = tn.finite_diff_check(loss, Tensor(r.copy()))
+    assert err < 1e-6, f"r: finite-difference rel. error {err}"
+    for name in ("ctcm.scale4.w", "ctcm.scale2.b", "ctcm.msff.conv1.w", "ctcm.msff.conv1.b"):
+        err = tn.finite_diff_check(partial(loss, name=name), Tensor(params[name].data.copy()))
+        assert err < 1e-6, f"{name}: finite-difference rel. error {err}"
+
+
+def training_step(profile, B, seed):
+    """Loss and every parameter gradient of one training step of ``profile``."""
+    cfg = RunConfig.resolve(profile, flag_overrides={"train.batch_size": B})
+    T = int(cfg["window.length"])
+    model = Model.build(cfg.model_config(3), init_seed=seed)
+    batch = np.random.default_rng(seed).normal(size=(B, T, 3))
+    loss, _, _ = total_loss(batch, model, cfg.train_config(), cfg.augment_config())
+    loss.backward()
+    return loss.item(), {p.name: p.grad for p in model.parameters()}
+
+
+@pytest.mark.parametrize("profile,B", [("desk", 8), ("paper", 2)])
+def test_training_step_matches_unfused(monkeypatch, profile, B):
+    loss, grads = training_step(profile, B, seed=1)
+    monkeypatch.setattr(ctcm_mod, "composite_conv", unfused_front_end)
+    ref_loss, ref_grads = training_step(profile, B, seed=1)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    floor = 1e-3 * max(np.abs(g).max() for g in ref_grads.values())
+    for name, ref in ref_grads.items():
+        err = np.abs(grads[name] - ref).max() / max(np.abs(ref).max(), floor)
+        assert err <= 1e-12, f"{name}: {err}"
+
+
 # -- ctcm_forward ------------------------------------------------------------
 
 
@@ -161,6 +257,12 @@ def test_kernel_removal_is_pure_config_change(rng):
         cfg, params = small_setup(K=K, kernels=kernels)
         out = ctcm_forward(r, cfg, params)
         assert out.shape == (16, K // 2)
+
+
+def test_forward_kernel_longer_than_window(rng):
+    cfg, params = small_setup(kernels=(1, 16))
+    with pytest.raises(ParameterError, match="16"):
+        ctcm_forward(Tensor(rng.normal(size=(8, 8))), cfg, params)
 
 
 def test_forward_deterministic(rng):
