@@ -298,7 +298,9 @@ def _synthetic_spec(spec) -> tuple[int, list[SyntheticFeature], int]:
     phase], ``slope`` and ``noise_std``) and ``seed``. A malformed spec
     raises ConfigurationError."""
     if not isinstance(spec, dict):
-        raise ConfigurationError(f"synthetic spec must be a JSON object, got {type(spec).__name__}")
+        raise ConfigurationError(
+            f"synthetic spec must be a JSON object, got {type(spec).__name__}"
+        )
     try:
         n, seed = int(spec["n"]), int(spec.get("seed", 0))
         features = [

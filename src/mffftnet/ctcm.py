@@ -85,10 +85,11 @@ def multiscale_conv(
     """Stack causal depth-preserving convolutions: (..., T, K) -> (..., n, T, K).
 
     The unfused reference for ``composite_conv``, which the model runs
-    instead; the tests use it as the oracle. One ``tn._tap_conv`` call runs
-    the taps of every scale on the shared input and adds each scale, over
-    its bias, straight into its slot of the stack: one tape node for all n
-    scales.
+    instead: the tests use it as the oracle, and the benchmark tracer
+    (``perfbench/tracing.py``) wraps it by name. One ``tn._tap_conv`` call
+    runs the taps of every scale on the shared input and adds each scale,
+    over its bias, straight into its slot of the stack: one tape node for
+    all n scales.
     """
     T, K = r.shape[-2:]
     _check_kernels(kernels, T)
@@ -106,8 +107,8 @@ def msff(h_d: Tensor, params: dict[str, Parameter]) -> Tensor:
     """(..., n, T, K) -> (..., T, K/2) via 3x3 conv / SiLU / scale mean / linear.
 
     The unfused reference, with ``multiscale_conv`` before it, for the
-    model's ``composite_conv`` and ``_msff_tail``; the tests use it as the
-    oracle."""
+    model's ``composite_conv`` and ``_msff_tail``: the tests use it as the
+    oracle, and the benchmark tracer wraps it by name."""
     z = tn.conv2d(h_d, params["ctcm.msff.conv1.w"]) + params["ctcm.msff.conv1.b"]
     return _msff_tail(z, params)
 

@@ -505,6 +505,10 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     one more row or column after than before. It runs on ``_tap_conv``: a
     tap whose offset is at least the axis length (a 3x3 kernel over one
     row) is skipped.
+
+    The model folds its only 2-D convolution, MSFF's, into
+    ``ctcm.composite_conv``; this op stays as that fold's unfused
+    reference in the tests, and the benchmark tracer wraps it by name.
     """
     kh, kw, cin, _ = w.shape
     if x.shape[-1] != cin:

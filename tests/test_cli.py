@@ -413,7 +413,9 @@ def test_robustness_bad_kind_exits_2(tmp_path, corpus):
 
 
 @pytest.mark.parametrize("ratios", ["abc", "0.1,1.5", "nan"])
-def test_robustness_bad_ratios_exit_2_before_training(tmp_path, corpus, capsys, monkeypatch, ratios):
+def test_robustness_bad_ratios_exit_2_before_training(
+    tmp_path, corpus, capsys, monkeypatch, ratios
+):
     def no_training(*args):
         raise AssertionError("a model was trained before the ratios were checked")
 
