@@ -17,10 +17,13 @@ The output file gets one *set* per call, under ``--label``: the runs, each
 side's median and quartiles per metric, and per metric the change's wins
 (pairs where it is better, in the direction ``BENCHMARK.json`` gives, or
 lower for the span times), the difference of the medians (positive when the
-change is better) and the parent's interquartile range. A metric or span
-that only one side of a pair reports is not compared; the set lists it
-under ``only_on_one_side``. A call on an existing file adds its set to the
-file.
+change is better) and the parent's interquartile range. The metadata line's
+``report`` entries are summarised too, as ``report:<name>``, in the
+direction ``REPORT_BETTER`` gives; a report name that is missing from that
+table and from the result line is not summarised, and the set lists it
+under ``report_not_summarised``. A metric or span that only one side of a
+pair reports is not compared; the set lists it under ``only_on_one_side``.
+A call on an existing file adds its set to the file.
 """
 
 from __future__ import annotations
@@ -32,6 +35,17 @@ import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+# Directions of the ``report`` entries that the result line does not carry
+# (paper-step reports its step times, failures and rates only there).
+REPORT_BETTER = {
+    "step_p50_s": "lower",
+    "step_p90_s": "lower",
+    "fail_ratio": "lower",
+    "probe_mse": "lower",
+    "train_windows_per_s": "higher",
+    "probe_windows_per_s": "higher",
+}
 
 
 def _seeds(text: str) -> list[int]:
@@ -76,9 +90,23 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> 
     return run
 
 
+def _report(run: dict) -> dict:
+    return run.get("metadata", {}).get("report", {})
+
+
 def _values(run: dict) -> dict[str, float]:
     return {**{k: m["value"] for k, m in run["result"]["metrics"].items()},
+            **{f"report:{k}": m["value"] for k, m in _report(run).items()
+               if k in REPORT_BETTER},
             **{f"span_self_s:{k}": v for k, v in run.get("span_self_s", {}).items()}}
+
+
+def _not_summarised(runs: list[dict]) -> list[str]:
+    """Report names that are neither on their run's result line nor in
+    ``REPORT_BETTER``: no direction is known for them."""
+    return sorted({k for run in runs
+                   for k in _report(run).keys() - run["result"]["metrics"].keys()
+                   - REPORT_BETTER.keys()})
 
 
 def _summary(runs: list[dict], better: dict[str, str]) -> tuple[dict, dict]:
@@ -131,6 +159,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better.update({f"report:{k}": v for k, v in REPORT_BETTER.items()})
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
     for workload in args.workload:
@@ -153,6 +182,7 @@ def main(argv=None) -> int:
         "seeds": _seeds(args.seeds),
         "summary": summary,
         "only_on_one_side": one_sided,
+        "report_not_summarised": _not_summarised(runs),
         "runs": runs,
     })
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 
 @dataclass
 class AugmentConfig:
@@ -22,7 +24,10 @@ class AugmentConfig:
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
-            raise ValueError("augmentation strengths must be non-negative")
+            raise ConfigurationError(
+                f"augmentation strengths must be non-negative, got alpha={self.alpha}, "
+                f"beta={self.beta}"
+            )
 
 
 def series_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -75,7 +75,9 @@ def _resolve_config(args, mapping) -> RunConfig:
         flag_overrides["seed"] = args.seed
     cfg = RunConfig.resolve(args.profile, file_overrides, flag_overrides)
     # a bad probe grid fails before any training, not at the probe after it
-    eval_mod.check_probe_grid(cfg.int_list("eval.horizons"), cfg.float_list("eval.ridge_alphas"))
+    eval_mod.check_probe_grid(
+        cfg.int_list("eval.horizons"), cfg.float_list("eval.ridge_alphas"), cfg["eval.mode"]
+    )
     return cfg
 
 

@@ -8,7 +8,8 @@ the n scales (the paper's average pool spans the whole scale axis) and a
 per-timestep linear map (the paper's 1x1 convolution). Fusion
 concatenates the time- and frequency-domain halves and projects back to
 K; the time contrastive loss ties each fused timestep to its backbone
-representation.
+representation with the InfoNCE that the frequency loss also uses,
+``tensor.info_nce``.
 
 The scale convolutions and MSFF's 3x3 convolution are both linear, so
 the model folds them into one convolution from r (RepVGG's structural
@@ -24,13 +25,13 @@ name; the model does not run it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, ParameterError
 from . import tensor as tn
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, ParameterInit, Tensor
 
 DEFAULT_KERNELS = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -48,35 +49,28 @@ class CtcmConfig:
             raise ConfigurationError(f"kernels must be strictly increasing: {self.kernels}")
         if self.kernels[0] < 1:
             raise ConfigurationError("kernel sizes must be >= 1")
+        if self.msff_hidden < 1:
+            raise ConfigurationError(f"msff_hidden must be >= 1, got {self.msff_hidden}")
 
 
 def make_ctcm_params(
     K: int, cfg: CtcmConfig, init_seed: int = 0
 ) -> dict[str, Parameter]:
-    rng = np.random.default_rng(init_seed)
     half = K // 2
     H = cfg.msff_hidden
-    params: dict[str, Parameter] = {}
-
-    def add(name, data, exempt=False):
-        params[name] = Parameter(data, name=name, weight_decay_exempt=exempt)
-
-    def kaiming(shape, fan_in):
-        bound = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
+    init = ParameterInit(init_seed)
     for kj in cfg.kernels:
-        add(f"ctcm.scale{kj}.w", kaiming((kj, K, K), kj * K))
-        add(f"ctcm.scale{kj}.b", np.zeros(K), exempt=True)
-    add("ctcm.msff.conv1.w", kaiming((3, 3, K, H), 9 * K))
-    add("ctcm.msff.conv1.b", np.zeros(H), exempt=True)
-    add("ctcm.msff.conv2.w", kaiming((H, half), H))
-    add("ctcm.msff.conv2.b", np.zeros(half), exempt=True)
-    add("ctcm.proj.w", kaiming((half, half), half))
-    add("ctcm.proj.b", np.zeros(half), exempt=True)
-    add("fuse.w", kaiming((K, K), K))
-    add("fuse.b", np.zeros(K), exempt=True)
-    return params
+        init.kaiming(f"ctcm.scale{kj}.w", (kj, K, K), kj * K)
+        init.zeros(f"ctcm.scale{kj}.b", K)
+    init.kaiming("ctcm.msff.conv1.w", (3, 3, K, H), 9 * K)
+    init.zeros("ctcm.msff.conv1.b", H)
+    init.kaiming("ctcm.msff.conv2.w", (H, half), H)
+    init.zeros("ctcm.msff.conv2.b", half)
+    init.kaiming("ctcm.proj.w", (half, half), half)
+    init.zeros("ctcm.proj.b", half)
+    init.kaiming("fuse.w", (K, K), K)
+    init.zeros("fuse.b", K)
+    return init.params
 
 
 def multiscale_conv(
@@ -292,9 +286,4 @@ def fuse(h_time: Tensor, h_freq: Tensor, params: dict[str, Parameter]) -> Tensor
 def time_contrastive_loss(r: Tensor, h: Tensor) -> Tensor:
     """Per-timestep InfoNCE between the backbone representation and the
     fused representation; summed over time, averaged over the batch."""
-    if r.shape != h.shape:
-        raise ContractError(f"shape mismatch: {r.shape} vs {h.shape}")
-    axes = (*range(h.ndim - 2), h.ndim - 1, h.ndim - 2)
-    logits = tn.matmul(r, tn.transpose(h, axes))
-    per_t = tn.logsumexp(logits, axis=-1) - tn.diagonal(logits)
-    return tn.tmean(tn.tsum(per_t, axis=-1))
+    return tn.tmean(tn.tsum(tn.info_nce(r, h), axis=-1))

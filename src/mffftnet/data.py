@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParameterError
 
@@ -78,7 +79,6 @@ class SplitSpec:
 @dataclass
 class WindowBatch:
     windows: np.ndarray  # B x T x D
-    origin_indices: np.ndarray  # B window start rows
 
 
 @dataclass
@@ -206,13 +206,9 @@ def standardize(table: SeriesTable, spec: SplitSpec) -> SeriesTable:
     return replace(table, values=values)
 
 
-def windows(
-    table: SeriesTable,
-    split_range: tuple[int, int],
-    T: int,
-    stride: int = 1,
-):
-    """Yield (start_row, T x D window) pairs fully inside ``split_range``."""
+def window_batch(table, split_range, T, stride: int = 1) -> WindowBatch:
+    """Every ``stride``-th T x D window fully inside ``split_range``, one
+    strided view of the split copied into a (B, T, D) array."""
     start, end = split_range
     if T < 1 or stride < 1:
         raise ParameterError(f"window length/stride must be >= 1, got {T}/{stride}")
@@ -220,16 +216,8 @@ def windows(
         raise ParameterError(
             f"window length {T} exceeds split length {end - start}"
         )
-    for s in range(start, end - T + 1, stride):
-        yield s, table.values[s : s + T]
-
-
-def window_batch(table, split_range, T, stride: int = 1) -> WindowBatch:
-    pairs = list(windows(table, split_range, T, stride))
-    return WindowBatch(
-        windows=np.stack([w for _, w in pairs]),
-        origin_indices=np.asarray([s for s, _ in pairs]),
-    )
+    view = sliding_window_view(table.values[start:end], T, axis=0)[::stride]
+    return WindowBatch(windows=np.ascontiguousarray(view.transpose(0, 2, 1)))
 
 
 @dataclass

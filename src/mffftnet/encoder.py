@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError, DimensionError
 from . import tensor as tn
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, ParameterInit, Tensor
 
 
 @dataclass
@@ -34,6 +32,11 @@ class BackboneConfig:
     activation: str = "silu"  # "gelu" is the ablation switch
 
     def __post_init__(self):
+        if self.hidden_dim < 1 or self.output_dim < 1:
+            raise ConfigurationError(
+                f"backbone dimensions must be >= 1, got hidden {self.hidden_dim}, "
+                f"output {self.output_dim}"
+            )
         if self.output_dim % 2 != 0:
             raise ConfigurationError("backbone output dimension must be even")
         if self.num_blocks < 1 or self.kernel_size < 1:
@@ -47,29 +50,19 @@ class BackboneConfig:
         return 1 + 2 * (self.kernel_size - 1) * (2**self.num_blocks - 1)
 
 
-def _kaiming_uniform(rng, shape, fan_in):
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def make_backbone(cfg: BackboneConfig, init_seed: int = 0) -> dict[str, Parameter]:
     """Kaiming-uniform weights, zero biases; names enumerate the blocks."""
-    rng = np.random.default_rng(init_seed)
     D, H, K, k = cfg.input_dim, cfg.hidden_dim, cfg.output_dim, cfg.kernel_size
-    params: dict[str, Parameter] = {}
-
-    def add(name, data, exempt=False):
-        params[name] = Parameter(data, name=name, weight_decay_exempt=exempt)
-
-    add("backbone.lin.w", _kaiming_uniform(rng, (D, H), D))
-    add("backbone.lin.b", np.zeros(H), exempt=True)
+    init = ParameterInit(init_seed)
+    init.kaiming("backbone.lin.w", (D, H), D)
+    init.zeros("backbone.lin.b", H)
     for i in range(cfg.num_blocks):
         for conv in ("conv1", "conv2"):
-            add(f"backbone.block{i}.{conv}.w", _kaiming_uniform(rng, (k, H, H), k * H))
-            add(f"backbone.block{i}.{conv}.b", np.zeros(H), exempt=True)
-    add("backbone.proj.w", _kaiming_uniform(rng, (H, K), H))
-    add("backbone.proj.b", np.zeros(K), exempt=True)
-    return params
+            init.kaiming(f"backbone.block{i}.{conv}.w", (k, H, H), k * H)
+            init.zeros(f"backbone.block{i}.{conv}.b", H)
+    init.kaiming("backbone.proj.w", (H, K), H)
+    init.zeros("backbone.proj.b", K)
+    return init.params
 
 
 def encode(

@@ -299,9 +299,12 @@ def _check_alphas(alpha_grid) -> None:
             raise ConfigurationError(f"ridge alphas must be finite and > 0, got {alpha!r}")
 
 
-def check_probe_grid(horizons, alpha_grid) -> None:
-    """Raise ``ConfigurationError`` unless every horizon is an integer >= 1
-    and the alpha grid is non-empty, finite and positive."""
+def check_probe_grid(horizons, alpha_grid, mode) -> None:
+    """Raise ``ConfigurationError`` unless every horizon is an integer >= 1,
+    the alpha grid is non-empty, finite and positive, and the mode is
+    multivariate or univariate."""
+    if mode not in ("multivariate", "univariate"):
+        raise ConfigurationError(f"mode must be multivariate or univariate, got {mode!r}")
     for P in horizons:
         if isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1:
             raise ConfigurationError(f"horizons must be integers >= 1, got {P!r}")
@@ -375,10 +378,11 @@ def evaluate_horizons(
     matrices and one solve per alpha the metrics agree within 1e-10
     relative.
 
-    A horizon below 1 or a bad alpha grid (empty, non-finite or not
-    positive) raises ``ConfigurationError``.
+    A horizon below 1, a bad alpha grid (empty, non-finite or not
+    positive) or a mode other than multivariate or univariate raises
+    ``ConfigurationError``.
     """
-    check_probe_grid(horizons, alpha_grid)
+    check_probe_grid(horizons, alpha_grid, mode)
     report = ForecastReport(
         dataset=dataset_name or "unnamed",
         mode=mode,

@@ -3,8 +3,10 @@
 Pipeline per window: FFT of the representation over time, hard top-k
 masking of low-amplitude bins, complex linear reweighting (learnable
 complex weight matrix plus per-bin complex bias), inverse FFT, dropout.
-The dual contrastive loss compares the amplitude and phase rows of the
-two views' reweighted spectra.
+The frequency loss takes amplitude and phase of both views' reweighted
+spectra, stacked on a leading axis of 2, and contrasts each between the
+views' bin rows with the shared ``tensor.info_nce`` (as CoST does, Woo et
+al., arXiv 2202.01575).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractError
 from . import tensor as tn
 from .fourier import ComplexSpectrum, amp_phase, irfft, rfft
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, ParameterInit, Tensor
 
 
 @dataclass
@@ -37,20 +39,15 @@ def make_facm_params(
 ) -> dict[str, Parameter]:
     """Complex weight (K x K/2) and per-bin complex bias (c x K/2), stored
     as real/imaginary parameter pairs so both take part in autodiff."""
-    rng = np.random.default_rng(init_seed)
     c = window_length // 2 + 1
     half = K // 2
     scale = 1.0 / np.sqrt(K)
-    params = {}
-
-    def add(name, data, exempt=False):
-        params[name] = Parameter(data, name=name, weight_decay_exempt=exempt)
-
-    add("facm.omega.re", rng.normal(0.0, scale, size=(K, half)))
-    add("facm.omega.im", rng.normal(0.0, scale, size=(K, half)))
-    add("facm.beta.re", np.zeros((c, half)), exempt=True)
-    add("facm.beta.im", np.zeros((c, half)), exempt=True)
-    return params
+    init = ParameterInit(init_seed)
+    init.add("facm.omega.re", init.rng.normal(0.0, scale, size=(K, half)))
+    init.add("facm.omega.im", init.rng.normal(0.0, scale, size=(K, half)))
+    init.zeros("facm.beta.re", (c, half))
+    init.zeros("facm.beta.im", (c, half))
+    return init.params
 
 
 def mean_amplitude(s: ComplexSpectrum) -> np.ndarray:
@@ -107,23 +104,14 @@ def facm_apply(
     return h_hat, weighted
 
 
-def _info_nce_rows(f1: Tensor, f2: Tensor) -> Tensor:
-    """Row-wise InfoNCE over the trailing (rows, dim) block: positives are
-    matching rows of the two views, negatives the other rows of view 2.
-    Averaged over rows and any leading batch axes."""
-    if f1.shape != f2.shape:
-        raise ContractError(f"view shapes differ: {f1.shape} vs {f2.shape}")
-    logits = tn.matmul(f1, tn.transpose(f2, (*range(f2.ndim - 2), f2.ndim - 1, f2.ndim - 2)))
-    per_row = tn.logsumexp(logits, axis=-1) - tn.diagonal(logits)
-    return tn.tmean(per_row)
-
-
-def freq_contrastive_loss(
-    s1: ComplexSpectrum, s2: ComplexSpectrum, lam: float
-) -> tuple[Tensor, Tensor, Tensor]:
-    """(L_amp, L_phase, L_freq) with L_freq = lam*L_amp + (1-lam)*L_phase."""
-    a1, a2 = amp_phase(s1), amp_phase(s2)
-    l_amp = _info_nce_rows(a1.amplitude, a2.amplitude)
-    l_phase = _info_nce_rows(a1.phase, a2.phase)
+def freq_contrastive_loss(s: ComplexSpectrum, lam: float) -> tuple[Tensor, Tensor, Tensor]:
+    """(L_amp, L_phase, L_freq), L_freq = lam*L_amp + (1-lam)*L_phase, of a
+    (2, ..., c, d) spectrum holding the two views on its leading axis, as
+    ``facm_apply`` returns it. Each term is the InfoNCE of view 0's bin rows
+    against view 1's, averaged over the bins and any batch axes."""
+    if s.re.ndim < 3 or s.re.shape[0] != 2:
+        raise ContractError(f"frequency loss needs a (2, ..., c, d) spectrum, got {s.re.shape}")
+    ap = amp_phase(s)
+    l_amp, l_phase = (tn.tmean(tn.info_nce(*tn.unstack(f))) for f in (ap.amplitude, ap.phase))
     l_freq = l_amp * lam + l_phase * (1.0 - lam)
     return l_amp, l_phase, l_freq

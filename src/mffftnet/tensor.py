@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError
+from .errors import ContractError, DimensionError, NumericError, ParameterError
 
 _grad_enabled = True
 
@@ -128,6 +128,27 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
+
+
+class ParameterInit:
+    """A module's named parameters, drawn in call order from one RNG seeded
+    with ``init_seed``; ``params`` holds them in that order."""
+
+    def __init__(self, init_seed: int):
+        self.rng = np.random.default_rng(init_seed)
+        self.params: dict[str, Parameter] = {}
+
+    def add(self, name: str, data, exempt: bool = False) -> None:
+        self.params[name] = Parameter(data, name=name, weight_decay_exempt=exempt)
+
+    def kaiming(self, name: str, shape: tuple[int, ...], fan_in: int) -> None:
+        """Kaiming-uniform weight: U(-sqrt(6/fan_in), sqrt(6/fan_in))."""
+        bound = np.sqrt(6.0 / fan_in)
+        self.add(name, self.rng.uniform(-bound, bound, size=shape))
+
+    def zeros(self, name: str, shape) -> None:
+        """A zero bias, exempt from weight decay."""
+        self.add(name, np.zeros(shape), exempt=True)
 
 
 def _as_tensor(x) -> Tensor:
@@ -353,7 +374,7 @@ def unstack(a: Tensor) -> list[Tensor]:
 
 
 def diagonal(a: Tensor) -> Tensor:
-    """Diagonal of the last two axes; used by the contrastive losses."""
+    """Diagonal of the last two axes; used by ``info_nce``."""
     if a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"diagonal needs a square trailing block, got {a.shape}")
 
@@ -364,6 +385,16 @@ def diagonal(a: Tensor) -> Tensor:
         _accum(a, gg, owned=True)
 
     return _make(np.diagonal(a.data, axis1=-2, axis2=-1).copy(), (a,), bw)
+
+
+def info_nce(a: Tensor, b: Tensor) -> Tensor:
+    """Per-row InfoNCE (arXiv 1807.03748) of two (..., rows, dim) tensors:
+    logsumexp(a @ bᵀ) - diag(a @ bᵀ), shape (..., rows); row i's positive
+    is b[i] and its negatives the other rows of b."""
+    if a.shape != b.shape:
+        raise ContractError(f"InfoNCE operand shapes differ: {a.shape} vs {b.shape}")
+    logits = matmul(a, transpose(b, (*range(b.ndim - 2), b.ndim - 1, b.ndim - 2)))
+    return logsumexp(logits, axis=-1) - diagonal(logits)
 
 
 # -- neural primitives -----------------------------------------------------

@@ -12,10 +12,8 @@ import numpy as np
 
 from . import ctcm as ctcm_mod
 from . import facm as facm_mod
-from . import tensor as tn
 from .augment import AugmentConfig, augment_view
 from .errors import ConfigurationError, NumericError
-from .fourier import ComplexSpectrum
 from .model import Model
 from .tensor import Parameter, Tensor
 
@@ -43,6 +41,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise ConfigurationError("loss weights must be non-negative")
+        if self.epochs < 0:
+            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigurationError(
                 "batch_size must be >= 2: the contrastive losses need negatives"
@@ -76,11 +76,7 @@ def total_loss(
         h_hat = Tensor(np.zeros(r.shape[:-1] + (model.config.backbone.output_dim // 2,)))
     else:
         h_hat, s = model.facm(r, training, rng_seed=step)
-        s1, s2 = (
-            ComplexSpectrum(re=re, im=im, origin_length=s.origin_length)
-            for re, im in zip(tn.unstack(s.re), tn.unstack(s.im))
-        )
-        _, _, l_freq = facm_mod.freq_contrastive_loss(s1, s2, model.config.facm.lam)
+        _, _, l_freq = facm_mod.freq_contrastive_loss(s, model.config.facm.lam)
 
     if flags.disable_ctcm:
         l_time = Tensor(0.0)

@@ -42,6 +42,7 @@ from mffftnet.model import Model
 from mffftnet.tensor import Tensor, finite_diff_check
 from mffftnet.training import AblationFlags, TrainConfig, fit, total_loss
 from tests.test_evaluation import probe_targets
+from tests.test_facm import stacked
 from tests.test_training import tiny_model
 
 
@@ -170,7 +171,7 @@ def test_criterion_03_loss_oracles():
                 total += -np.log(pos / denom)
             return total / c
 
-        l_amp, l_phase, _ = freq_contrastive_loss(spectrum(v1), spectrum(v2), 0.5)
+        l_amp, l_phase, _ = freq_contrastive_loss(stacked(spectrum(v1), spectrum(v2)), 0.5)
         assert abs(l_amp.item() - nce(np.abs(v1), np.abs(v2))) < 1e-12
         assert abs(l_phase.item() - nce(np.angle(v1), np.angle(v2))) < 1e-12
 
@@ -184,9 +185,9 @@ def test_criterion_03_loss_oracles():
         assert abs(time_contrastive_loss(Tensor(a), Tensor(b)).item() - brute) < 1e-12
 
         # endpoint identities
-        _, _, l1 = freq_contrastive_loss(spectrum(v1), spectrum(v2), 1.0)
+        _, _, l1 = freq_contrastive_loss(stacked(spectrum(v1), spectrum(v2)), 1.0)
         assert l1.item() == l_amp.item()
-        _, _, l0 = freq_contrastive_loss(spectrum(v1), spectrum(v2), 0.0)
+        _, _, l0 = freq_contrastive_loss(stacked(spectrum(v1), spectrum(v2)), 0.0)
         assert l0.item() == l_phase.item()
         model = tiny_model()
         batch = r.normal(size=(2, 16, 2))

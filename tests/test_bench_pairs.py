@@ -2,7 +2,7 @@
 
 import pytest
 
-from scripts.bench_pairs import _seeds, _summary
+from scripts.bench_pairs import REPORT_BETTER, _not_summarised, _seeds, _summary
 
 BETTER = {"windows_per_s": "higher", "wall_s": "lower"}
 
@@ -61,3 +61,27 @@ def test_one_sided_span_is_listed_not_compared():
     assert summary["desk-train"]["span_self_s:encoder"]["wins"] == 1
     assert one_sided == {"desk-train": {"parent": ["span_self_s:ctcm.msff"],
                                         "change": ["span_self_s:ctcm.new"]}}
+
+
+def test_report_entries_are_summarised_in_their_direction():
+    runs = []
+    for pair, (p_step, c_step, p_rate, c_rate) in enumerate([(7.0, 6.0, 1.1, 1.2),
+                                                             (6.5, 6.6, 1.0, 1.3)]):
+        for side, step, rate in (("parent", p_step, p_rate), ("change", c_step, c_rate)):
+            out = run(side, pair, {"wall_s": 10.0})
+            out["metadata"] = {"report": {
+                "step_p50_s": {"value": step}, "train_windows_per_s": {"value": rate},
+                "wall_s": {"value": 10.0}, "new_thing": {"value": 1.0}}}
+            runs.append(out)
+    summary, one_sided = _summary(runs, {**BETTER, **{f"report:{k}": v
+                                                      for k, v in REPORT_BETTER.items()}})
+    step = summary["desk-train"]["report:step_p50_s"]
+    rate = summary["desk-train"]["report:train_windows_per_s"]
+    assert (step["wins"], rate["wins"]) == (1, 2)  # lower and higher is better
+    assert step["median_gain"] == pytest.approx(6.75 - 6.3)
+    # a name with no direction is neither compared nor an error; one the
+    # result line carries is compared there only
+    assert "report:new_thing" not in summary["desk-train"]
+    assert "report:wall_s" not in summary["desk-train"]
+    assert one_sided == {}
+    assert _not_summarised(runs) == ["new_thing"]

@@ -278,6 +278,24 @@ def _train_stderr(tmp_path, data, capsys, *extra):
     return rc, capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--augment.alpha", "-1"),
+        ("--augment.beta", "-1"),
+        ("--train.epochs", "-1"),
+        ("--backbone.hidden-dim", "0"),
+        ("--backbone.output-dim", "0"),
+        ("--ctcm.msff-hidden", "0"),
+        ("--eval.mode", "foo"),
+    ],
+)
+def test_train_bad_config_value_exits_2(tmp_path, corpus, capsys, flag, value):
+    rc, err = _train_stderr(tmp_path, corpus, capsys, flag, value)
+    assert rc == 2 and err.startswith("error: ") and _one_line_error(err)
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_train_divergence_exits_4_naming_the_step(tmp_path, corpus, capsys):
     rc, err = _train_stderr(tmp_path, corpus, capsys, "--train.learning-rate", "1e100")
     assert rc == 4 and "numeric failure: non-finite value in the" in err

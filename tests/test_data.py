@@ -176,20 +176,29 @@ def test_standardize_constant_column():
 
 def test_window_counts():
     table = _mini_table(10)
-    assert len(list(D.windows(table, (0, 10), 5, 1))) == 6
-    assert len(list(D.windows(table, (0, 10), 5, 5))) == 2
+    assert D.window_batch(table, (0, 10), 5, 1).windows.shape == (6, 5, 2)
+    assert D.window_batch(table, (0, 10), 5, 5).windows.shape == (2, 5, 2)
 
 
 def test_windows_stay_inside_range():
     table = _mini_table(30)
-    for start, w in D.windows(table, (10, 20), 4, 1):
-        assert 10 <= start and start + 4 <= 20
+    wins = D.window_batch(table, (10, 20), 4, 3).windows
+    assert wins.flags.c_contiguous and len(wins) == 3
+    for i, w in enumerate(wins):
+        start = 10 + 3 * i
+        assert start + 4 <= 20
         np.testing.assert_array_equal(w, table.values[start : start + 4])
 
 
 def test_windows_too_long():
     with pytest.raises(ParameterError):
-        list(D.windows(_mini_table(10), (0, 4), 5))
+        D.window_batch(_mini_table(10), (0, 4), 5)
+
+
+@pytest.mark.parametrize("T, stride", [(0, 1), (3, 0)])
+def test_windows_bad_length_or_stride(T, stride):
+    with pytest.raises(ParameterError):
+        D.window_batch(_mini_table(10), (0, 10), T, stride)
 
 
 @settings(max_examples=25, deadline=None)
@@ -197,7 +206,7 @@ def test_windows_too_long():
 def test_property_window_count_formula(n, T, stride):
     if T > n:
         return
-    count = len(list(D.windows(_mini_table(n), (0, n), T, stride)))
+    count = len(D.window_batch(_mini_table(n), (0, n), T, stride).windows)
     assert count == (n - T) // stride + 1
 
 

@@ -27,6 +27,19 @@ def spectrum_of(values, T):
     )
 
 
+def stacked(s1, s2):
+    """The two views' spectra on a leading axis of 2, as ``facm_apply``
+    returns them for a stacked batch; reshape and concat keep the stack
+    differentiable."""
+
+    def stack(a, b):
+        return tn.concat([tn.reshape(t, (1, *t.shape)) for t in (a, b)], axis=0)
+
+    return ComplexSpectrum(
+        re=stack(s1.re, s2.re), im=stack(s1.im, s2.im), origin_length=s1.origin_length
+    )
+
+
 def identity_style_params(K, T):
     """Left K/2 x K/2 block of omega = I, rest zero; beta = 0."""
     params = make_facm_params(K, T, 0)
@@ -208,7 +221,7 @@ def brute_force_info_nce(f1: np.ndarray, f2: np.ndarray) -> float:
 def test_freq_loss_single_row_is_zero(rng):
     vals = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
     s1, s2 = spectrum_of(vals, 2), spectrum_of(2 * vals, 2)
-    _, _, l_freq = freq_contrastive_loss(s1, s2, 0.5)
+    _, _, l_freq = freq_contrastive_loss(stacked(s1, s2), 0.5)
     assert abs(l_freq.item()) < 1e-12
 
 
@@ -216,7 +229,7 @@ def test_freq_loss_matches_brute_force(rng):
     v1 = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     v2 = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     s1, s2 = spectrum_of(v1, 3), spectrum_of(v2, 3)
-    l_amp, l_phase, l_freq = freq_contrastive_loss(s1, s2, 0.5)
+    l_amp, l_phase, l_freq = freq_contrastive_loss(stacked(s1, s2), 0.5)
     a1, p1 = np.abs(v1), np.angle(v1)
     a2, p2 = np.abs(v2), np.angle(v2)
     assert abs(l_amp.item() - brute_force_info_nce(a1, a2)) < 1e-12
@@ -228,9 +241,9 @@ def test_freq_loss_lambda_endpoints(rng):
     v1 = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     v2 = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     s1, s2 = spectrum_of(v1, 7), spectrum_of(v2, 7)
-    l_amp, l_phase, l_freq_1 = freq_contrastive_loss(s1, s2, 1.0)
+    l_amp, l_phase, l_freq_1 = freq_contrastive_loss(stacked(s1, s2), 1.0)
     assert l_freq_1.item() == l_amp.item()
-    _, _, l_freq_0 = freq_contrastive_loss(s1, s2, 0.0)
+    _, _, l_freq_0 = freq_contrastive_loss(stacked(s1, s2), 0.0)
     assert l_freq_0.item() == l_phase.item()
 
 
@@ -238,26 +251,27 @@ def test_freq_loss_nonnegative(rng):
     for _ in range(5):
         v1 = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         v2 = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        _, _, l = freq_contrastive_loss(spectrum_of(v1, 9), spectrum_of(v2, 9), 0.5)
+        _, _, l = freq_contrastive_loss(stacked(spectrum_of(v1, 9), spectrum_of(v2, 9)), 0.5)
         assert l.item() >= 0.0
 
 
 def test_freq_loss_batch_permutation_invariance(rng):
     v1 = rng.normal(size=(3, 5, 2)) + 1j * rng.normal(size=(3, 5, 2))
     v2 = rng.normal(size=(3, 5, 2)) + 1j * rng.normal(size=(3, 5, 2))
-    _, _, a = freq_contrastive_loss(spectrum_of(v1, 9), spectrum_of(v2, 9), 0.5)
+    _, _, a = freq_contrastive_loss(stacked(spectrum_of(v1, 9), spectrum_of(v2, 9)), 0.5)
     perm = [2, 0, 1]
     _, _, b = freq_contrastive_loss(
-        spectrum_of(v1[perm], 9), spectrum_of(v2[perm], 9), 0.5
+        stacked(spectrum_of(v1[perm], 9), spectrum_of(v2[perm], 9)), 0.5
     )
     assert abs(a.item() - b.item()) < 1e-12
 
 
 def test_freq_loss_shape_mismatch(rng):
-    s1 = spectrum_of(rng.normal(size=(3, 2)) + 0j, 5)
-    s2 = spectrum_of(rng.normal(size=(3, 3)) + 0j, 5)
-    with pytest.raises(ContractError):
-        freq_contrastive_loss(s1, s2, 0.5)
+    # the views sit on a leading axis of exactly 2: three views, or one
+    # view's (c, d) spectrum on its own, are rejected
+    for shape in [(3, 4, 2), (2, 3)]:
+        with pytest.raises(ContractError):
+            freq_contrastive_loss(spectrum_of(rng.normal(size=shape) + 0j, 5), 0.5)
 
 
 def test_freq_loss_gradient_through_upstream(rng):
@@ -269,7 +283,7 @@ def test_freq_loss_gradient_through_upstream(rng):
     def f(r1):
         _, s1 = facm_apply(r1, params, cfg, training=False)
         _, s2 = facm_apply(Tensor(r2), params, cfg, training=False)
-        _, _, l_freq = freq_contrastive_loss(s1, s2, 0.4)
+        _, _, l_freq = freq_contrastive_loss(stacked(s1, s2), 0.4)
         return l_freq
 
     err = finite_diff_check(f, Tensor(rng.normal(size=(T, K))))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mffftnet import tensor as tn
-from mffftnet.errors import DimensionError, NumericError, ParameterError
+from mffftnet.errors import ContractError, DimensionError, NumericError, ParameterError
 from mffftnet.tensor import Parameter, Tensor, finite_diff_check
 
 
@@ -411,6 +411,29 @@ def test_diagonal(rng):
     out = tn.diagonal(Tensor(x))
     np.testing.assert_array_equal(out.data, np.diagonal(x, axis1=-2, axis2=-1))
     fdc(lambda t: tn.tsum(tn.diagonal(t) * Tensor([1.0, -1.0, 2.0])), x, 1e-6)
+
+
+def test_info_nce_matches_softmax_loop(rng):
+    a, b = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
+    out = tn.info_nce(Tensor(a), Tensor(b))
+    assert out.shape == (2, 4)
+    for n in range(2):
+        for i in range(4):
+            pos = np.exp(a[n, i] @ b[n, i])
+            denom = sum(np.exp(a[n, i] @ b[n, j]) for j in range(4))
+            assert abs(out.data[n, i] + np.log(pos / denom)) < 1e-12
+
+
+def test_info_nce_gradient_in_both_arguments(rng):
+    a, b = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
+    w = Tensor(rng.normal(size=(2, 4)))
+    fdc(lambda t: tn.tsum(tn.info_nce(t, Tensor(b)) * w), a, 1e-6)
+    fdc(lambda t: tn.tsum(tn.info_nce(Tensor(a), t) * w), b, 1e-6)
+
+
+def test_info_nce_shape_mismatch():
+    with pytest.raises(ContractError):
+        tn.info_nce(Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 2))))
 
 
 def test_concat_and_gradient(rng):

@@ -30,6 +30,7 @@ from mffftnet.training import (
     sgd_step,
     total_loss,
 )
+from tests.test_facm import stacked
 
 
 def tiny_model(D=2, T=16, K=8, seed=0, gelu=False, dropout=0.0):
@@ -142,7 +143,7 @@ def two_pass_loss(batch, model, cfg, aug_cfg, step):
     else:
         (h1, s1), (h2, s2) = (model.facm(r) for r in rs)
         h_hats = [h1, h2]
-        _, _, l_freq = facm_mod.freq_contrastive_loss(s1, s2, model.config.facm.lam)
+        _, _, l_freq = facm_mod.freq_contrastive_loss(stacked(s1, s2), model.config.facm.lam)
     if flags.disable_ctcm:
         l_time = Tensor(0.0)
     else:
