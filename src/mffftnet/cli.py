@@ -29,19 +29,20 @@ from .config import (
     parse_config_text,
 )
 from .data import PerturbationSpec, SyntheticFeature
-from .errors import ConfigurationError, DataError, MffError, NumericError, ParameterError
+from .errors import ConfigurationError, DataError, MffError, NumericError
 from .model import Model
 from .training import AblationFlags
 
-ABLATION_VARIANTS: dict[str, AblationFlags] = {
-    "full": AblationFlags(),
-    "wo-da": AblationFlags(disable_augmentation=True),
-    "wo-fm": AblationFlags(disable_facm=True),
-    "wo-cm": AblationFlags(disable_ctcm=True),
-    "wo-da-fm": AblationFlags(disable_augmentation=True, disable_facm=True),
-    "wo-da-cm": AblationFlags(disable_augmentation=True, disable_ctcm=True),
-    "wo-cm-fm": AblationFlags(disable_ctcm=True, disable_facm=True),
-    "wo-si": AblationFlags(activation_gelu=True),
+# variant -> (training flags, configuration overrides)
+ABLATION_VARIANTS: dict[str, tuple[AblationFlags, dict[str, object]]] = {
+    "full": (AblationFlags(), {}),
+    "wo-da": (AblationFlags(disable_augmentation=True), {}),
+    "wo-fm": (AblationFlags(disable_facm=True), {}),
+    "wo-cm": (AblationFlags(disable_ctcm=True), {}),
+    "wo-da-fm": (AblationFlags(disable_augmentation=True, disable_facm=True), {}),
+    "wo-da-cm": (AblationFlags(disable_augmentation=True, disable_ctcm=True), {}),
+    "wo-cm-fm": (AblationFlags(disable_ctcm=True, disable_facm=True), {}),
+    "wo-si": (AblationFlags(), {"backbone.activation": "gelu"}),
 }
 
 
@@ -52,27 +53,21 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> dict[str, str]:
-    mapping = {}
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One ``--<key>`` flag per configuration key, in ``DEFAULTS`` order,
+    stored under the key itself; ``--seed`` alone is parsed as an int."""
     for key in DEFAULTS:
-        if key == "seed":  # added separately as a typed flag
-            continue
         flag = "--" + key.replace("_", "-")
-        dest = "cfg__" + key.replace(".", "__")
-        parser.add_argument(flag, dest=dest, default=None, metavar="V")
-        mapping[dest] = key
-    return mapping
+        if key == "seed":
+            parser.add_argument(flag, type=int, default=None)
+        else:
+            parser.add_argument(flag, dest=key, default=None, metavar="V")
 
 
-def _resolve_config(args, mapping) -> RunConfig:
+def _resolve_config(args) -> RunConfig:
     file_overrides = parse_config_file(args.config) if args.config else {}
-    flag_overrides = {}
-    for dest, key in mapping.items():
-        val = getattr(args, dest, None)
-        if val is not None:
-            flag_overrides[key] = val
-    if args.seed is not None:
-        flag_overrides["seed"] = args.seed
+    given = vars(args)
+    flag_overrides = {key: given[key] for key in DEFAULTS if given[key] is not None}
     cfg = RunConfig.resolve(args.profile, file_overrides, flag_overrides)
     # a bad probe grid fails before any training, not at the probe after it
     eval_mod.check_probe_grid(
@@ -86,7 +81,7 @@ def _runconfig_from_text(text: str) -> RunConfig:
     return RunConfig.resolve(overrides.pop("profile", None), overrides, {})
 
 
-def _prepare(path, cfg: RunConfig):
+def _prepare(path):
     if not Path(path).exists():
         raise ConfigurationError(f"data file not found: {path}")
     table = data_mod.load_csv(path)
@@ -102,8 +97,6 @@ def _train_windows(std, spec, cfg: RunConfig) -> np.ndarray:
 
 
 def _build_and_fit(std, spec, cfg: RunConfig, ablation: AblationFlags):
-    if ablation.activation_gelu:
-        cfg = RunConfig({**cfg.values, "backbone.activation": "gelu"})
     model_cfg = cfg.model_config(std.num_features)
     model = Model.build(model_cfg, init_seed=int(cfg["seed"]))
     train_cfg = cfg.train_config(ablation)
@@ -111,11 +104,10 @@ def _build_and_fit(std, spec, cfg: RunConfig, ablation: AblationFlags):
     wins = _train_windows(std, spec, cfg)
     history = train_mod.fit(wins, model, train_cfg, aug_cfg)
     steps = train_cfg.epochs * (len(wins) // train_cfg.batch_size)
-    return model, history, steps, cfg
+    return model, history, steps
 
 
-def _evaluate(model, table, std, spec, cfg: RunConfig, horizons=None, mode=None):
-    name = cfg.get("dataset_name", "")
+def _evaluate(model, std, spec, cfg: RunConfig, name: str, horizons=None, mode=None):
     return eval_mod.evaluate_horizons(
         model,
         std,
@@ -137,10 +129,10 @@ def _write(path, text: str) -> None:
 # -- commands --------------------------------------------------------------
 
 
-def cmd_train(args, mapping) -> int:
-    cfg = _resolve_config(args, mapping)
-    _, spec, std = _prepare(args.data, cfg)
-    model, history, steps, cfg = _build_and_fit(std, spec, cfg, AblationFlags())
+def cmd_train(args) -> int:
+    cfg = _resolve_config(args)
+    _, spec, std = _prepare(args.data)
+    model, history, steps = _build_and_fit(std, spec, cfg, AblationFlags())
     train_mod.save_checkpoint(
         args.out, model, cfg.to_canonical_text(), epoch=int(cfg["train.epochs"]), step=steps
     )
@@ -150,26 +142,26 @@ def cmd_train(args, mapping) -> int:
     return 0
 
 
-def cmd_eval(args, mapping) -> int:
+def cmd_eval(args) -> int:
     ckpt = train_mod.load_checkpoint(args.checkpoint)
     cfg = _runconfig_from_text(ckpt.config_text)
-    table, spec, std = _prepare(args.data, cfg)
-    cfg.values["dataset_name"] = Path(args.data).stem
+    _, spec, std = _prepare(args.data)
+    name = Path(args.data).stem
     model = Model.build(cfg.model_config(std.num_features), init_seed=int(cfg["seed"]))
     model.load_state(ckpt.params)
     horizons = (
         number_list(args.horizons, int, "--horizons")
         if args.horizons
-        else eval_mod.horizon_grid(Path(args.data).stem)
+        else eval_mod.horizon_grid(name)
     )
-    report = _evaluate(model, table, std, spec, cfg, horizons, args.mode)
+    report = _evaluate(model, std, spec, cfg, name, horizons, args.mode)
     _write(args.report, report.to_json())
     print(report.console_table())
     return 0
 
 
-def cmd_ablate(args, mapping) -> int:
-    cfg = _resolve_config(args, mapping)
+def cmd_ablate(args) -> int:
+    cfg = _resolve_config(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigurationError("variant list is empty")
@@ -178,14 +170,14 @@ def cmd_ablate(args, mapping) -> int:
         raise ConfigurationError(
             f"unknown variants {unknown}; choose from {sorted(ABLATION_VARIANTS)}"
         )
-    table, spec, std = _prepare(args.data, cfg)
-    cfg.values["dataset_name"] = Path(args.data).stem
+    _, spec, std = _prepare(args.data)
+    name = Path(args.data).stem
     rows = []
     for variant in variants:
-        model, history, _, vcfg = _build_and_fit(
-            std, spec, cfg, ABLATION_VARIANTS[variant]
-        )
-        report = _evaluate(model, table, std, spec, vcfg)
+        flags, overrides = ABLATION_VARIANTS[variant]
+        vcfg = RunConfig({**cfg.values, **overrides})
+        model, history, _ = _build_and_fit(std, spec, vcfg, flags)
+        report = _evaluate(model, std, spec, vcfg, name)
         rows.append(
             {
                 "variant": variant,
@@ -194,7 +186,7 @@ def cmd_ablate(args, mapping) -> int:
                 "final_loss": history[-1]["loss_total"] if history else None,
             }
         )
-    payload = {"dataset": Path(args.data).stem, "rows": rows, "config": cfg.snapshot()}
+    payload = {"dataset": name, "rows": rows, "config": cfg.snapshot()}
     _write(args.out, json.dumps(payload, sort_keys=True, indent=2))
     print(f"{'variant':>10} {'MSE':>10} {'MAE':>10}")
     for row in rows:
@@ -209,11 +201,9 @@ def _perturb_train_rows(table, pert: PerturbationSpec, train_end: int):
     return replace(table, values=values)
 
 
-def cmd_robustness(args, mapping) -> int:
-    cfg = _resolve_config(args, mapping)
-    if args.kind not in ("noise", "missing"):
-        raise ConfigurationError(f"kind must be noise or missing, got {args.kind!r}")
-    # every ratio is checked here, before the first model trains
+def cmd_robustness(args) -> int:
+    cfg = _resolve_config(args)
+    # every spec is checked here, before the first model trains
     perts = [
         PerturbationSpec(
             kind=args.kind,
@@ -224,8 +214,8 @@ def cmd_robustness(args, mapping) -> int:
         )
         for ratio in [0.0] + number_list(args.ratios, float, "--ratios")
     ]
-    table, spec, std = _prepare(args.data, cfg)
-    cfg.values["dataset_name"] = Path(args.data).stem
+    table, spec, std = _prepare(args.data)
+    name = Path(args.data).stem
     rows = []
     for pert in perts:
         if args.kind == "noise":
@@ -237,13 +227,13 @@ def cmd_robustness(args, mapping) -> int:
             # Missing cells are zeroed after standardization (train-mean
             # imputation), restricted to the train split.
             perturbed = _perturb_train_rows(std, pert, spec.train_end)
-        model, _, _, vcfg = _build_and_fit(perturbed, spec, cfg, AblationFlags())
-        report = _evaluate(model, table, std, spec, vcfg)
+        model, _, _ = _build_and_fit(perturbed, spec, cfg, AblationFlags())
+        report = _evaluate(model, std, spec, cfg, name)
         rows.append(
             {"ratio": pert.ratio, "avg_mse": report.avg_mse, "avg_mae": report.avg_mae}
         )
     payload = {
-        "dataset": Path(args.data).stem,
+        "dataset": name,
         "kind": args.kind,
         "rows": rows,
         "config": cfg.snapshot(),
@@ -255,13 +245,13 @@ def cmd_robustness(args, mapping) -> int:
     return 0
 
 
-def cmd_transfer(args, mapping) -> int:
-    cfg = _resolve_config(args, mapping)
-    _, pre_spec, pre_std = _prepare(args.pretrain_data, cfg)
+def cmd_transfer(args) -> int:
+    cfg = _resolve_config(args)
+    _, pre_spec, pre_std = _prepare(args.pretrain_data)
     pre_cfg = RunConfig(dict(cfg.values))
     if args.pretrain_epochs is not None:
         pre_cfg.values["train.epochs"] = args.pretrain_epochs
-    model, _, steps, pre_cfg = _build_and_fit(pre_std, pre_spec, pre_cfg, AblationFlags())
+    model, _, steps = _build_and_fit(pre_std, pre_spec, pre_cfg, AblationFlags())
     ckpt_text = pre_cfg.to_canonical_text()
     ckpt = train_mod.Checkpoint(
         params=model.state_arrays(),
@@ -271,8 +261,7 @@ def cmd_transfer(args, mapping) -> int:
         step=steps,
     )
 
-    ft_table, ft_spec, ft_std = _prepare(args.finetune_data, cfg)
-    cfg.values["dataset_name"] = Path(args.finetune_data).stem
+    _, ft_spec, ft_std = _prepare(args.finetune_data)
     ft_cfg = RunConfig(dict(cfg.values))
     ft_cfg.values["train.epochs"] = (
         args.finetune_epochs if args.finetune_epochs is not None else int(cfg["train.epochs"]) // 2
@@ -288,7 +277,7 @@ def cmd_transfer(args, mapping) -> int:
         ft_cfg.augment_config(),
         reinit_input=args.reinit_input,
     )
-    report = _evaluate(ft_model, ft_table, ft_std, ft_spec, ft_cfg)
+    report = _evaluate(ft_model, ft_std, ft_spec, ft_cfg, Path(args.finetune_data).stem)
     _write(args.report, report.to_json())
     print(report.console_table())
     return 0
@@ -330,13 +319,13 @@ def _synthetic_spec(spec) -> tuple[int, list[SyntheticFeature], int]:
     return n, features, seed
 
 
-def cmd_synth(args, mapping) -> int:
+def cmd_synth(args) -> int:
     try:
         spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read synthetic spec {args.spec}: {exc}") from exc
     n, features, seed = _synthetic_spec(spec)
-    table = data_mod.gen_synthetic(n, len(features), features, seed=seed)
+    table = data_mod.gen_synthetic(n, features, seed=seed)
     lines = ["date," + ",".join(table.feature_names)]
     for stamp, row in zip(table.timestamps, table.values):
         lines.append(stamp + "," + ",".join(repr(float(v)) for v in row))
@@ -348,18 +337,16 @@ def cmd_synth(args, mapping) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, str]]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mff", description="Contrastive time-series representation learning"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    mapping: dict[str, str] = {}
 
     def common(p):
         p.add_argument("--profile", default=None, choices=sorted(PROFILES))
         p.add_argument("--config", default=None, help="key = value overrides file")
-        p.add_argument("--seed", type=int, default=None)
-        mapping.update(_add_config_flags(p))
+        _add_config_flags(p)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     p.add_argument("data")
@@ -408,20 +395,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, str]]:
     p.add_argument("out")
     p.set_defaults(func=cmd_synth)
 
-    return parser, mapping
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, mapping = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # a non-finite tensor value raises NumericError naming the op, its
         # shape and the step; numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args, mapping)
-    except (ConfigurationError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            return args.func(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -4,6 +4,7 @@ mapping is serialized into every checkpoint and report."""
 
 from __future__ import annotations
 
+import math
 import os
 
 from .augment import AugmentConfig
@@ -96,19 +97,20 @@ _TYPES = {key: type(value) for key, value in DEFAULTS.items()}
 
 
 def _coerce(key: str, raw) -> object:
+    """``raw`` as ``key``'s type; a float key must be finite and the seed
+    non-negative."""
     if key not in _TYPES:
         raise ConfigurationError(f"unknown configuration key {key!r}")
     want = _TYPES[key]
-    if isinstance(raw, want) and not (want is int and isinstance(raw, bool)):
-        return raw
     try:
-        if want is int:
-            return int(str(raw))
-        if want is float:
-            return float(str(raw))
-        return str(raw)
+        value = want(str(raw))
     except ValueError:
         raise ConfigurationError(f"bad value {raw!r} for key {key!r}") from None
+    if want is float and not math.isfinite(value):
+        raise ConfigurationError(f"non-finite value {raw!r} for key {key!r}")
+    if key == "seed" and value < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {value}")
+    return value
 
 
 def parse_config_text(text: str, origin) -> dict[str, object]:
@@ -174,9 +176,6 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
     def int_list(self, key) -> list[int]:
         return number_list(self.values[key], int, f"key {key!r}")

@@ -80,21 +80,16 @@ def multiscale_conv(
 
     The unfused reference for ``composite_conv``, which the model runs
     instead: the tests use it as the oracle, and the benchmark tracer
-    (``perfbench/tracing.py``) wraps it by name. One ``tn._tap_conv`` call
-    runs the taps of every scale on the shared input and adds each scale,
-    over its bias, straight into its slot of the stack: one tape node for
-    all n scales.
+    (``perfbench/tracing.py``) wraps it by name. Each scale is one
+    ``tn.causal_conv1d`` plus its bias; one concat stacks them.
     """
     T, K = r.shape[-2:]
     _check_kernels(kernels, T)
-    out = np.empty(r.shape[:-2] + (len(kernels), T, K))
-    taps, biases = [], []
-    for j, kj in enumerate(kernels):
-        b = params[f"ctcm.scale{kj}.b"]
-        out[..., j, :, :] = b.data
-        biases.append((b, (..., j, slice(None), slice(None))))
-        taps += tn._causal_taps(params[f"ctcm.scale{kj}.w"], T, at=(j,))
-    return tn._tap_conv(r, taps, out, "multiscale_conv", biases)
+    scales = []
+    for kj in kernels:
+        y = tn.causal_conv1d(r, params[f"ctcm.scale{kj}.w"]) + params[f"ctcm.scale{kj}.b"]
+        scales.append(tn.reshape(y, y.shape[:-2] + (1, T, K)))
+    return tn.concat(scales, axis=-3)
 
 
 def msff(h_d: Tensor, params: dict[str, Parameter]) -> Tensor:

@@ -3,7 +3,7 @@ robustness perturbation injectors.
 
 CSV layout follows the ETT convention: header row with a leading ``date``
 column, remaining columns numeric features, last column the univariate
-target unless configured otherwise.
+target.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ KNOWN_SPLITS = {
     (69680, 7): (34560, 11520, 11520),
     (35064, 12): (21038, 7013, 7013),
 }
+# Train/valid/test proportions of every other dataset.
+SPLIT_RATIOS = (6, 2, 2)
 
 
 @dataclass
@@ -94,6 +96,12 @@ class PerturbationSpec:
             raise ParameterError(f"unknown perturbation kind {self.kind!r}")
         if not 0.0 <= self.ratio <= 1.0:
             raise ParameterError(f"perturbation ratio must be in [0,1], got {self.ratio}")
+        if not math.isfinite(self.noise_mean):
+            raise ParameterError(f"noise mean must be finite, got {self.noise_mean}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ParameterError(
+                f"noise std must be finite and >= 0, got {self.noise_std}"
+            )
 
 
 def _parse_timestamp(text: str, row: int) -> datetime:
@@ -138,8 +146,9 @@ def _read_rows(reader, path) -> tuple[list[str], list[str], list[list[float]]]:
     return header[1:], timestamps, rows
 
 
-def load_csv(path, target_index: int | None = None) -> SeriesTable:
-    """Read an ETT-style CSV (date column + numeric features)."""
+def load_csv(path) -> SeriesTable:
+    """Read an ETT-style CSV (date column + numeric features); the last
+    column is the target."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -160,15 +169,14 @@ def load_csv(path, target_index: int | None = None) -> SeriesTable:
         raise DataError(
             f"row {i + 1}, column {names[j]!r}: non-finite value {values[i, j]!r}"
         )
-    tgt = len(names) - 1 if target_index is None else target_index
-    return SeriesTable(timestamps, values, names, tgt)
+    return SeriesTable(timestamps, values, names, len(names) - 1)
 
 
-def split(table: SeriesTable, ratios: tuple[int, int, int] = (6, 2, 2)) -> SplitSpec:
+def split(table: SeriesTable) -> SplitSpec:
     """Train/valid/test boundaries plus train-only normalization statistics.
 
     Recognized dataset sizes use their conventional fixed row counts;
-    anything else gets floor-based ratio splits.
+    anything else gets floor-based ``SPLIT_RATIOS`` splits.
     """
     n = table.num_rows
     key = (n, table.num_features)
@@ -177,9 +185,9 @@ def split(table: SeriesTable, ratios: tuple[int, int, int] = (6, 2, 2)) -> Split
         # sets); rows past the test boundary are simply unused.
         n_train, n_valid, n_test = KNOWN_SPLITS[key]
     else:
-        total = sum(ratios)
-        n_train = n * ratios[0] // total
-        n_valid = n * ratios[1] // total
+        total = sum(SPLIT_RATIOS)
+        n_train = n * SPLIT_RATIOS[0] // total
+        n_valid = n * SPLIT_RATIOS[1] // total
         n_test = n - n_train - n_valid
     if n_train < 1 or n_train + n_valid + n_test > n:
         raise ParameterError(
@@ -230,11 +238,11 @@ class SyntheticFeature:
 
 
 def gen_synthetic(
-    T_total: int, D: int, components: list[SyntheticFeature], seed: int = 0
+    T_total: int, components: list[SyntheticFeature], seed: int = 0
 ) -> SeriesTable:
-    """x_d[t] = sum_i amp*sin(2 pi t/period + phase) + slope*t + noise."""
-    if len(components) != D:
-        raise ParameterError(f"need {D} feature specs, got {len(components)}")
+    """x_d[t] = sum_i amp*sin(2 pi t/period + phase) + slope*t + noise, one
+    column per component."""
+    D = len(components)
     rng = np.random.default_rng(seed)
     t = np.arange(T_total, dtype=np.float64)
     values = np.zeros((T_total, D))
@@ -259,7 +267,7 @@ def bundled_two_sine(n: int = 1600, seed: int = 7) -> SeriesTable:
         SyntheticFeature(waves=[(24.0, 1.0, 0.0), (12.0, 0.5, 0.7)], noise_std=0.05),
         SyntheticFeature(waves=[(16.0, 1.0, 1.1)], noise_std=0.05),
     ]
-    return gen_synthetic(n, 2, comps, seed=seed)
+    return gen_synthetic(n, comps, seed=seed)
 
 
 def inject(table: SeriesTable, spec: PerturbationSpec) -> SeriesTable:

@@ -30,10 +30,6 @@ class ComplexSpectrum:
     origin_length: int
 
     @property
-    def num_bins(self) -> int:
-        return self.re.shape[-2]
-
-    @property
     def values(self) -> np.ndarray:
         return self.re.data + 1j * self.im.data
 

@@ -402,8 +402,8 @@ def info_nce(a: Tensor, b: Tensor) -> Tensor:
 # Every convolution is a list of taps run by one core, ``_tap_conv``. A tap
 # is a (Cin x Cout) weight matrix and a shift: channels first, it multiplies
 # the unpadded input by its matrix, and the product lands in the output
-# shifted along the spatial axes. ``causal_conv1d``, ``conv2d`` and the CTCM
-# scale stack differ only in their taps.
+# shifted along the spatial axes. ``causal_conv1d`` and ``conv2d`` differ
+# only in their taps.
 
 # Columns of the largest gradient block: with Cout output channels a block
 # holds _BLOCK_COLS // Cout taps (at least one). Without a bound the paper
@@ -412,20 +412,19 @@ def info_nce(a: Tensor, b: Tensor) -> Tensor:
 _BLOCK_COLS = 1024
 
 
-def _tap_conv(x: Tensor, taps, out: np.ndarray, op: str, biases=()) -> Tensor:
+def _tap_conv(x: Tensor, taps, op: str) -> Tensor:
     """Channels-first core of every convolution: each tap contracts the
     channels of the unpadded input, and its shift is a slice add after.
 
     Each tap is ``(w, i, src, dst)``. ``w`` is a weight tensor of shape
     (..., Cin, Cout) and ``i`` the tap's index over w's leading axes in C
-    order. ``src`` is a tuple ``(..., s_1, ..., s_d)`` of slices over x's
-    d spatial axes, and ``dst`` an index tuple into ``out``, channel axis
-    included, of the same shape. The tap adds ``x[src] @ w_i`` into
-    ``out[dst]``, so no zero-padded border is built; a tap that would read
-    only the border (its shift is at least the axis length) is left out by
-    the caller. ``out`` is the buffer the taps add into (zeros, or biases
-    already in place); each ``(b, dst)`` in ``biases`` names a bias tensor
-    added into ``out[dst]``, for its gradient.
+    order; every tap shares Cout. ``src`` is a tuple ``(..., s_1, ..., s_d)``
+    of slices over x's d spatial axes, and ``dst`` an index tuple, channel
+    axis included, of the same shape into the output, which has shape
+    x.shape[:-1] + (Cout,) and starts at zero. The tap adds ``x[src] @ w_i``
+    into ``out[dst]``, so no zero-padded border is built; a tap that would
+    read only the border (its shift is at least the axis length) is left out
+    by the caller.
 
     The forward pass runs one matmul per tap; on the desk step that beat
     one GEMM per tap block followed by slice adds (CHANGES.md). The
@@ -433,8 +432,9 @@ def _tap_conv(x: Tensor, taps, out: np.ndarray, op: str, biases=()) -> Tensor:
 
     ``op`` is the calling op's name; the backward rule carries it in its
     qualified name, as every other op's does."""
-    cin, cout = x.shape[-1], out.shape[-1]
+    cin, cout = x.shape[-1], taps[0][0].shape[-1]
     weights = list({id(w): w for w, _, _, _ in taps}.values())
+    out = np.zeros(x.shape[:-1] + (cout,))
 
     def tap_weight(w, i):
         return w.data.reshape(-1, cin, cout)[i]
@@ -451,12 +451,9 @@ def _tap_conv(x: Tensor, taps, out: np.ndarray, op: str, biases=()) -> Tensor:
         _accum(x, gx, owned=True)
         for w in weights:
             _accum(w, gw.pop(id(w)), owned=True)
-        for b, dst in biases:
-            gb = g[dst]
-            _accum(b, gb.sum(axis=tuple(range(gb.ndim - 1))))
 
     bw.__qualname__ = f"{op}.<locals>.bw"
-    return _make(out, (x, *weights, *(b for b, _ in biases)), bw)
+    return _make(out, (x, *weights), bw)
 
 
 def _kn2row(x: np.ndarray, g: np.ndarray, taps) -> np.ndarray:
@@ -493,19 +490,6 @@ def _shift(o: int, n: int) -> tuple[slice, slice]:
     return slice(max(o, 0), n + min(o, 0)), slice(max(-o, 0), n - max(o, 0))
 
 
-def _causal_taps(w: Tensor, T: int, dilation: int = 1, at: tuple = ()) -> list:
-    """``_tap_conv`` taps of a causal kernel w (k, Cin, Cout) over T steps:
-    tap i reads (k-1-i)*dilation steps back and writes ``out[..., *at, t, :]``
-    from t = its shift on; taps that shift by T or more are left out."""
-    taps = []
-    for i in range(w.shape[0]):
-        s = (w.shape[0] - 1 - i) * dilation
-        if s < T:
-            src, dst = _shift(-s, T)
-            taps.append((w, i, (..., src), (..., *at, dst, slice(None))))
-    return taps
-
-
 def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     """Causal 1-D convolution: x (..., T, Cin), w (k, Cin, Cout) -> (..., T, Cout).
 
@@ -523,8 +507,13 @@ def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
         raise DimensionError(
             f"conv1d channel mismatch: input {x.shape} vs kernel {w.shape}"
         )
-    taps = _causal_taps(w, x.shape[-2], dilation)
-    return _tap_conv(x, taps, np.zeros(x.shape[:-1] + w.shape[-1:]), "causal_conv1d")
+    T, taps = x.shape[-2], []
+    for i in range(k):
+        s = (k - 1 - i) * dilation
+        if s < T:
+            src, dst = _shift(-s, T)
+            taps.append((w, i, (..., src), (..., dst, slice(None))))
+    return _tap_conv(x, taps, "causal_conv1d")
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
@@ -554,7 +543,7 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
             if abs(oa) < H and abs(ob) < W:
                 (sa, da), (sb, db) = _shift(oa, H), _shift(ob, W)
                 taps.append((w, a * kw + b, (..., sa, sb), (..., da, db, slice(None))))
-    return _tap_conv(x, taps, np.zeros(x.shape[:-1] + w.shape[-1:]), "conv2d")
+    return _tap_conv(x, taps, "conv2d")
 
 
 def avg_pool2d(x: Tensor, window: tuple[int, int]) -> Tensor:

@@ -23,7 +23,6 @@ class AblationFlags:
     disable_augmentation: bool = False
     disable_facm: bool = False  # drops the frequency branch and its loss
     disable_ctcm: bool = False  # drops the time branch and its loss
-    activation_gelu: bool = False  # applied at model build time
 
 
 @dataclass

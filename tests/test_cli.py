@@ -2,12 +2,14 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from mffftnet import cli
 from mffftnet.cli import ABLATION_VARIANTS, main
+from mffftnet.config import DEFAULTS, RunConfig
 from mffftnet.data import PerturbationSpec, load_csv, split
 from mffftnet.evaluation import ForecastReport
 from mffftnet.model import Model
@@ -88,6 +90,41 @@ def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
     assert not (tmp_path / "x.csv").exists()
 
 
+# -- configuration flags -----------------------------------------------------
+
+CONFIG_KEYS = {*DEFAULTS, "profile"}
+
+# a valid value other than the desk profile's for each string key
+STR_FLAG_VALUES = {
+    "backbone.activation": "gelu",
+    "ctcm.kernels": "1,2",
+    "eval.horizons": "12",
+    "eval.mode": "univariate",
+    "eval.ridge_alphas": "0.5,5",
+}
+
+
+@pytest.mark.parametrize("key", [k for k in DEFAULTS if k != "seed"])
+def test_config_flag_value_reaches_resolved_config(key):
+    default = DEFAULTS[key]
+    value = STR_FLAG_VALUES[key] if isinstance(default, str) else default + 1
+    flag = "--" + key.replace("_", "-")
+    args = cli.build_parser().parse_args(
+        ["train", "d.csv", "--out", "m.bin", "--profile", "desk", flag, str(value)]
+    )
+    assert value != RunConfig.resolve("desk")[key]
+    assert cli._resolve_config(args)[key] == value
+
+
+def test_train_help_lists_each_config_flag_once_in_defaults_order(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--help"])
+    assert exit_info.value.code == 0
+    listed = re.findall(r"^\s+(--[\w.-]+)", capsys.readouterr().out, re.MULTILINE)
+    flags = ["--" + key.replace("_", "-") for key in DEFAULTS]
+    assert [f for f in listed if f in flags] == flags
+
+
 # -- train -------------------------------------------------------------------
 
 
@@ -136,6 +173,7 @@ def test_eval_report(tmp_path, corpus):
     assert report.dataset == "toy"
     assert [e["horizon"] for e in report.entries] == [8]
     assert np.isfinite(report.avg_mse)
+    assert set(report.config) == CONFIG_KEYS
 
 
 def test_eval_oversized_horizon_warns_but_succeeds(tmp_path, corpus, capsys):
@@ -288,6 +326,10 @@ def _train_stderr(tmp_path, data, capsys, *extra):
         ("--backbone.output-dim", "0"),
         ("--ctcm.msff-hidden", "0"),
         ("--eval.mode", "foo"),
+        ("--augment.alpha", "nan"),
+        ("--train.gamma1", "inf"),
+        ("--train.learning-rate", "nan"),
+        ("--seed", "-1"),
     ],
 )
 def test_train_bad_config_value_exits_2(tmp_path, corpus, capsys, flag, value):
@@ -351,6 +393,7 @@ def test_ablate_two_variants(tmp_path, corpus):
     payload = json.loads(out.read_text())
     assert [r["variant"] for r in payload["rows"]] == ["full", "wo-fm"]
     assert all(np.isfinite(r["avg_mse"]) for r in payload["rows"])
+    assert set(payload["config"]) == CONFIG_KEYS
 
 
 def test_ablate_unknown_variant_exits_2(tmp_path, corpus, capsys):
@@ -404,6 +447,7 @@ def test_robustness_missing_rows(tmp_path, corpus, kind):
     payload = json.loads(out.read_text())
     assert [r["ratio"] for r in payload["rows"]] == [0.0, 0.1]
     assert all(np.isfinite(r["avg_mse"]) for r in payload["rows"])
+    assert set(payload["config"]) == CONFIG_KEYS
     # only the train rows are perturbed; validation and test rows stay as read
     table = load_csv(corpus)
     train_end = split(table).train_end
@@ -430,19 +474,38 @@ def test_robustness_bad_kind_exits_2(tmp_path, corpus):
     assert rc == 2
 
 
+@pytest.fixture()
+def no_training(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a model was trained before the specs were checked")
+
+    monkeypatch.setattr(cli, "_build_and_fit", fail)
+
+
+def _robustness_exits_2(tmp_path, corpus, capsys, *extra):
+    out = tmp_path / "r.json"
+    rc = main(["robustness", str(corpus), "--kind", "noise", "--out", str(out), *FAST, *extra])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and _one_line_error(err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ratios", ["abc", "0.1,1.5", "nan"])
 def test_robustness_bad_ratios_exit_2_before_training(
-    tmp_path, corpus, capsys, monkeypatch, ratios
+    tmp_path, corpus, capsys, no_training, ratios
 ):
-    def no_training(*args):
-        raise AssertionError("a model was trained before the ratios were checked")
+    _robustness_exits_2(tmp_path, corpus, capsys, "--ratios", ratios)
 
-    monkeypatch.setattr(cli, "_build_and_fit", no_training)
-    rc = main(["robustness", str(corpus), "--kind", "noise", "--ratios", ratios,
-               "--out", str(tmp_path / "r.json"), *FAST])
-    assert rc == 2
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
-    assert not (tmp_path / "r.json").exists()
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--noise-std", "-1"), ("--noise-std", "inf"), ("--noise-std", "nan"),
+     ("--noise-mean", "nan"), ("--noise-mean", "inf")],
+)
+def test_robustness_bad_noise_exit_2_before_training(
+    tmp_path, corpus, capsys, no_training, flag, value
+):
+    _robustness_exits_2(tmp_path, corpus, capsys, "--ratios", "0.1", flag, value)
 
 
 # -- transfer ----------------------------------------------------------------
@@ -467,6 +530,7 @@ def test_transfer_report(tmp_path, corpus):
     assert rc == 0
     report = ForecastReport.from_json(rep.read_text())
     assert np.isfinite(report.avg_mse)
+    assert set(report.config) == CONFIG_KEYS
 
 
 def test_transfer_zero_finetune_matches_pretrained_eval(tmp_path, corpus, monkeypatch):

@@ -215,27 +215,27 @@ def test_property_window_count_formula(n, T, stride):
 
 def test_synthetic_sinusoid_dominant_bin():
     comp = D.SyntheticFeature(waves=[(24.0, 1.0, 0.0)])
-    table = D.gen_synthetic(24, 1, [comp], seed=0)
+    table = D.gen_synthetic(24, [comp], seed=0)
     amps = np.abs(naive_dft(Tensor(table.values)).values[:, 0])
     assert np.argmax(amps) == 1  # one full cycle across the window
 
 
 def test_synthetic_zero_components():
-    table = D.gen_synthetic(10, 2, [D.SyntheticFeature(), D.SyntheticFeature()])
+    table = D.gen_synthetic(10, [D.SyntheticFeature(), D.SyntheticFeature()])
     np.testing.assert_array_equal(table.values, np.zeros((10, 2)))
 
 
 def test_synthetic_deterministic():
     comp = [D.SyntheticFeature(waves=[(8.0, 1.0, 0.3)], noise_std=0.1)]
-    a = D.gen_synthetic(50, 1, comp, seed=3)
-    b = D.gen_synthetic(50, 1, comp, seed=3)
+    a = D.gen_synthetic(50, comp, seed=3)
+    b = D.gen_synthetic(50, comp, seed=3)
     np.testing.assert_array_equal(a.values, b.values)
     assert a.timestamps == b.timestamps
 
 
 def test_synthetic_bad_period():
     with pytest.raises(ParameterError):
-        D.gen_synthetic(10, 1, [D.SyntheticFeature(waves=[(0.0, 1.0, 0.0)])])
+        D.gen_synthetic(10, [D.SyntheticFeature(waves=[(0.0, 1.0, 0.0)])])
 
 
 def test_bundled_two_sine_deterministic():

@@ -160,7 +160,7 @@ def test_stacked_views_match_two_pass_reference(rng, variant):
     for name in ("facm.beta.re", "facm.beta.im"):
         model.params[name].data += 0.05 * rng.normal(size=model.params[name].shape)
     batch = tiny_batch(rng, B=3)
-    cfg = TrainConfig(gamma1=0.7, gamma2=1.3, ablation=ABLATION_VARIANTS[variant])
+    cfg = TrainConfig(gamma1=0.7, gamma2=1.3, ablation=ABLATION_VARIANTS[variant][0])
 
     def run(loss_fn):
         losses = loss_fn(batch, model, cfg, AUG, step=5)
