@@ -248,6 +248,16 @@ def cmd_robustness(args) -> int:
 def cmd_transfer(args) -> int:
     cfg = _resolve_config(args)
     _, pre_spec, pre_std = _prepare(args.pretrain_data)
+    # the fine-tune inputs fail here, before any pretraining
+    _, ft_spec, ft_std = _prepare(args.finetune_data)
+    ft_cfg = RunConfig(dict(cfg.values))
+    ft_cfg.values["train.epochs"] = (
+        args.finetune_epochs if args.finetune_epochs is not None else int(cfg["train.epochs"]) // 2
+    )
+    ft_train_cfg = ft_cfg.train_config()
+    train_mod.check_input_transfer(
+        pre_std.num_features == ft_std.num_features, args.reinit_input
+    )
     pre_cfg = RunConfig(dict(cfg.values))
     if args.pretrain_epochs is not None:
         pre_cfg.values["train.epochs"] = args.pretrain_epochs
@@ -261,11 +271,6 @@ def cmd_transfer(args) -> int:
         step=steps,
     )
 
-    _, ft_spec, ft_std = _prepare(args.finetune_data)
-    ft_cfg = RunConfig(dict(cfg.values))
-    ft_cfg.values["train.epochs"] = (
-        args.finetune_epochs if args.finetune_epochs is not None else int(cfg["train.epochs"]) // 2
-    )
     ft_model = Model.build(
         ft_cfg.model_config(ft_std.num_features), init_seed=int(ft_cfg["seed"])
     )
@@ -273,7 +278,7 @@ def cmd_transfer(args) -> int:
         ckpt,
         ft_model,
         _train_windows(ft_std, ft_spec, ft_cfg),
-        ft_cfg.train_config(),
+        ft_train_cfg,
         ft_cfg.augment_config(),
         reinit_input=args.reinit_input,
     )

@@ -6,6 +6,13 @@ in reverse topological order and accumulates gradients with ``+=`` so a
 tensor read by several ops (e.g. the backbone output, which feeds both
 FACM and CTCM) receives contributions from all of them.
 
+``backward`` releases the graph as it consumes it: each node drops its
+parent links and its backward rule (with the arrays the rule saved) once
+the rule has run, so only one step's graph is alive at a time. A tensor
+the caller still holds keeps its ``data`` and ``grad``. A graph can be
+walked once: a second ``backward`` that reaches a released node raises
+``ContractError`` before it touches any gradient.
+
 Ops are batch-agnostic: the documented shapes are the trailing axes and any
 leading axes are treated as batch dimensions.
 """
@@ -59,7 +66,14 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor; ``self`` must be scalar."""
+        """Populate ``grad`` on every reachable tensor; ``self`` must be scalar.
+
+        The graph is released as it is consumed: each node loses its parent
+        links and its backward rule once the rule has run. Tensors the
+        caller holds keep their ``data`` and ``grad``. A second backward
+        through a released node raises ``ContractError`` before any
+        gradient changes.
+        """
         if self.data.size != 1:
             raise DimensionError(
                 f"backward requires a scalar loss, got shape {self.shape}"
@@ -74,15 +88,26 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_fn is _released:
+                # raise before any rule runs, so no gradient changes
+                _released(node.data)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        # popping from the end visits the nodes in reverse topological order
+        # and drops the list's reference to each one as it is visited
+        while order:
+            node = order.pop()
+            fn = node._backward_fn
+            if fn is None:
+                continue
+            node._backward_fn = _released
+            node._parents = ()
+            if node.grad is not None:
+                fn(node.grad)
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -114,6 +139,14 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _released(g: np.ndarray) -> None:
+    """The backward rule of a node whose graph ``backward`` has consumed."""
+    raise ContractError(
+        "backward reached a tensor whose graph an earlier backward released; "
+        "build the loss again"
+    )
 
 
 class Parameter(Tensor):

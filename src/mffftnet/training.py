@@ -266,6 +266,17 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(params, exempt, config_text, epoch, step)
 
 
+def check_input_transfer(same_input: bool, reinit_input: bool) -> None:
+    """A pretrained input layer transfers only to the same feature count;
+    otherwise ``reinit_input`` must be set, or ConfigurationError is raised."""
+    if not same_input and not reinit_input:
+        raise ConfigurationError(
+            "checkpoint input layer was trained for a different feature "
+            "count; pass --reinit-input to re-initialize the input linear "
+            "layer and transfer the rest"
+        )
+
+
 def fine_tune(
     checkpoint: Checkpoint,
     model: Model,
@@ -285,13 +296,8 @@ def fine_tune(
     mismatch = any(
         k in state and state[k].shape != model.params[k].data.shape for k in lin_keys
     )
+    check_input_transfer(not mismatch, reinit_input)
     if mismatch:
-        if not reinit_input:
-            raise ConfigurationError(
-                "checkpoint input layer was trained for a different feature "
-                "count; pass --reinit-input to re-initialize the input linear "
-                "layer and transfer the rest"
-            )
         for k in lin_keys:
             state[k] = model.params[k].data.copy()
     model.load_state(state)

@@ -570,3 +570,34 @@ def test_transfer_zero_finetune_matches_pretrained_eval(tmp_path, corpus, monkey
     d = {e["horizon"]: (e["mse"], e["mae"]) for e in direct.entries}
     t = {e["horizon"]: (e["mse"], e["mae"]) for e in transfer.entries}
     assert d[8] == pytest.approx(t[8], abs=1e-12)
+
+
+@pytest.fixture()
+def wide_corpus(tmp_path):
+    spec = tmp_path / "spec3.json"
+    spec.write_text(json.dumps({**SPEC, "features": (SPEC["features"] * 2)[:3]}))
+    wide = tmp_path / "wide.csv"
+    assert main(["synth", str(spec), str(wide)]) == 0
+    return wide
+
+
+@pytest.mark.parametrize(
+    "case, needle",
+    [("negative-epochs", "epochs must be >= 0"),
+     ("feature-count", "--reinit-input"),
+     ("missing-file", "data file not found")],
+)
+def test_transfer_bad_finetune_input_exits_2_before_training(
+    tmp_path, corpus, wide_corpus, capsys, no_training, case, needle
+):
+    finetune, extra = {
+        "negative-epochs": (corpus, ["--finetune-epochs", "-1"]),
+        "feature-count": (wide_corpus, []),
+        "missing-file": (tmp_path / "absent.csv", []),
+    }[case]
+    rep = tmp_path / "tr.json"
+    rc = main(["transfer", str(corpus), str(finetune), "--report", str(rep), *FAST, *extra])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and _one_line_error(err)
+    assert needle in err
+    assert not rep.exists()

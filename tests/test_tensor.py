@@ -1,6 +1,8 @@
 """Numeric core: forward semantics of every primitive plus gradient checks
 against central finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,6 +387,41 @@ def test_unreachable_parameter_gets_no_gradient():
     q = Parameter(np.ones(2), name="q")
     tn.tsum(p).backward()
     assert q.grad is None  # treated as zero by the optimizer
+
+
+def test_backward_releases_intermediate_arrays(rng):
+    p = Parameter(rng.normal(size=(3, 2)), name="p")
+    y = p * Tensor(rng.normal(size=(3, 2)))
+    ref = weakref.ref(y.data)
+    loss = tn.tsum(tn.silu(y))
+    del y
+    loss.backward()
+    assert ref() is None
+    assert p.grad is not None
+
+
+def test_second_backward_raises_and_keeps_leaf_grads(rng):
+    p = Parameter(rng.normal(size=(3, 2)), name="p")
+    loss = tn.tsum(tn.silu(p * Tensor(rng.normal(size=(3, 2)))))
+    loss.backward()
+    first = p.grad.copy()
+    with pytest.raises(ContractError, match="released"):
+        loss.backward()
+    np.testing.assert_array_equal(p.grad, first)
+
+
+def test_backward_through_consumed_graph_raises_before_any_gradient(rng):
+    p = Parameter(rng.normal(size=(3, 2)), name="p")
+    q = Parameter(rng.normal(size=(3, 2)), name="q")
+    y = tn.silu(p * Tensor(rng.normal(size=(3, 2))))
+    tn.tsum(y).backward()
+    first, y_first = p.grad.copy(), y.grad.copy()
+    # a new loss over q and the consumed y: neither may change
+    with pytest.raises(ContractError, match="released"):
+        tn.tsum(y * q).backward()
+    np.testing.assert_array_equal(p.grad, first)
+    np.testing.assert_array_equal(y.grad, y_first)
+    assert q.grad is None
 
 
 # -- reductions and shape ops ------------------------------------------------
