@@ -33,14 +33,17 @@ from .errors import ConfigurationError, DataError, MffError, NumericError
 from .model import Model
 from .training import AblationFlags
 
+# augmentation at zero strength: every draw is eps_s = 1, eps_b = 0
+_NO_AUGMENTATION = {"augment.alpha": 0.0, "augment.beta": 0.0}
+
 # variant -> (training flags, configuration overrides)
 ABLATION_VARIANTS: dict[str, tuple[AblationFlags, dict[str, object]]] = {
     "full": (AblationFlags(), {}),
-    "wo-da": (AblationFlags(disable_augmentation=True), {}),
+    "wo-da": (AblationFlags(), _NO_AUGMENTATION),
     "wo-fm": (AblationFlags(disable_facm=True), {}),
     "wo-cm": (AblationFlags(disable_ctcm=True), {}),
-    "wo-da-fm": (AblationFlags(disable_augmentation=True, disable_facm=True), {}),
-    "wo-da-cm": (AblationFlags(disable_augmentation=True, disable_ctcm=True), {}),
+    "wo-da-fm": (AblationFlags(disable_facm=True), _NO_AUGMENTATION),
+    "wo-da-cm": (AblationFlags(disable_ctcm=True), _NO_AUGMENTATION),
     "wo-cm-fm": (AblationFlags(disable_ctcm=True, disable_facm=True), {}),
     "wo-si": (AblationFlags(), {"backbone.activation": "gelu"}),
 }
@@ -262,20 +265,13 @@ def cmd_transfer(args) -> int:
     if args.pretrain_epochs is not None:
         pre_cfg.values["train.epochs"] = args.pretrain_epochs
     model, _, steps = _build_and_fit(pre_std, pre_spec, pre_cfg, AblationFlags())
-    ckpt_text = pre_cfg.to_canonical_text()
-    ckpt = train_mod.Checkpoint(
-        params=model.state_arrays(),
-        exempt={p.name for p in model.parameters() if p.weight_decay_exempt},
-        config_text=ckpt_text,
-        epoch=int(pre_cfg["train.epochs"]),
-        step=steps,
-    )
 
     ft_model = Model.build(
         ft_cfg.model_config(ft_std.num_features), init_seed=int(ft_cfg["seed"])
     )
     train_mod.fine_tune(
-        ckpt,
+        model.state_arrays(),
+        steps,
         ft_model,
         _train_windows(ft_std, ft_spec, ft_cfg),
         ft_train_cfg,

@@ -5,7 +5,6 @@ mapping is serialized into every checkpoint and report."""
 from __future__ import annotations
 
 import math
-import os
 
 from .augment import AugmentConfig
 from .ctcm import CtcmConfig
@@ -160,8 +159,7 @@ class RunConfig:
         file_overrides: dict[str, object] | None = None,
         flag_overrides: dict[str, object] | None = None,
     ) -> "RunConfig":
-        if profile is None:
-            profile = os.environ.get("MFF_PROFILE") or "desk"
+        profile = profile or "desk"
         if profile not in PROFILES:
             raise ConfigurationError(
                 f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"

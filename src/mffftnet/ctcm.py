@@ -213,7 +213,7 @@ def composite_conv(
 
     def bw(g):
         gV = np.zeros(V.shape)
-        gx = tn._kn2row(x, g, [(V[v], gV[v], src, dst) for v, src, dst in taps])
+        gx = tn._kn2row(x, g, V, gV, taps)
         gws = [np.zeros(w.shape) for w in ws]
         gw1 = np.zeros((K, 3, 3, H))
         gw1cat = gw1.reshape(K, 9 * H)

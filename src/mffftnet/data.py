@@ -34,18 +34,15 @@ class SeriesTable:
     timestamps: list[str]
     values: np.ndarray  # N x D float64
     feature_names: list[str]
-    target_index: int
     missing_mask: np.ndarray | None = None  # True where a cell was discarded
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        n, d = self.values.shape
+        n = self.values.shape[0]
         if len(self.timestamps) != n:
             raise DataError(
                 f"{len(self.timestamps)} timestamps for {n} value rows"
             )
-        if not 0 <= self.target_index < d:
-            raise DataError(f"target index {self.target_index} out of range for D={d}")
 
     @property
     def num_rows(self) -> int:
@@ -55,6 +52,11 @@ class SeriesTable:
     def num_features(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def target_index(self) -> int:
+        """The univariate target: the last column."""
+        return self.num_features - 1
+
 
 @dataclass
 class SplitSpec:
@@ -63,7 +65,6 @@ class SplitSpec:
     total: int
     mean: np.ndarray  # per-feature, train range only
     std: np.ndarray  # per-feature; constant features clamped to 1
-    constant: np.ndarray  # bool flags for clamped features
 
     @property
     def train_range(self) -> tuple[int, int]:
@@ -169,7 +170,7 @@ def load_csv(path) -> SeriesTable:
         raise DataError(
             f"row {i + 1}, column {names[j]!r}: non-finite value {values[i, j]!r}"
         )
-    return SeriesTable(timestamps, values, names, len(names) - 1)
+    return SeriesTable(timestamps, values, names)
 
 
 def split(table: SeriesTable) -> SplitSpec:
@@ -196,15 +197,13 @@ def split(table: SeriesTable) -> SplitSpec:
     train = table.values[:n_train]
     mean = train.mean(axis=0)
     std = train.std(axis=0)
-    constant = std == 0.0
-    std = np.where(constant, 1.0, std)
+    std = np.where(std == 0.0, 1.0, std)
     return SplitSpec(
         train_end=n_train,
         valid_end=n_train + n_valid,
         total=n_train + n_valid + n_test,
         mean=mean,
         std=std,
-        constant=constant,
     )
 
 
@@ -258,7 +257,7 @@ def gen_synthetic(
     origin = datetime(2020, 1, 1)
     stamps = [(origin + timedelta(hours=int(i))).isoformat(sep=" ") for i in range(T_total)]
     names = [f"f{d}" for d in range(D)]
-    return SeriesTable(stamps, values, names, D - 1)
+    return SeriesTable(stamps, values, names)
 
 
 def bundled_two_sine(n: int = 1600, seed: int = 7) -> SeriesTable:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,18 +60,7 @@ class ForecastReport:
             self.avg_mae = float(np.mean([e["mae"] for e in self.entries]))
 
     def to_json(self) -> str:
-        payload = {
-            "dataset": self.dataset,
-            "mode": self.mode,
-            "entries": self.entries,
-            "warnings": self.warnings,
-            "avg_mse": self.avg_mse,
-            "avg_mae": self.avg_mae,
-            "config": self.config,
-            "timestamp": self.timestamp,
-            "note": self.note,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "ForecastReport":

@@ -111,7 +111,6 @@ def freq_contrastive_loss(s: ComplexSpectrum, lam: float) -> tuple[Tensor, Tenso
     against view 1's, averaged over the bins and any batch axes."""
     if s.re.ndim < 3 or s.re.shape[0] != 2:
         raise ContractError(f"frequency loss needs a (2, ..., c, d) spectrum, got {s.re.shape}")
-    ap = amp_phase(s)
-    l_amp, l_phase = (tn.tmean(tn.info_nce(*tn.unstack(f))) for f in (ap.amplitude, ap.phase))
+    l_amp, l_phase = (tn.tmean(tn.info_nce(*tn.unstack(f))) for f in amp_phase(s))
     l_freq = l_amp * lam + l_phase * (1.0 - lam)
     return l_amp, l_phase, l_freq

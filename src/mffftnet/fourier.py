@@ -41,25 +41,6 @@ class ComplexSpectrum:
                 f"spectrum shape {self.re.shape} inconsistent with origin length {T}"
             )
 
-    def check_real_signal(self, tol: float = 1e-9) -> None:
-        """Assert the endpoint bins are real, as they must be for the
-        transform of a real signal. Reweighted spectra need not satisfy
-        this; the inverse transform takes the real part either way."""
-        self.validate()
-        scale = max(1.0, float(np.abs(self.values).max(initial=0.0)))
-        if np.abs(self.im.data[..., 0, :]).max(initial=0.0) > tol * scale:
-            raise ContractError("DC bin of a real-signal spectrum must be real")
-        if self.origin_length % 2 == 0 and np.abs(
-            self.im.data[..., -1, :]
-        ).max(initial=0.0) > tol * scale:
-            raise ContractError("Nyquist bin of an even-length spectrum must be real")
-
-
-@dataclass
-class AmpPhase:
-    amplitude: Tensor
-    phase: Tensor
-
 
 # -- autodiff transforms ---------------------------------------------------
 
@@ -99,11 +80,10 @@ def irfft(s: ComplexSpectrum) -> Tensor:
     return _make(out_data, (s.re, s.im), bw)
 
 
-def amp_phase(s: ComplexSpectrum) -> AmpPhase:
-    """Polar decomposition per bin; the phase of an exactly-zero bin is 0."""
-    amplitude = tsqrt(s.re * s.re + s.im * s.im)
-    phase = atan2(s.im, s.re)
-    return AmpPhase(amplitude=amplitude, phase=phase)
+def amp_phase(s: ComplexSpectrum) -> tuple[Tensor, Tensor]:
+    """Polar decomposition per bin, ``(amplitude, phase)``; the phase of an
+    exactly-zero bin is 0."""
+    return tsqrt(s.re * s.re + s.im * s.im), atan2(s.im, s.re)
 
 
 # -- O(T^2) oracle ---------------------------------------------------------

@@ -433,10 +433,10 @@ def info_nce(a: Tensor, b: Tensor) -> Tensor:
 # -- neural primitives -----------------------------------------------------
 #
 # Every convolution is a list of taps run by one core, ``_tap_conv``. A tap
-# is a (Cin x Cout) weight matrix and a shift: channels first, it multiplies
-# the unpadded input by its matrix, and the product lands in the output
-# shifted along the spatial axes. ``causal_conv1d`` and ``conv2d`` differ
-# only in their taps.
+# is an index into the stacked (Cin x Cout) weight matrices and a shift:
+# channels first, it multiplies the unpadded input by its matrix, and the
+# product lands in the output shifted along the spatial axes.
+# ``causal_conv1d`` and ``conv2d`` differ only in their taps.
 
 # Columns of the largest gradient block: with Cout output channels a block
 # holds _BLOCK_COLS // Cout taps (at least one). Without a bound the paper
@@ -445,19 +445,19 @@ def info_nce(a: Tensor, b: Tensor) -> Tensor:
 _BLOCK_COLS = 1024
 
 
-def _tap_conv(x: Tensor, taps, op: str) -> Tensor:
+def _tap_conv(x: Tensor, w: Tensor, taps, op: str) -> Tensor:
     """Channels-first core of every convolution: each tap contracts the
     channels of the unpadded input, and its shift is a slice add after.
 
-    Each tap is ``(w, i, src, dst)``. ``w`` is a weight tensor of shape
-    (..., Cin, Cout) and ``i`` the tap's index over w's leading axes in C
-    order; every tap shares Cout. ``src`` is a tuple ``(..., s_1, ..., s_d)``
-    of slices over x's d spatial axes, and ``dst`` an index tuple, channel
-    axis included, of the same shape into the output, which has shape
-    x.shape[:-1] + (Cout,) and starts at zero. The tap adds ``x[src] @ w_i``
-    into ``out[dst]``, so no zero-padded border is built; a tap that would
-    read only the border (its shift is at least the axis length) is left out
-    by the caller.
+    ``w`` has shape (..., Cin, Cout); its leading axes, flattened in C
+    order, stack the tap matrices W. Each tap is ``(i, src, dst)``: ``i``
+    indexes W, ``src`` is a tuple ``(..., s_1, ..., s_d)`` of slices over
+    x's d spatial axes, and ``dst`` an index tuple, channel axis included,
+    of the same shape into the output, which has shape x.shape[:-1] +
+    (Cout,) and starts at zero. The tap adds ``x[src] @ W[i]`` into
+    ``out[dst]``, so no zero-padded border is built; a tap that would read
+    only the border (its shift is at least the axis length) is left out by
+    the caller.
 
     The forward pass runs one matmul per tap; on the desk step that beat
     one GEMM per tap block followed by slice adds (CHANGES.md). The
@@ -465,40 +465,31 @@ def _tap_conv(x: Tensor, taps, op: str) -> Tensor:
 
     ``op`` is the calling op's name; the backward rule carries it in its
     qualified name, as every other op's does."""
-    cin, cout = x.shape[-1], taps[0][0].shape[-1]
-    weights = list({id(w): w for w, _, _, _ in taps}.values())
-    out = np.zeros(x.shape[:-1] + (cout,))
-
-    def tap_weight(w, i):
-        return w.data.reshape(-1, cin, cout)[i]
-
-    for w, i, src, dst in taps:
-        out[dst] += x.data[src + (slice(None),)] @ tap_weight(w, i)
+    W = w.data.reshape((-1,) + w.shape[-2:])
+    out = np.zeros(x.shape[:-1] + W.shape[-1:])
+    for i, src, dst in taps:
+        out[dst] += x.data[src + (slice(None),)] @ W[i]
 
     def bw(g):
-        gw = {id(w): np.zeros(w.shape) for w in weights}
-        gx = _kn2row(x.data, g, [
-            (tap_weight(w, i), gw[id(w)].reshape(-1, cin, cout)[i], src, dst)
-            for w, i, src, dst in taps
-        ])
-        _accum(x, gx, owned=True)
-        for w in weights:
-            _accum(w, gw.pop(id(w)), owned=True)
+        gW = np.zeros(W.shape)
+        _accum(x, _kn2row(x.data, g, W, gW, taps), owned=True)
+        _accum(w, gW.reshape(w.shape), owned=True)
 
     bw.__qualname__ = f"{op}.<locals>.bw"
-    return _make(out, (x, *weights), bw)
+    return _make(out, (x, w), bw)
 
 
-def _kn2row(x: np.ndarray, g: np.ndarray, taps) -> np.ndarray:
+def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps) -> np.ndarray:
     """Backward pass of a tap list: the kn2row form of Vasudevan et al.
     (arXiv 1704.04428) on blocks of at most ``_BLOCK_COLS`` columns.
 
-    Each tap is ``(w, gw, src, dst)``: its (Cin x Cout) weight matrix, the
-    (Cin x Cout) array its weight gradient is written into, and its slices
-    as in ``_tap_conv``; ``g`` is the gradient of the output. Each tap's
+    ``W`` stacks the (Cin x Cout) tap matrices, ``gW`` of the same shape
+    receives their gradients, and each tap is ``(i, src, dst)`` as in
+    ``_tap_conv``; ``g`` is the gradient of the output. Each tap's
     ``g[dst]`` goes into its rows and columns of a zeroed (N x block) gQ,
     then two GEMMs give ``gx += gQ @ W_blockᵀ`` and ``gW_block = xᵀ @ gQ``,
-    where W_block = [w_i | w_i+1 | ...] is (Cin x block). Returns gx."""
+    where W_block = [W[i] | W[i'] | ...] is (Cin x block). Each gW[i] of a
+    tap is overwritten, so no two taps may share an i. Returns gx."""
     cin, cout = x.shape[-1], g.shape[-1]
     x2 = x.reshape(-1, cin)
     gx = np.zeros(x2.shape)
@@ -506,14 +497,14 @@ def _kn2row(x: np.ndarray, g: np.ndarray, taps) -> np.ndarray:
     for j in range(0, len(taps), per):
         block = taps[j:j + per]
         gq = np.zeros(x.shape[:-1] + (len(block), cout))
-        for b, (_, _, src, dst) in enumerate(block):
+        for b, (_, src, dst) in enumerate(block):
             gq[src + (b, slice(None))] = g[dst]
         gq = gq.reshape(len(x2), -1)
-        wb = np.stack([w for w, _, _, _ in block], axis=1)
+        wb = np.stack([W[i] for i, _, _ in block], axis=1)
         gx += gq @ wb.reshape(cin, -1).T
         gwb = (x2.T @ gq).reshape(cin, len(block), cout)
-        for b, (_, gw, _, _) in enumerate(block):
-            gw[...] = gwb[:, b]
+        for b, (i, _, _) in enumerate(block):
+            gW[i] = gwb[:, b]
     return gx.reshape(x.shape)
 
 
@@ -545,8 +536,8 @@ def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
         s = (k - 1 - i) * dilation
         if s < T:
             src, dst = _shift(-s, T)
-            taps.append((w, i, (..., src), (..., dst, slice(None))))
-    return _tap_conv(x, taps, "causal_conv1d")
+            taps.append((i, (..., src), (..., dst, slice(None))))
+    return _tap_conv(x, w, taps, "causal_conv1d")
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
@@ -575,8 +566,8 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
             oa, ob = a - (kh - 1) // 2, b - (kw - 1) // 2
             if abs(oa) < H and abs(ob) < W:
                 (sa, da), (sb, db) = _shift(oa, H), _shift(ob, W)
-                taps.append((w, a * kw + b, (..., sa, sb), (..., da, db, slice(None))))
-    return _tap_conv(x, taps, "conv2d")
+                taps.append((a * kw + b, (..., sa, sb), (..., da, db, slice(None))))
+    return _tap_conv(x, w, taps, "conv2d")
 
 
 def avg_pool2d(x: Tensor, window: tuple[int, int]) -> Tensor:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .tensor import Parameter, Tensor
 
 @dataclass
 class AblationFlags:
-    disable_augmentation: bool = False
     disable_facm: bool = False  # drops the frequency branch and its loss
     disable_ctcm: bool = False  # drops the time branch and its loss
 
@@ -64,10 +63,8 @@ def total_loss(
     branch's output with zeros and drop its loss term.
     """
     flags = cfg.ablation
-    views = np.stack([batch, batch])
-    if not flags.disable_augmentation:
-        # window i of view v draws with index 2 * step * B + 2i + v
-        views = augment_view(views, aug_cfg, 2 * step * len(batch))
+    # window i of view v draws with index 2 * step * B + 2i + v
+    views = augment_view(np.stack([batch, batch]), aug_cfg, 2 * step * len(batch))
     r = model.encode(Tensor(views), training, rng_seed=step)
 
     if flags.disable_facm:
@@ -278,20 +275,22 @@ def check_input_transfer(same_input: bool, reinit_input: bool) -> None:
 
 
 def fine_tune(
-    checkpoint: Checkpoint,
+    params: dict[str, np.ndarray],
+    start_step: int,
     model: Model,
     train_windows: np.ndarray,
     cfg: TrainConfig,
     aug_cfg: AugmentConfig,
     reinit_input: bool = False,
 ) -> list[dict]:
-    """Load pretrained parameters into ``model`` and continue fitting.
+    """Load the pretrained arrays ``params`` into ``model`` and continue
+    fitting from step ``start_step``.
 
     A feature-count mismatch only touches the input linear layer; with
     ``reinit_input`` that layer keeps its fresh initialization and
     everything else is restored.
     """
-    state = dict(checkpoint.params)
+    state = dict(params)
     lin_keys = ("backbone.lin.w", "backbone.lin.b")
     mismatch = any(
         k in state and state[k].shape != model.params[k].data.shape for k in lin_keys
@@ -303,4 +302,4 @@ def fine_tune(
     model.load_state(state)
     if cfg.epochs == 0:
         return []
-    return fit(train_windows, model, cfg, aug_cfg, start_step=checkpoint.step)
+    return fit(train_windows, model, cfg, aug_cfg, start_step=start_step)

@@ -9,7 +9,7 @@ import pytest
 
 from mffftnet import cli
 from mffftnet.cli import ABLATION_VARIANTS, main
-from mffftnet.config import DEFAULTS, RunConfig
+from mffftnet.config import DEFAULTS, RunConfig, _coerce
 from mffftnet.data import PerturbationSpec, load_csv, split
 from mffftnet.evaluation import ForecastReport
 from mffftnet.model import Model
@@ -422,6 +422,16 @@ def test_ablation_variant_table_complete():
         "wo-cm-fm",
         "wo-si",
     }
+
+
+@pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+def test_ablation_overrides_are_coerced_config_values(variant):
+    # cmd_ablate merges a variant's overrides into the resolved values
+    # without coercion, so each must already be what coercion would store
+    for key, value in ABLATION_VARIANTS[variant][1].items():
+        assert key in DEFAULTS, key
+        coerced = _coerce(key, value)
+        assert coerced == value and type(coerced) is type(value), key
 
 
 # -- robustness --------------------------------------------------------------

@@ -62,9 +62,9 @@ def test_unknown_profile_rejected():
 
 
 def test_profile_env_default(monkeypatch):
+    # --profile is the one way to pick a profile: the environment does not
+    # change the default
     monkeypatch.setenv("MFF_PROFILE", "paper")
-    assert RunConfig.resolve()["profile"] == "paper"
-    monkeypatch.delenv("MFF_PROFILE")
     assert RunConfig.resolve()["profile"] == "desk"
 
 

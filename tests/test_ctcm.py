@@ -65,40 +65,6 @@ def test_multiscale_causality(rng):
     assert not np.allclose(out[..., t:, :], base[..., t:, :])
 
 
-def per_scale_stack(r, params, kernels):
-    """Reference for the fused stack: one causal_conv1d, bias add and
-    reshape per scale, then one concat."""
-    scales = []
-    for kj in kernels:
-        y = tn.causal_conv1d(r, params[f"ctcm.scale{kj}.w"]) + params[f"ctcm.scale{kj}.b"]
-        scales.append(tn.reshape(y, y.shape[:-2] + (1,) + y.shape[-2:]))
-    return tn.concat(scales, axis=-3)
-
-
-@pytest.mark.parametrize(
-    "kernels,T,K",
-    [((1, 2, 4, 8, 16), 64, 32), ((1, 2, 4, 8, 16, 32, 64, 128), 130, 3), ((3, 5), 5, 4)],
-    ids=["desk", "paper-kernels", "kernel-equals-T"],
-)
-def test_multiscale_matches_per_scale_reference(rng, kernels, T, K):
-    cfg, params = small_setup(K=K, kernels=kernels)
-    for kj in kernels:
-        params[f"ctcm.scale{kj}.b"].data = rng.normal(size=K)
-    r = rng.normal(size=(2, 3, T, K))
-    g = rng.normal(size=(2, 3, len(kernels), T, K))
-    results = []
-    for stack in (multiscale_conv, per_scale_stack):
-        rt = Tensor(r, requires_grad=True)
-        for p in params.values():
-            p.zero_grad()
-        out = stack(rt, params, cfg.kernels)
-        tn.tsum(out * Tensor(g)).backward()
-        names = [f"ctcm.scale{kj}.{part}" for kj in kernels for part in "wb"]
-        results.append([out.data, rt.grad] + [params[n].grad for n in names])
-    for got, want in zip(*results):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
 def test_multiscale_finite_differences(rng):
     kernels = (1, 2, 4)
     cfg, params = small_setup(K=3, kernels=kernels)

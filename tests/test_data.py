@@ -24,7 +24,6 @@ def _mini_table(n: int, d: int = 2, seed: int = 0) -> D.SeriesTable:
         timestamps=[f"t{i}" for i in range(n)],
         values=rng.normal(size=(n, d)),
         feature_names=[f"f{j}" for j in range(d)],
-        target_index=d - 1,
     )
 
 
@@ -143,7 +142,7 @@ def test_split_stats_train_only():
     mutated = table.values.copy()
     mutated[spec.train_end :] += 100.0
     spec2 = D.split(
-        D.SeriesTable(table.timestamps, mutated, table.feature_names, table.target_index)
+        D.SeriesTable(table.timestamps, mutated, table.feature_names)
     )
     np.testing.assert_array_equal(spec.mean, spec2.mean)
     np.testing.assert_array_equal(spec.std, spec2.std)
@@ -163,12 +162,12 @@ def test_standardize_train_moments():
 
 def test_standardize_constant_column():
     table = D.SeriesTable(
-        [f"t{i}" for i in range(10)], np.full((10, 1), 3.0), ["c"], 0
+        [f"t{i}" for i in range(10)], np.full((10, 1), 3.0), ["c"]
     )
     spec = D.split(table)
     std = D.standardize(table, spec)
     np.testing.assert_array_equal(std.values, np.zeros((10, 1)))
-    assert spec.constant[0] and spec.std[0] == 1.0
+    assert spec.std[0] == 1.0
 
 
 # -- windows -----------------------------------------------------------------
@@ -261,7 +260,7 @@ def test_inject_exact_cell_count():
 
 def test_inject_noise_statistics():
     table = D.SeriesTable(
-        [f"t{i}" for i in range(40000)], np.zeros((40000, 1)), ["x"], 0
+        [f"t{i}" for i in range(40000)], np.zeros((40000, 1)), ["x"]
     )
     out = D.inject(
         table, D.PerturbationSpec(kind="noise", ratio=0.3, noise_mean=10, noise_std=10, seed=2)

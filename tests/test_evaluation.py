@@ -399,7 +399,7 @@ def make_table(rng, n=260, D=2):
 
     origin = datetime(2020, 1, 1)
     stamps = [(origin + timedelta(hours=int(i))).isoformat(sep=" ") for i in range(n)]
-    return SeriesTable(stamps, values, [f"f{d}" for d in range(D)], D - 1)
+    return SeriesTable(stamps, values, [f"f{d}" for d in range(D)])
 
 
 def test_evaluate_horizons_report(rng):

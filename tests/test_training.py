@@ -98,11 +98,11 @@ def test_gamma2_zero_matches_time_only(rng):
 def test_disable_augmentation_views_identical(rng):
     model = tiny_model()
     batch = tiny_batch(rng)
-    cfg = TrainConfig(ablation=AblationFlags(disable_augmentation=True))
+    no_aug = AugmentConfig(alpha=0.0, beta=0.0, seed=3)
     # identical views: every positive logit dominates the same way for both
     # view terms, so the two view losses coincide
-    _, l_time_a, _ = total_loss(batch, model, cfg, AUG, step=0, training=False)
-    _, l_time_b, _ = total_loss(batch, model, cfg, AUG, step=7, training=False)
+    _, l_time_a, _ = total_loss(batch, model, TrainConfig(), no_aug, step=0, training=False)
+    _, l_time_b, _ = total_loss(batch, model, TrainConfig(), no_aug, step=7, training=False)
     assert l_time_a.item() == l_time_b.item()  # step only seeds the views
 
 
@@ -129,14 +129,11 @@ def two_pass_loss(batch, model, cfg, aug_cfg, step):
     """``total_loss`` in eval mode, one graph per view: the reference for
     the stacked single-graph path."""
     flags = cfg.ablation
-    if flags.disable_augmentation:
-        views = [batch, batch]
-    else:
-        base = 2 * step * len(batch)
-        views = [
-            np.stack([augment_view(w, aug_cfg, base + 2 * i + v) for i, w in enumerate(batch)])
-            for v in (0, 1)
-        ]
+    base = 2 * step * len(batch)
+    views = [
+        np.stack([augment_view(w, aug_cfg, base + 2 * i + v) for i, w in enumerate(batch)])
+        for v in (0, 1)
+    ]
     rs = [model.encode(Tensor(v)) for v in views]
     if flags.disable_facm:
         l_freq = Tensor(0.0)
@@ -161,10 +158,16 @@ def test_stacked_views_match_two_pass_reference(rng, variant):
     for name in ("facm.beta.re", "facm.beta.im"):
         model.params[name].data += 0.05 * rng.normal(size=model.params[name].shape)
     batch = tiny_batch(rng, B=3)
-    cfg = TrainConfig(gamma1=0.7, gamma2=1.3, ablation=ABLATION_VARIANTS[variant][0])
+    flags, overrides = ABLATION_VARIANTS[variant]
+    cfg = TrainConfig(gamma1=0.7, gamma2=1.3, ablation=flags)
+    aug = AugmentConfig(
+        alpha=overrides.get("augment.alpha", AUG.alpha),
+        beta=overrides.get("augment.beta", AUG.beta),
+        seed=AUG.seed,
+    )
 
     def run(loss_fn):
-        losses = loss_fn(batch, model, cfg, AUG, step=5)
+        losses = loss_fn(batch, model, cfg, aug, step=5)
         model.zero_grad()
         losses[0].backward()
         grads = {n: p.grad for n, p in model.params.items()}
@@ -481,7 +484,9 @@ def test_fine_tune_zero_epochs_restores_state(tmp_path, rng):
     save_checkpoint(path, pre, "t")
     ck = load_checkpoint(path)
     fresh = tiny_model(seed=8)
-    hist = fine_tune(ck, fresh, tiny_batch(rng, B=4), TrainConfig(epochs=0), AUG)
+    hist = fine_tune(
+        ck.params, ck.step, fresh, tiny_batch(rng, B=4), TrainConfig(epochs=0), AUG
+    )
     assert hist == []
     for name in pre.params:
         np.testing.assert_array_equal(fresh.params[name].data, pre.params[name].data)
@@ -494,7 +499,9 @@ def test_fine_tune_feature_mismatch_requires_reinit(tmp_path, rng):
     ck = load_checkpoint(path)
     target = tiny_model(D=2, seed=8)
     with pytest.raises(ConfigurationError, match="reinit-input"):
-        fine_tune(ck, target, tiny_batch(rng, B=4, D=2), TrainConfig(epochs=0), AUG)
+        fine_tune(
+            ck.params, ck.step, target, tiny_batch(rng, B=4, D=2), TrainConfig(epochs=0), AUG
+        )
 
 
 def test_fine_tune_reinit_input_keeps_fresh_lin(tmp_path, rng):
@@ -505,7 +512,8 @@ def test_fine_tune_reinit_input_keeps_fresh_lin(tmp_path, rng):
     target = tiny_model(D=2, seed=8)
     fresh_lin = target.params["backbone.lin.w"].data.copy()
     fine_tune(
-        ck,
+        ck.params,
+        ck.step,
         target,
         tiny_batch(rng, B=4, D=2),
         TrainConfig(epochs=0),
@@ -525,7 +533,8 @@ def test_fine_tune_continues_step_counter(tmp_path, rng):
     ck = load_checkpoint(path)
     target = tiny_model(seed=8)
     hist = fine_tune(
-        ck,
+        ck.params,
+        ck.step,
         target,
         tiny_batch(rng, B=4),
         TrainConfig(epochs=1, batch_size=2, learning_rate=1e-7),
