@@ -8,10 +8,9 @@ from .encoder import BackboneConfig
 from .facm import FacmConfig
 from .model import Model, ModelConfig
 from .tensor import Parameter, Tensor
-from .training import AblationFlags, TrainConfig, fit, fine_tune, total_loss
+from .training import TrainConfig, fit, fine_tune, total_loss
 
 __all__ = [
-    "AblationFlags",
     "AugmentConfig",
     "BackboneConfig",
     "CtcmConfig",

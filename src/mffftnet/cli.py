@@ -1,8 +1,12 @@
 """Command-line entry point: train, eval, ablate, robustness, transfer, synth.
 
-Configuration precedence is defaults < profile < config file < flags; every
-configuration key has a long flag mirroring its dotted name. Exit codes:
-0 success, 2 usage/configuration error, 3 data error, 4 numeric failure.
+Configuration precedence is defaults < profile < config file < flags. Each
+configuration key has one flag named after it, ``--<key>`` with ``_``
+spelled ``-``, whose value is coerced like a config file value. ``mff
+eval`` takes the profile and overrides its checkpoint was trained with in
+place of the profile and config file, and has only the ``--eval.horizons``
+and ``--eval.mode`` flags. Exit codes: 0 success, 2 usage/configuration
+error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -31,21 +35,20 @@ from .config import (
 from .data import PerturbationSpec, SyntheticFeature
 from .errors import ConfigurationError, DataError, MffError, NumericError
 from .model import Model
-from .training import AblationFlags
 
 # augmentation at zero strength: every draw is eps_s = 1, eps_b = 0
 _NO_AUGMENTATION = {"augment.alpha": 0.0, "augment.beta": 0.0}
 
-# variant -> (training flags, configuration overrides)
-ABLATION_VARIANTS: dict[str, tuple[AblationFlags, dict[str, object]]] = {
-    "full": (AblationFlags(), {}),
-    "wo-da": (AblationFlags(), _NO_AUGMENTATION),
-    "wo-fm": (AblationFlags(disable_facm=True), {}),
-    "wo-cm": (AblationFlags(disable_ctcm=True), {}),
-    "wo-da-fm": (AblationFlags(disable_facm=True), _NO_AUGMENTATION),
-    "wo-da-cm": (AblationFlags(disable_ctcm=True), _NO_AUGMENTATION),
-    "wo-cm-fm": (AblationFlags(disable_ctcm=True, disable_facm=True), {}),
-    "wo-si": (AblationFlags(), {"backbone.activation": "gelu"}),
+# variant -> (ModelConfig branches it builds without, configuration overrides)
+ABLATION_VARIANTS: dict[str, tuple[tuple[str, ...], dict[str, object]]] = {
+    "full": ((), {}),
+    "wo-da": ((), _NO_AUGMENTATION),
+    "wo-fm": (("facm",), {}),
+    "wo-cm": (("ctcm",), {}),
+    "wo-da-fm": (("facm",), _NO_AUGMENTATION),
+    "wo-da-cm": (("ctcm",), _NO_AUGMENTATION),
+    "wo-cm-fm": (("ctcm", "facm"), {}),
+    "wo-si": ((), {"backbone.activation": "gelu"}),
 }
 
 
@@ -56,32 +59,31 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One ``--<key>`` flag per configuration key, in ``DEFAULTS`` order,
-    stored under the key itself; ``--seed`` alone is parsed as an int."""
-    for key in DEFAULTS:
-        flag = "--" + key.replace("_", "-")
-        if key == "seed":
-            parser.add_argument(flag, type=int, default=None)
-        else:
-            parser.add_argument(flag, dest=key, default=None, metavar="V")
+def _add_config_flags(parser: argparse.ArgumentParser, keys=tuple(DEFAULTS)) -> None:
+    """One ``--<key>`` flag per configuration key in ``keys``, stored under
+    the key itself as the raw string that ``RunConfig.resolve`` coerces."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="V")
 
 
-def _resolve_config(args) -> RunConfig:
-    file_overrides = parse_config_file(args.config) if args.config else {}
+def _resolve_config(args, checkpoint_text: str | None = None) -> RunConfig:
+    """The profile and config file named in ``args`` or, given
+    ``checkpoint_text``, the configuration a checkpoint was written with,
+    under the config flags in ``args``. A bad probe grid fails here, before
+    any training or encoding, not at the probe after it."""
+    if checkpoint_text is None:
+        profile = args.profile
+        overrides = parse_config_file(args.config) if args.config else {}
+    else:
+        overrides = parse_config_text(checkpoint_text, "checkpoint config")
+        profile = overrides.pop("profile", None)
     given = vars(args)
-    flag_overrides = {key: given[key] for key in DEFAULTS if given[key] is not None}
-    cfg = RunConfig.resolve(args.profile, file_overrides, flag_overrides)
-    # a bad probe grid fails before any training, not at the probe after it
+    flags = {key: given[key] for key in DEFAULTS if given.get(key) is not None}
+    cfg = RunConfig.resolve(profile, overrides, flags)
     eval_mod.check_probe_grid(
         cfg.int_list("eval.horizons"), cfg.float_list("eval.ridge_alphas"), cfg["eval.mode"]
     )
     return cfg
-
-
-def _runconfig_from_text(text: str) -> RunConfig:
-    overrides = parse_config_text(text, "checkpoint config")
-    return RunConfig.resolve(overrides.pop("profile", None), overrides, {})
 
 
 def _prepare(path):
@@ -99,10 +101,11 @@ def _train_windows(std, spec, cfg: RunConfig) -> np.ndarray:
     return data_mod.window_batch(std, spec.train_range, T, stride).windows
 
 
-def _build_and_fit(std, spec, cfg: RunConfig, ablation: AblationFlags):
-    model_cfg = cfg.model_config(std.num_features)
+def _build_and_fit(std, spec, cfg: RunConfig, drop: tuple[str, ...] = ()):
+    """Build the model without the ``drop`` branches and train it."""
+    model_cfg = replace(cfg.model_config(std.num_features), **dict.fromkeys(drop))
     model = Model.build(model_cfg, init_seed=int(cfg["seed"]))
-    train_cfg = cfg.train_config(ablation)
+    train_cfg = cfg.train_config()
     aug_cfg = cfg.augment_config()
     wins = _train_windows(std, spec, cfg)
     history = train_mod.fit(wins, model, train_cfg, aug_cfg)
@@ -110,14 +113,14 @@ def _build_and_fit(std, spec, cfg: RunConfig, ablation: AblationFlags):
     return model, history, steps
 
 
-def _evaluate(model, std, spec, cfg: RunConfig, name: str, horizons=None, mode=None):
+def _evaluate(model, std, spec, cfg: RunConfig, name: str):
     return eval_mod.evaluate_horizons(
         model,
         std,
         spec,
         T=int(cfg["window.length"]),
-        horizons=horizons or cfg.int_list("eval.horizons"),
-        mode=mode or str(cfg["eval.mode"]),
+        horizons=cfg.int_list("eval.horizons"),
+        mode=str(cfg["eval.mode"]),
         alpha_grid=tuple(cfg.float_list("eval.ridge_alphas")),
         dataset_name=name,
         config_snapshot=cfg.snapshot(),
@@ -135,7 +138,7 @@ def _write(path, text: str) -> None:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     _, spec, std = _prepare(args.data)
-    model, history, steps = _build_and_fit(std, spec, cfg, AblationFlags())
+    model, history, steps = _build_and_fit(std, spec, cfg)
     train_mod.save_checkpoint(
         args.out, model, cfg.to_canonical_text(), epoch=int(cfg["train.epochs"]), step=steps
     )
@@ -147,17 +150,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = train_mod.load_checkpoint(args.checkpoint)
-    cfg = _runconfig_from_text(ckpt.config_text)
+    cfg = _resolve_config(args, ckpt.config_text)
     _, spec, std = _prepare(args.data)
-    name = Path(args.data).stem
     model = Model.build(cfg.model_config(std.num_features), init_seed=int(cfg["seed"]))
     model.load_state(ckpt.params)
-    horizons = (
-        number_list(args.horizons, int, "--horizons")
-        if args.horizons
-        else eval_mod.horizon_grid(name)
-    )
-    report = _evaluate(model, std, spec, cfg, name, horizons, args.mode)
+    report = _evaluate(model, std, spec, cfg, Path(args.data).stem)
     _write(args.report, report.to_json())
     print(report.console_table())
     return 0
@@ -177,9 +174,9 @@ def cmd_ablate(args) -> int:
     name = Path(args.data).stem
     rows = []
     for variant in variants:
-        flags, overrides = ABLATION_VARIANTS[variant]
-        vcfg = RunConfig({**cfg.values, **overrides})
-        model, history, _ = _build_and_fit(std, spec, vcfg, flags)
+        drop, overrides = ABLATION_VARIANTS[variant]
+        vcfg = cfg.override(overrides)
+        model, history, _ = _build_and_fit(std, spec, vcfg, drop)
         report = _evaluate(model, std, spec, vcfg, name)
         rows.append(
             {
@@ -230,7 +227,7 @@ def cmd_robustness(args) -> int:
             # Missing cells are zeroed after standardization (train-mean
             # imputation), restricted to the train split.
             perturbed = _perturb_train_rows(std, pert, spec.train_end)
-        model, _, _ = _build_and_fit(perturbed, spec, cfg, AblationFlags())
+        model, _, _ = _build_and_fit(perturbed, spec, cfg)
         report = _evaluate(model, std, spec, cfg, name)
         rows.append(
             {"ratio": pert.ratio, "avg_mse": report.avg_mse, "avg_mae": report.avg_mae}
@@ -253,18 +250,18 @@ def cmd_transfer(args) -> int:
     _, pre_spec, pre_std = _prepare(args.pretrain_data)
     # the fine-tune inputs fail here, before any pretraining
     _, ft_spec, ft_std = _prepare(args.finetune_data)
-    ft_cfg = RunConfig(dict(cfg.values))
-    ft_cfg.values["train.epochs"] = (
-        args.finetune_epochs if args.finetune_epochs is not None else int(cfg["train.epochs"]) // 2
-    )
+    ft_epochs = args.finetune_epochs
+    if ft_epochs is None:
+        ft_epochs = int(cfg["train.epochs"]) // 2
+    ft_cfg = cfg.override({"train.epochs": ft_epochs})
     ft_train_cfg = ft_cfg.train_config()
     train_mod.check_input_transfer(
         pre_std.num_features == ft_std.num_features, args.reinit_input
     )
-    pre_cfg = RunConfig(dict(cfg.values))
+    pre_cfg = cfg
     if args.pretrain_epochs is not None:
-        pre_cfg.values["train.epochs"] = args.pretrain_epochs
-    model, _, steps = _build_and_fit(pre_std, pre_spec, pre_cfg, AblationFlags())
+        pre_cfg = cfg.override({"train.epochs": args.pretrain_epochs})
+    model, _, steps = _build_and_fit(pre_std, pre_spec, pre_cfg)
 
     ft_model = Model.build(
         ft_cfg.model_config(ft_std.num_features), init_seed=int(ft_cfg["seed"])
@@ -360,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("data")
     p.add_argument("--report", required=True)
-    p.add_argument("--horizons", default=None)
-    p.add_argument("--mode", default=None, choices=["multivariate", "univariate"])
+    _add_config_flags(p, ("eval.horizons", "eval.mode"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and score ablation variants")

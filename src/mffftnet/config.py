@@ -12,7 +12,7 @@ from .encoder import BackboneConfig
 from .errors import ConfigurationError
 from .facm import FacmConfig
 from .model import ModelConfig
-from .training import AblationFlags, TrainConfig
+from .training import TrainConfig
 
 DEFAULTS: dict[str, object] = {
     "seed": 0,
@@ -164,13 +164,16 @@ class RunConfig:
             raise ConfigurationError(
                 f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"
             )
-        merged = dict(DEFAULTS)
-        merged.update(PROFILES[profile])
-        for layer in (file_overrides or {}), (flag_overrides or {}):
-            for key, raw in layer.items():
-                merged[key] = _coerce(key, raw)
-        merged["profile"] = profile
-        return cls(merged)
+        base = cls({**DEFAULTS, **PROFILES[profile], "profile": profile})
+        return base.override(file_overrides or {}).override(flag_overrides or {})
+
+    def override(self, overrides: dict[str, object]) -> "RunConfig":
+        """A copy with each of ``overrides`` coerced to its key's type and
+        set; an unknown key or a bad value raises ConfigurationError."""
+        values = dict(self.values)
+        for key, raw in overrides.items():
+            values[key] = _coerce(key, raw)
+        return RunConfig(values)
 
     def __getitem__(self, key):
         return self.values[key]
@@ -215,7 +218,7 @@ class RunConfig:
             ctcm=ctcm,
         )
 
-    def train_config(self, ablation: AblationFlags | None = None) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
             gamma1=float(self["train.gamma1"]),
             gamma2=float(self["train.gamma2"]),
@@ -225,7 +228,6 @@ class RunConfig:
             epochs=int(self["train.epochs"]),
             batch_size=int(self["train.batch_size"]),
             seed=int(self["seed"]),
-            ablation=ablation or AblationFlags(),
         )
 
     def augment_config(self) -> AugmentConfig:

@@ -23,17 +23,6 @@ from .tensor import Tensor, no_grad
 
 DEFAULT_ALPHA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
-HOURLY_HORIZONS = [24, 48, 168, 336, 720]
-QUARTER_HOUR_HORIZONS = [24, 48, 96, 288, 672]
-
-
-def horizon_grid(dataset_name: str) -> list[int]:
-    """Conventional horizon grid: 15-minute datasets (ETTm*) get the short
-    grid, everything else the hourly one."""
-    if dataset_name.lower().startswith("ettm"):
-        return list(QUARTER_HOUR_HORIZONS)
-    return list(HOURLY_HORIZONS)
-
 
 @dataclass
 class RidgeProbe:

@@ -1,4 +1,6 @@
-"""Model assembly: one parameter set covering backbone, FACM, CTCM, fusion."""
+"""Model assembly: one parameter set covering backbone, FACM, CTCM, fusion.
+A branch whose config is None (the paper's w/o-FM and w/o-CM ablations)
+gets no parameters."""
 
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from .tensor import Parameter, Tensor
 class ModelConfig:
     window_length: int
     backbone: BackboneConfig
-    facm: FacmConfig = field(default_factory=FacmConfig)
-    ctcm: CtcmConfig = field(default_factory=CtcmConfig)
+    facm: FacmConfig | None = field(default_factory=FacmConfig)
+    ctcm: CtcmConfig | None = field(default_factory=CtcmConfig)  # with fusion
 
 
 class Model:
@@ -37,8 +39,10 @@ class Model:
         K = config.backbone.output_dim
         params = {}
         params.update(enc_mod.make_backbone(config.backbone, init_seed))
-        params.update(facm_mod.make_facm_params(K, config.window_length, init_seed + 1))
-        params.update(ctcm_mod.make_ctcm_params(K, config.ctcm, init_seed + 2))
+        if config.facm is not None:
+            params.update(facm_mod.make_facm_params(K, config.window_length, init_seed + 1))
+        if config.ctcm is not None:
+            params.update(ctcm_mod.make_ctcm_params(K, config.ctcm, init_seed + 2))
         return cls(config, params)
 
     def parameters(self) -> list[Parameter]:

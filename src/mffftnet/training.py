@@ -6,7 +6,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,6 @@ from .tensor import Parameter, Tensor
 
 
 @dataclass
-class AblationFlags:
-    disable_facm: bool = False  # drops the frequency branch and its loss
-    disable_ctcm: bool = False  # drops the time branch and its loss
-
-
-@dataclass
 class TrainConfig:
     gamma1: float = 1.0
     gamma2: float = 1.0
@@ -34,16 +28,16 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 8
     seed: int = 0
-    ablation: AblationFlags = field(default_factory=AblationFlags)
 
     def __post_init__(self):
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise ConfigurationError("loss weights must be non-negative")
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 2:
+        if self.batch_size < 1:
             raise ConfigurationError(
-                "batch_size must be >= 2: the contrastive losses need negatives"
+                f"batch_size must be >= 1, got {self.batch_size}: each InfoNCE "
+                "takes its negatives from inside one window"
             )
 
 
@@ -59,22 +53,22 @@ def total_loss(
 
     The two augmented views are stacked on a leading axis of 2 and run
     through every module as one (2, B, ...) batch, so they share every
-    parameter and one dropout seed per step. Ablation flags replace a
-    branch's output with zeros and drop its loss term.
+    parameter and one dropout seed per step. A branch the model was built
+    without (``model.config.facm`` or ``.ctcm`` is None) has no loss term,
+    and without FACM the fusion takes zeros for the frequency half.
     """
-    flags = cfg.ablation
     # window i of view v draws with index 2 * step * B + 2i + v
     views = augment_view(np.stack([batch, batch]), aug_cfg, 2 * step * len(batch))
     r = model.encode(Tensor(views), training, rng_seed=step)
 
-    if flags.disable_facm:
+    if model.config.facm is None:
         l_freq = Tensor(0.0)
         h_hat = Tensor(np.zeros(r.shape[:-1] + (model.config.backbone.output_dim // 2,)))
     else:
         h_hat, s = model.facm(r, training, rng_seed=step)
         _, _, l_freq = facm_mod.freq_contrastive_loss(s, model.config.facm.lam)
 
-    if flags.disable_ctcm:
+    if model.config.ctcm is None:
         l_time = Tensor(0.0)
     else:
         # the mean over the (2, B) leading axes is the mean of the two view losses

@@ -8,6 +8,7 @@ and stays under five minutes on an ordinary laptop core.
 import contextlib
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from mffftnet.ctcm import time_contrastive_loss
 from mffftnet.fourier import ComplexSpectrum, irfft, naive_dft, rfft
 from mffftnet.model import Model
 from mffftnet.tensor import Tensor, finite_diff_check
-from mffftnet.training import AblationFlags, TrainConfig, fit, total_loss
+from mffftnet.training import TrainConfig, fit, total_loss
 from tests.test_evaluation import probe_targets
 from tests.test_facm import stacked
 from tests.test_training import tiny_model
@@ -307,8 +308,8 @@ def test_criterion_07_ablation_plumbing(tmp_path):
         wins = window_batch(
             std, spec.train_range, int(cfg["window.length"]), int(cfg["window.stride"])
         ).windows
-        model = Model.build(cfg.model_config(std.num_features), init_seed=0)
-        tcfg = cfg.train_config(AblationFlags(disable_facm=True))
+        model = Model.build(replace(cfg.model_config(std.num_features), facm=None), init_seed=0)
+        tcfg = cfg.train_config()
         aug = cfg.augment_config()
         for step in range(3):
             batch = wins[step * tcfg.batch_size : (step + 1) * tcfg.batch_size]
@@ -362,7 +363,7 @@ def test_criterion_10_reproducibility(tmp_path, monkeypatch):
             rep = tmp_path / f"{name}.json"
             assert main(["train", str(csv), "--out", str(ck), "--seed", "7", *fast]) == 0
             assert (
-                main(["eval", str(ck), str(csv), "--report", str(rep), "--horizons", "8"])
+                main(["eval", str(ck), str(csv), "--report", str(rep), "--eval.horizons", "8"])
                 == 0
             )
             blobs.append((ck.read_bytes(), rep.read_bytes()))

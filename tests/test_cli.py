@@ -1,8 +1,10 @@
 """End-to-end command-line runs, in process, on tiny synthetic corpora."""
 
+import argparse
 import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,7 +106,7 @@ STR_FLAG_VALUES = {
 }
 
 
-@pytest.mark.parametrize("key", [k for k in DEFAULTS if k != "seed"])
+@pytest.mark.parametrize("key", list(DEFAULTS))
 def test_config_flag_value_reaches_resolved_config(key):
     default = DEFAULTS[key]
     value = STR_FLAG_VALUES[key] if isinstance(default, str) else default + 1
@@ -123,6 +125,20 @@ def test_train_help_lists_each_config_flag_once_in_defaults_order(capsys):
     listed = re.findall(r"^\s+(--[\w.-]+)", capsys.readouterr().out, re.MULTILINE)
     flags = ["--" + key.replace("_", "-") for key in DEFAULTS]
     assert [f for f in listed if f in flags] == flags
+
+
+def test_config_options_are_spelled_as_their_keys():
+    # one flag per key, named after the whole key: no short alias such as
+    # --horizons or --mode that bypasses the configuration
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    last_parts = {key.rsplit(".", 1)[-1] for key in DEFAULTS if "." in key}
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if action.dest in DEFAULTS:
+                    assert option == "--" + action.dest.replace("_", "-"), (command, option)
+                assert option.lstrip("-").replace("-", "_") not in last_parts, (command, option)
 
 
 # -- train -------------------------------------------------------------------
@@ -153,6 +169,12 @@ def test_train_missing_data_exits_2(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_train_batch_size_one(tmp_path, corpus):
+    out = tmp_path / "m.bin"
+    assert main(["train", str(corpus), "--out", str(out), *FAST, "--train.batch-size", "1"]) == 0
+    assert "train.batch_size = 1" in load_checkpoint(out).config_text
+
+
 def test_train_bad_flag_value_exits_2(tmp_path, corpus):
     rc = main(
         ["train", str(corpus), "--out", str(tmp_path / "m.bin"), "--train.epochs", "x"]
@@ -167,7 +189,7 @@ def test_eval_report(tmp_path, corpus):
     ck = tmp_path / "m.bin"
     assert main(["train", str(corpus), "--out", str(ck), *FAST]) == 0
     rep = tmp_path / "rep.json"
-    rc = main(["eval", str(ck), str(corpus), "--report", str(rep), "--horizons", "8"])
+    rc = main(["eval", str(ck), str(corpus), "--report", str(rep), "--eval.horizons", "8"])
     assert rc == 0
     report = ForecastReport.from_json(rep.read_text())
     assert report.dataset == "toy"
@@ -176,12 +198,26 @@ def test_eval_report(tmp_path, corpus):
     assert set(report.config) == CONFIG_KEYS
 
 
+def test_eval_without_probe_flags_scores_the_checkpoint_horizons(tmp_path):
+    # the desk corpus and profile: the checkpoint says eval.horizons = 24
+    data = tmp_path / "two_sine.csv"
+    spec = Path(__file__).resolve().parents[1] / "scripts" / "specs" / "two_sine.json"
+    assert main(["synth", str(spec), str(data)]) == 0
+    ck, rep = tmp_path / "m.bin", tmp_path / "rep.json"
+    train = ["train", str(data), "--out", str(ck), "--profile", "desk", "--train.epochs", "0"]
+    assert main(train) == 0
+    assert main(["eval", str(ck), str(data), "--report", str(rep)]) == 0
+    report = ForecastReport.from_json(rep.read_text())
+    assert [e["horizon"] for e in report.entries] == [24]
+    assert report.warnings == [] and report.config["eval.horizons"] == "24"
+
+
 def test_eval_oversized_horizon_warns_but_succeeds(tmp_path, corpus, capsys):
     ck = tmp_path / "m.bin"
     assert main(["train", str(corpus), "--out", str(ck), *FAST]) == 0
     rep = tmp_path / "rep.json"
     rc = main(
-        ["eval", str(ck), str(corpus), "--report", str(rep), "--horizons", "8,5000"]
+        ["eval", str(ck), str(corpus), "--report", str(rep), "--eval.horizons", "8,5000"]
     )
     assert rc == 0
     report = ForecastReport.from_json(rep.read_text())
@@ -197,7 +233,7 @@ def test_eval_reproducible_report(tmp_path, corpus, monkeypatch):
     for name in ("r1.json", "r2.json"):
         rep = tmp_path / name
         assert (
-            main(["eval", str(ck), str(corpus), "--report", str(rep), "--horizons", "8"])
+            main(["eval", str(ck), str(corpus), "--report", str(rep), "--eval.horizons", "8"])
             == 0
         )
         reps.append(rep.read_bytes())
@@ -213,7 +249,7 @@ def checkpoint(tmp_path, corpus):
 
 def _eval_stderr(ck, data, tmp_path, capsys) -> tuple[int, str]:
     rep = tmp_path / "rep.json"
-    rc = main(["eval", str(ck), str(data), "--report", str(rep), "--horizons", "8"])
+    rc = main(["eval", str(ck), str(data), "--report", str(rep), "--eval.horizons", "8"])
     return rc, capsys.readouterr().err
 
 
@@ -274,7 +310,7 @@ def test_eval_checkpoint_with_bad_ridge_alphas_exits_2(tmp_path, corpus, checkpo
         "eval.ridge_alphas = 0.01,0.1,1,10,100", f"eval.ridge_alphas = {grid}"
     )
     assert text != ckpt.config_text
-    cfg = cli._runconfig_from_text(ckpt.config_text)
+    cfg = cli._resolve_config(argparse.Namespace(), ckpt.config_text)
     model = Model.build(cfg.model_config(2), init_seed=int(cfg["seed"]))
     model.load_state(ckpt.params)
     bad = tmp_path / "bad_grid.bin"
@@ -283,12 +319,30 @@ def test_eval_checkpoint_with_bad_ridge_alphas_exits_2(tmp_path, corpus, checkpo
     assert rc == 2 and "alpha" in err and _one_line_error(err)
 
 
+@pytest.fixture()
+def no_encoding(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a window was encoded before the probe grid was checked")
+
+    monkeypatch.setattr(Model, "encode", fail)
+
+
 @pytest.mark.parametrize("horizons", ["0", "-5", "abc", "8,0"])
-def test_eval_bad_horizons_exits_2(tmp_path, corpus, checkpoint, capsys, horizons):
+def test_eval_bad_horizons_exits_2(tmp_path, corpus, checkpoint, capsys, no_encoding, horizons):
     rep = tmp_path / "rep.json"
-    rc = main(["eval", str(checkpoint), str(corpus), "--report", str(rep), "--horizons", horizons])
+    rc = main(
+        ["eval", str(checkpoint), str(corpus), "--report", str(rep), "--eval.horizons", horizons]
+    )
     err = capsys.readouterr().err
-    assert rc == 2 and "horizons" in err and _one_line_error(err)
+    assert rc == 2 and "horizons" in err and err.startswith("error: ") and _one_line_error(err)
+    assert not rep.exists()
+
+
+def test_eval_bad_mode_exits_2(tmp_path, corpus, checkpoint, capsys, no_encoding):
+    rep = tmp_path / "rep.json"
+    rc = main(["eval", str(checkpoint), str(corpus), "--report", str(rep), "--eval.mode", "foo"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "mode" in err and err.startswith("error: ") and _one_line_error(err)
     assert not rep.exists()
 
 
@@ -426,12 +480,31 @@ def test_ablation_variant_table_complete():
 
 @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
 def test_ablation_overrides_are_coerced_config_values(variant):
-    # cmd_ablate merges a variant's overrides into the resolved values
-    # without coercion, so each must already be what coercion would store
+    # cmd_ablate coerces a variant's overrides (RunConfig.override); each is
+    # written as the value coercion stores, so the table reads as a config
     for key, value in ABLATION_VARIANTS[variant][1].items():
         assert key in DEFAULTS, key
         coerced = _coerce(key, value)
         assert coerced == value and type(coerced) is type(value), key
+
+
+@pytest.mark.parametrize(
+    "variant, absent",
+    [
+        ("wo-fm", ("facm.",)),
+        ("wo-cm", ("ctcm.", "fuse.")),
+        ("wo-cm-fm", ("facm.", "ctcm.", "fuse.")),
+    ],
+    ids=["wo-fm", "wo-cm", "wo-cm-fm"],
+)
+def test_ablation_variant_model_lacks_dropped_branches(corpus, variant, absent):
+    _, spec, std = cli._prepare(corpus)
+    cfg = RunConfig.resolve("desk", flag_overrides={"train.epochs": 0})
+    drop, overrides = ABLATION_VARIANTS[variant]
+    full, _, _ = cli._build_and_fit(std, spec, cfg)
+    model, _, _ = cli._build_and_fit(std, spec, cfg.override(overrides), drop)
+    assert set(model.params) == {n for n in full.params if not n.startswith(absent)}
+    assert len(model.params) < len(full.params)
 
 
 # -- robustness --------------------------------------------------------------
@@ -552,7 +625,7 @@ def test_transfer_zero_finetune_matches_pretrained_eval(tmp_path, corpus, monkey
     ) == 0
     rep_direct = tmp_path / "direct.json"
     assert (
-        main(["eval", str(ck), str(corpus), "--report", str(rep_direct), "--horizons", "8"])
+        main(["eval", str(ck), str(corpus), "--report", str(rep_direct), "--eval.horizons", "8"])
         == 0
     )
     # transfer with zero fine-tune epochs is a zero-shot evaluation of the

@@ -46,6 +46,15 @@ def test_values_coerced_to_declared_types():
     assert cfg["seed"] == 3
 
 
+def test_override_coerces_into_a_copy():
+    base = RunConfig.resolve("desk")
+    cfg = base.override({"train.epochs": "3", "augment.alpha": 0})
+    assert cfg["train.epochs"] == 3 and type(cfg["augment.alpha"]) is float
+    assert base["train.epochs"] == 50 and base["augment.alpha"] == 0.5
+    with pytest.raises(ConfigurationError, match="unknown configuration key"):
+        base.override({"profile": "paper"})
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigurationError, match="unknown configuration key"):
         RunConfig.resolve("desk", {"not.a.key": 1})

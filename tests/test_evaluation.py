@@ -1,5 +1,5 @@
 """Ridge forecasting probe: closed-form solve, alpha selection, feature
-extraction geometry, horizon grids, and report serialization."""
+extraction geometry, and report serialization."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from mffftnet.errors import ConfigurationError
 from mffftnet.evaluation import (
     DEFAULT_ALPHA_GRID,
     ForecastReport,
-    HOURLY_HORIZONS,
-    QUARTER_HOUR_HORIZONS,
     Moments,
     RidgeProbe,
     _after_lookback,
@@ -23,7 +21,6 @@ from mffftnet.evaluation import (
     evaluate_horizons,
     extract_features,
     fit_ridge,
-    horizon_grid,
     predict,
     score,
     train_mean_baseline,
@@ -374,15 +371,6 @@ def test_extract_features_split_too_short(rng):
     model = tiny_model()
     with pytest.raises(ConfigurationError):
         extract_features(model, rng.normal(size=(18, 2)), 16, 4)
-
-
-# -- horizon grids -----------------------------------------------------------
-
-
-def test_horizon_grid_selection():
-    assert horizon_grid("ETTh1") == HOURLY_HORIZONS
-    assert horizon_grid("ETTm2") == QUARTER_HOUR_HORIZONS
-    assert horizon_grid("weather") == HOURLY_HORIZONS
 
 
 # -- end-to-end horizon evaluation -------------------------------------------

@@ -2,6 +2,7 @@
 checkpoint round-trips, and fine-tuning."""
 
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -21,7 +22,6 @@ from mffftnet.facm import FacmConfig
 from mffftnet.model import Model, ModelConfig
 from mffftnet.tensor import Parameter, Tensor
 from mffftnet.training import (
-    AblationFlags,
     Checkpoint,
     TrainConfig,
     fine_tune,
@@ -34,7 +34,9 @@ from mffftnet.training import (
 from tests.test_facm import stacked
 
 
-def tiny_model(D=2, T=16, K=8, seed=0, gelu=False, dropout=0.0):
+def tiny_model(D=2, T=16, K=8, seed=0, gelu=False, dropout=0.0, drop=()):
+    """A small model; ``drop`` names the branches (``facm``, ``ctcm``) it is
+    built without."""
     cfg = ModelConfig(
         window_length=T,
         backbone=BackboneConfig(
@@ -48,7 +50,7 @@ def tiny_model(D=2, T=16, K=8, seed=0, gelu=False, dropout=0.0):
         facm=FacmConfig(dropout_rate=dropout),
         ctcm=CtcmConfig(kernels=(1, 2, 4), msff_hidden=4),
     )
-    return Model.build(cfg, init_seed=seed)
+    return Model.build(replace(cfg, **dict.fromkeys(drop)), init_seed=seed)
 
 
 def tiny_batch(rng, B=2, T=16, D=2):
@@ -70,18 +72,18 @@ def test_loss_recomposition(rng):
 
 
 def test_disable_facm_leaves_only_time_term(rng):
-    model = tiny_model()
+    model = tiny_model(drop=("facm",))
     batch = tiny_batch(rng)
-    cfg = TrainConfig(gamma1=2.0, ablation=AblationFlags(disable_facm=True))
+    cfg = TrainConfig(gamma1=2.0)
     l_total, l_time, l_freq = total_loss(batch, model, cfg, AUG, training=False)
     assert l_freq.item() == 0.0
     assert abs(l_total.item() - 2.0 * l_time.item()) < 1e-12
 
 
 def test_disable_ctcm_leaves_only_freq_term(rng):
-    model = tiny_model()
+    model = tiny_model(drop=("ctcm",))
     batch = tiny_batch(rng)
-    cfg = TrainConfig(gamma2=3.0, ablation=AblationFlags(disable_ctcm=True))
+    cfg = TrainConfig(gamma2=3.0)
     l_total, l_time, l_freq = total_loss(batch, model, cfg, AUG, training=False)
     assert l_time.item() == 0.0
     assert abs(l_total.item() - 3.0 * l_freq.item()) < 1e-12
@@ -128,21 +130,20 @@ def test_total_loss_views_equal_per_window_draws(rng, monkeypatch):
 def two_pass_loss(batch, model, cfg, aug_cfg, step):
     """``total_loss`` in eval mode, one graph per view: the reference for
     the stacked single-graph path."""
-    flags = cfg.ablation
     base = 2 * step * len(batch)
     views = [
         np.stack([augment_view(w, aug_cfg, base + 2 * i + v) for i, w in enumerate(batch)])
         for v in (0, 1)
     ]
     rs = [model.encode(Tensor(v)) for v in views]
-    if flags.disable_facm:
+    if model.config.facm is None:
         l_freq = Tensor(0.0)
         h_hats = [Tensor(np.zeros(r.shape[:-1] + (r.shape[-1] // 2,))) for r in rs]
     else:
         (h1, s1), (h2, s2) = (model.facm(r) for r in rs)
         h_hats = [h1, h2]
         _, _, l_freq = facm_mod.freq_contrastive_loss(stacked(s1, s2), model.config.facm.lam)
-    if flags.disable_ctcm:
+    if model.config.ctcm is None:
         l_time = Tensor(0.0)
     else:
         l_time = (
@@ -154,12 +155,13 @@ def two_pass_loss(batch, model, cfg, aug_cfg, step):
 
 @pytest.mark.parametrize("variant", ["full", "wo-fm", "wo-cm", "wo-da"])
 def test_stacked_views_match_two_pass_reference(rng, variant):
-    model = tiny_model()
+    drop, overrides = ABLATION_VARIANTS[variant]
+    model = tiny_model(drop=drop)
     for name in ("facm.beta.re", "facm.beta.im"):
-        model.params[name].data += 0.05 * rng.normal(size=model.params[name].shape)
+        if name in model.params:
+            model.params[name].data += 0.05 * rng.normal(size=model.params[name].shape)
     batch = tiny_batch(rng, B=3)
-    flags, overrides = ABLATION_VARIANTS[variant]
-    cfg = TrainConfig(gamma1=0.7, gamma2=1.3, ablation=flags)
+    cfg = TrainConfig(gamma1=0.7, gamma2=1.3)
     aug = AugmentConfig(
         alpha=overrides.get("augment.alpha", AUG.alpha),
         beta=overrides.get("augment.beta", AUG.beta),
@@ -348,9 +350,21 @@ def test_fit_divergence_names_op_and_step(rng):
         fit(wins, tiny_model(), cfg, AUG)
 
 
-def test_batch_size_below_two_rejected():
-    with pytest.raises(ConfigurationError):
-        TrainConfig(batch_size=1)
+def test_batch_size_below_one_rejected():
+    with pytest.raises(ConfigurationError, match="inside one window"):
+        TrainConfig(batch_size=0)
+
+
+def test_batch_loss_is_mean_of_one_window_losses(rng):
+    # each InfoNCE draws its negatives from inside one window, so with the
+    # views equal to the window and no dropout, windows do not interact
+    model, batch = tiny_model(), tiny_batch(rng, B=2)
+    no_aug = AugmentConfig(alpha=0.0, beta=0.0, seed=3)
+    pair = total_loss(batch, model, TrainConfig(), no_aug)
+    singles = [total_loss(batch[i : i + 1], model, TrainConfig(), no_aug) for i in (0, 1)]
+    for k, got in enumerate(pair):
+        want = (singles[0][k].item() + singles[1][k].item()) / 2
+        assert abs(got.item() - want) <= 1e-12 * abs(want), k
 
 
 def test_fit_deterministic(rng):
@@ -531,16 +545,14 @@ def test_fine_tune_continues_step_counter(tmp_path, rng):
     path = tmp_path / "pre.bin"
     save_checkpoint(path, pre, "t", epoch=3, step=11)
     ck = load_checkpoint(path)
+    wins = tiny_batch(rng, B=4)
+    cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=1e-7)
     target = tiny_model(seed=8)
-    hist = fine_tune(
-        ck.params,
-        ck.step,
-        target,
-        tiny_batch(rng, B=4),
-        TrainConfig(epochs=1, batch_size=2, learning_rate=1e-7),
-        AUG,
-    )
-    assert len(hist) == 1 and np.isfinite(hist[0]["loss_total"])
+    hist = fine_tune(ck.params, ck.step, target, wins, cfg, AUG)
+    # the augmentation draws carry on from step 11, bit for bit
+    reference = tiny_model(seed=8)
+    reference.load_state(ck.params)
+    assert len(hist) == 1 and hist == fit(wins, reference, cfg, AUG, start_step=11)
 
 
 def test_config_rejects_negative_weights():
