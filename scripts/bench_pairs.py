@@ -17,7 +17,12 @@ The output file gets one *set* per call, under ``--label``: the runs, each
 side's median and quartiles per metric, and per metric the change's wins
 (pairs where it is better, in the direction ``BENCHMARK.json`` gives, or
 lower for the span times), the difference of the medians (positive when the
-change is better) and the parent's interquartile range. The metadata line's
+change is better) and the parent's interquartile range. Each end-to-end
+metric also gets a ``verdict``: ``gain`` when the change wins at least
+9/10 of the pairs and its median gain exceeds the parent's IQR,
+``regression`` when its median is worse than the parent's by more than the
+metric's relative ``bound`` in ``BENCHMARK.json``, ``within_bound``
+otherwise. The metadata line's
 ``report`` entries are summarised too, as ``report:<name>``, in the
 direction ``REPORT_BETTER`` gives; a report name that is missing from that
 table and from the result line is not summarised, and the set lists it
@@ -109,11 +114,23 @@ def _not_summarised(runs: list[dict]) -> list[str]:
                    - REPORT_BETTER.keys()})
 
 
-def _summary(runs: list[dict], better: dict[str, str]) -> tuple[dict, dict]:
+def _verdict(entry: dict, bound: float) -> str:
+    """``gain``, ``regression`` or ``within_bound`` for one summary entry,
+    with ``bound`` the metric's largest relative worsening."""
+    if 10 * entry["wins"] >= 9 * entry["pairs"] and entry["median_gain"] > entry["parent_iqr"]:
+        return "gain"
+    if -entry["median_gain"] > bound * abs(entry["parent"]["median"]):
+        return "regression"
+    return "within_bound"
+
+
+def _summary(runs: list[dict], better: dict[str, str],
+             bounds: dict[str, float] | None = None) -> tuple[dict, dict]:
     """Per workload and metric: each side's quartiles, the change's wins
-    over the pairs, the median difference and the parent's IQR. Only a
-    name that both runs of a pair report is compared; the second value
-    lists, per workload, the names that only one side reported."""
+    over the pairs, the median difference and the parent's IQR, and for a
+    metric in ``bounds`` (the end-to-end ones) its verdict. Only a name
+    that both runs of a pair report is compared; the second value lists,
+    per workload, the names that only one side reported."""
     values: dict = defaultdict(lambda: defaultdict(lambda: {"parent": [], "change": []}))
     one_sided: dict = defaultdict(lambda: {"parent": set(), "change": set()})
     by_pair = defaultdict(dict)
@@ -138,6 +155,8 @@ def _summary(runs: list[dict], better: dict[str, str]) -> tuple[dict, dict]:
                 entry[side] = {"median": median, "q1": q1, "q3": q3}
             entry["median_gain"] = sign * (entry["change"]["median"] - entry["parent"]["median"])
             entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+            if name in (bounds or {}):
+                entry["verdict"] = _verdict(entry, bounds[name])
             out.setdefault(workload, {})[name] = entry
     only = {workload: {side: sorted(names) for side, names in sides.items()}
             for workload, sides in one_sided.items() if any(sides.values())}
@@ -171,7 +190,8 @@ def main(argv=None) -> int:
                              "pair_position": position, **run})
                 print(f"{workload} seed {seed} {side}: {run['result']['metrics']}",
                       file=sys.stderr)
-    summary, one_sided = _summary(runs, better)
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    summary, one_sided = _summary(runs, better, bounds)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"sets": []}
     doc["sets"].append({
         "label": args.label,

@@ -3,13 +3,17 @@ robustness perturbation injectors.
 
 CSV layout follows the ETT convention: header row with a leading ``date``
 column, remaining columns numeric features, last column the univariate
-target.
+target. ``load_csv`` parses every data row in one ``np.loadtxt`` call and
+checks the rows as whole arrays; only a file that fails a check has its
+records gone through one by one, to name the first fault.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
@@ -105,72 +109,210 @@ class PerturbationSpec:
             )
 
 
-def _parse_timestamp(text: str, row: int) -> datetime:
-    try:
-        return datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise DataError(f"row {row}: cannot parse timestamp {text!r}") from exc
+# ASCII separators that ``np.loadtxt`` strips around a number as whitespace
+# and ``float`` does not: a file holding one has its cells checked one by one.
+_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _read_rows(reader, path) -> tuple[list[str], list[str], list[list[float]]]:
-    """The feature names, timestamps and numeric rows of ``reader``'s
-    records, each row checked."""
+def _line_lengths(raw: bytes) -> np.ndarray:
+    """The length in bytes of each line of ``raw`` as ``csv`` reads it
+    (a line ends at ``\\n``, ``\\r`` or ``\\r\\n``), terminator excluded."""
+    b = np.frombuffer(raw, np.uint8)
+    lf = b == 10
+    if b"\r" in raw:
+        cr = b == 13
+        crlf = np.append(cr[:-1] & lf[1:], False)
+        lf[1:] &= ~cr[:-1]  # the LF of a CRLF ends no line of its own
+        stops = np.flatnonzero(lf | cr)
+        width = 1 + crlf[stops]
+    else:
+        stops = np.flatnonzero(lf)
+        width = 1
+    starts = np.concatenate(([0], stops + width))
+    lengths = np.append(stops, len(b)) - starts
+    # past a final terminator there is no line
+    return lengths[:-1] if lengths[-1] == 0 else lengths
+
+
+def _parse_stamps(texts) -> list[datetime]:
+    """The timestamps of ``texts`` up to, not including, the first that
+    ``datetime.fromisoformat`` rejects."""
+    stamps: list[datetime] = []
+    try:  # list.extend keeps what it took before the iterator raised
+        stamps.extend(map(datetime.fromisoformat, texts))
+    except ValueError:
+        pass
+    return stamps
+
+
+def _first_zone_change(stamps: list[datetime]) -> int:
+    """The index of the first timestamp whose having a time zone offset
+    differs from its predecessor's; ``len(stamps)`` if none does."""
+    naive = np.array([s.tzinfo is None for s in stamps], dtype=bool)
+    change = np.flatnonzero(naive[1:] != naive[:-1])
+    return int(change[0]) + 1 if len(change) else len(stamps)
+
+
+def _first_non_increase(stamps: list[datetime]) -> int:
+    """The index of the first timestamp not after its predecessor;
+    ``len(stamps)`` if they strictly increase."""
+    later = list(map(operator.lt, stamps, stamps[1:]))
+    return later.index(False) + 1 if False in later else len(stamps)
+
+
+def _is_number(cell: str) -> bool:
+    """Whether ``cell`` is a number to both ``float`` and ``np.loadtxt``:
+    ``float``'s grammar, but ASCII only and without digit-grouping
+    underscores."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path} is empty") from None
-    if len(header) < 2:
-        raise DataError(f"{path}: no feature columns")
-    timestamps: list[str] = []
-    rows: list[list[float]] = []
-    prev: datetime | None = None
-    for i, rec in enumerate(reader, start=1):
-        if len(rec) != len(header):
-            raise DataError(f"row {i}: expected {len(header)} cells, got {len(rec)}")
-        stamp = _parse_timestamp(rec[0], i)
-        if prev is not None:
-            if (stamp.tzinfo is None) != (prev.tzinfo is None):
-                raise DataError(f"row {i}: timestamps mix time zone offsets and none")
-            if stamp <= prev:
-                raise DataError(f"row {i}: timestamps not strictly increasing")
-        prev = stamp
-        vals = []
-        for j, cell in enumerate(rec[1:], start=1):
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"row {i}, column {header[j]!r}: non-numeric cell {cell!r}"
-                ) from None
-        timestamps.append(rec[0])
-        rows.append(vals)
-    return header[1:], timestamps, rows
+        float(cell)
+    except ValueError:
+        return False
+    text = cell.strip()
+    return "_" not in text and text.isascii()
+
+
+def _row_fault(header: list[str], records: list[list[str]]) -> str | None:
+    """The message for the first faulty data row of ``records`` (row 1 is
+    the first after the header). A row is checked for, in this order: its
+    cell count, an unparsable timestamp, a time-zone mix with the row
+    before, a timestamp not after the row before's, and a non-numeric cell
+    (leftmost first). Each check looks only at the rows before the first
+    fault found so far, so the last one to find a fault found the first."""
+    counts = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    ragged = np.flatnonzero(counts != len(header))
+    n = int(ragged[0]) if len(ragged) else len(records)
+    message = None
+    if n < len(records):
+        message = f"row {n + 1}: expected {len(header)} cells, got {counts[n]}"
+    stamps = _parse_stamps(rec[0] for rec in records[:n])
+    if len(stamps) < n:
+        n = len(stamps)
+        message = f"row {n + 1}: cannot parse timestamp {records[n][0]!r}"
+    if (i := _first_zone_change(stamps[:n])) < n:
+        n, message = i, f"row {i + 1}: timestamps mix time zone offsets and none"
+    if (i := _first_non_increase(stamps[:n])) < n:
+        n, message = i, f"row {i + 1}: timestamps not strictly increasing"
+    cells = np.array([rec[1:] for rec in records[:n]], dtype=object).reshape(n, len(header) - 1)
+    bad = np.argwhere(~np.frompyfunc(_is_number, 1, 1)(cells).astype(bool))
+    if len(bad):
+        i, j = bad[0]
+        message = f"row {i + 1}, column {header[j + 1]!r}: non-numeric cell {cells[i, j]!r}"
+    return message
+
+
+def _parse_rows(lines, width: int) -> tuple[list[str] | None, np.ndarray | None]:
+    """The date cells and the (N, width) float64 values of the records
+    ``lines`` holds, parsed by one ``np.loadtxt`` call; (None, None) if it
+    rejects them."""
+    row = np.dtype([("date", object), ("values", np.float64, (width,))])
+    try:
+        rows = np.loadtxt(lines, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except ValueError:
+        return None, None
+    return rows["date"].tolist(), np.ascontiguousarray(rows["values"])
+
+
+def _rows_pass(timestamps: list[str], values: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether the parsed rows are the file's records, one per line of
+    ``lengths`` and no line over ``csv.field_size_limit()``, with
+    timestamps that parse, all carry a time zone offset or none, and
+    strictly increase, and with every value finite."""
+    if len(values) != len(lengths) or lengths.max() > csv.field_size_limit():
+        return False
+    n = len(timestamps)
+    stamps = _parse_stamps(timestamps)
+    return (
+        len(stamps) == n
+        and _first_zone_change(stamps) == n
+        and _first_non_increase(stamps) == n
+        and bool(np.isfinite(values).all())
+    )
+
+
+def _fault(path, text: str, header: list[str], values) -> DataError | None:
+    """The error that checking ``text``'s records one by one meets first,
+    in file order: a row fault (``_row_fault``), then a record ``csv``
+    cannot read (a field over ``csv.field_size_limit()``), then a
+    non-finite value in ``values``, the parsed rows. None when the rows
+    hold none of these."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    records: list[list[str]] = []
+    try:
+        records.extend(reader)
+        unreadable = None
+    except csv.Error as exc:
+        unreadable = DataError(f"{path}: malformed CSV: {exc}")
+    message = _row_fault(header, records)
+    if message is not None:
+        return DataError(message)
+    if unreadable is not None or values is None:
+        return unreadable
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0]
+        return DataError(
+            f"row {i + 1}, column {header[j + 1]!r}: non-finite value {values[i, j]!r}"
+        )
+    return None
 
 
 def load_csv(path) -> SeriesTable:
     """Read an ETT-style CSV (date column + numeric features); the last
-    column is the target."""
+    column is the target.
+
+    The file must be UTF-8. ``csv`` reads the header record, and one
+    ``np.loadtxt`` call parses every data row: the ``date`` cell as a
+    string, each feature cell as a float64 (``,`` delimited, ``"`` quoted,
+    no comments). Then whole-array checks confirm that the rows are the
+    file's records (no blank line, which ``csv`` reads as a row of 0 cells,
+    and no field over ``csv.field_size_limit()``), that every timestamp
+    parses with ``datetime.fromisoformat``, that all of them carry a time
+    zone offset or none does, that they strictly increase, and that every
+    value is finite. If the parse or a check fails, ``_fault`` goes through
+    ``csv``'s records in file order and raises the ``DataError`` of the
+    first fault, naming its row and column.
+
+    A feature cell is a number as ``float`` reads it, with surrounding
+    whitespace allowed, except that it must be ASCII and must not group
+    digits with underscores: ``1_0`` and non-ASCII digits are non-numeric.
+    """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from exc
-    with fh:
-        try:
-            names, timestamps, rows = _read_rows(csv.reader(fh), path)
-        except UnicodeDecodeError:
-            raise DataError(f"{path} is not valid UTF-8 text") from None
-        except csv.Error as exc:
-            raise DataError(f"{path}: malformed CSV: {exc}") from None
-    if not rows:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path} is not valid UTF-8 text") from None
+    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV: {exc}") from None
+    if len(header) < 2:
+        raise DataError(f"{path}: no feature columns")
+    lengths = _line_lengths(raw)[reader.line_num :]
+    if not len(lengths):
         raise DataError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        i, j = bad[0]
-        raise DataError(
-            f"row {i + 1}, column {names[j]!r}: non-finite value {values[i, j]!r}"
-        )
-    return SeriesTable(timestamps, values, names)
+    # a body of blank lines leaves loadtxt nothing to parse
+    timestamps, values = _parse_rows(lines, len(header) - 1) if lengths.max() else (None, None)
+    if (
+        values is None
+        or any(c in raw for c in _LOADTXT_ONLY_SPACE)
+        or not _rows_pass(timestamps, values, lengths)
+    ):
+        fault = _fault(path, text, header, values)
+        if fault is not None:
+            raise fault
+        if values is None:  # loadtxt rejects only rows that hold a fault
+            raise DataError(f"{path}: malformed CSV")
+    return SeriesTable(timestamps, values, header[1:])
 
 
 def split(table: SeriesTable) -> SplitSpec:

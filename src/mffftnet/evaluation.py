@@ -209,13 +209,17 @@ class _TargetSeries:
     of the P - P0 tail rows A[m:m0], one more correlation of P lags, and
     moves the centre from c to its x0 exactly, through (c - x0) times the
     target sums. The running sums of u and u^2 give the target sums and
-    Syy."""
+    Syy. The Gram works the same way: the Gram of all m0 rows about c,
+    computed once, less the tail rows' Gram, plus the rank-one terms of the
+    shift d = c - x0: with s the sum of the kept A rows,
+    sum_i (A_i + d)(A_i + d)^T = S + s d^T + d s^T + m d d^T."""
 
     def __init__(self, X: np.ndarray, u: np.ndarray, max_horizon: int):
         self.X, self.u = X, u
         self.c = X.mean(axis=0)
         self.A = X - self.c
         self.lags = _lag_sums(self.A, u, max_horizon)
+        self.gram = self.A.T @ self.A
         zero = np.zeros((1, u.shape[1]))
         self.sums = np.concatenate([zero, np.cumsum(u, axis=0)])
         self.squares = np.concatenate([zero, np.cumsum(u * u, axis=0)])
@@ -229,14 +233,17 @@ class _TargetSeries:
         ysum = self.sums[m : m + P] - self.sums[:P]  # P x D_out
         ysq = (self.squares[m : m + P] - self.squares[:P]).ravel()
         x0, y0 = (X.mean(axis=0), ysum.ravel() / m) if centre is None else (centre.x0, centre.y0)
-        a = X - x0
-        lags = self.lags[:, :P] + np.multiply.outer(self.c - x0, ysum)
-        if m < len(self.A):
-            lags -= _lag_sums(self.A[m:], self.u[m:], P)
-        cross = lags.reshape(len(x0), -1) - np.outer(a.sum(axis=0), y0)
+        d = self.c - x0
+        tail = self.A[m:]
+        lags = self.lags[:, :P] + np.multiply.outer(d, ysum)
+        if len(tail):
+            lags -= _lag_sums(tail, self.u[m:], P)
+        s = self.A[:m].sum(axis=0)
+        gram = self.gram - tail.T @ tail + np.outer(s, d) + np.outer(d, s) + m * np.outer(d, d)
+        cross = lags.reshape(len(x0), -1) - np.outer(s + m * d, y0)
         ysum = ysum.ravel()
         syy = float(np.sum(ysq - 2 * y0 * ysum + m * y0 * y0))
-        return Moments(rows=m, x0=x0, y0=y0, gram=a.T @ a, cross=cross, syy=syy)
+        return Moments(rows=m, x0=x0, y0=y0, gram=gram, cross=cross, syy=syy)
 
 
 def predict(probe: RidgeProbe, X: np.ndarray) -> np.ndarray:

@@ -84,20 +84,3 @@ def amp_phase(s: ComplexSpectrum) -> tuple[Tensor, Tensor]:
     """Polar decomposition per bin, ``(amplitude, phase)``; the phase of an
     exactly-zero bin is 0."""
     return tsqrt(s.re * s.re + s.im * s.im), atan2(s.im, s.re)
-
-
-# -- O(T^2) oracle ---------------------------------------------------------
-
-
-def naive_dft(x) -> ComplexSpectrum:
-    """Direct-summation DFT with the same convention as rfft; test oracle."""
-    data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    T = data.shape[-2]
-    c = T // 2 + 1
-    j = np.arange(c)[:, None]
-    t = np.arange(T)[None, :]
-    E = np.exp(-2j * np.pi * j * t / T)
-    bins = np.einsum("jt,...tf->...jf", E, data)
-    return ComplexSpectrum(
-        re=Tensor(bins.real), im=Tensor(bins.imag), origin_length=T
-    )

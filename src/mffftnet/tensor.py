@@ -600,30 +600,3 @@ def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
     rng = np.random.default_rng(rng_seed)
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return _make(x.data * mask, (x,), lambda g: _accum(x, g * mask, owned=True))
-
-
-# -- gradient oracle -------------------------------------------------------
-
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-5
-) -> float:
-    """Max relative error between the analytic gradient of f at x and
-    central finite differences; f must be deterministic."""
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    loss = f(probe)
-    loss.backward()
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
-
-    flat = x.data.copy().ravel()
-    numeric = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = f(Tensor(flat.reshape(x.shape))).item()
-            flat[i] = orig - step
-            lo = f(Tensor(flat.reshape(x.shape))).item()
-            flat[i] = orig
-            numeric[i] = (hi - lo) / (2.0 * step)
-    err = np.abs(analytic.ravel() - numeric) / (np.abs(analytic.ravel()) + 1e-8)
-    return float(err.max()) if err.size else 0.0

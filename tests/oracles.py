@@ -1,0 +1,131 @@
+"""Reference implementations the tests compare the program against.
+
+- ``load_csv``: the per-row CSV loader that ``mffftnet.data.load_csv``
+  replaced (``csv`` records, one ``float()`` per cell, each row checked as
+  it is read). ``data.load_csv`` must agree with it on every file, except
+  that a cell ``np.loadtxt`` does not read as a number (digit-grouping
+  underscores, non-ASCII digits) is a non-numeric cell there.
+- ``naive_dft``: the direct-summation DFT, the oracle of ``fourier.rfft``.
+- ``finite_diff_check``: central finite differences against an op's
+  analytic gradient.
+"""
+
+from __future__ import annotations
+
+import csv
+from datetime import datetime
+from typing import Callable
+
+import numpy as np
+
+from mffftnet.data import SeriesTable
+from mffftnet.errors import DataError
+from mffftnet.fourier import ComplexSpectrum
+from mffftnet.tensor import Tensor, no_grad
+
+
+def _parse_timestamp(text: str, row: int) -> datetime:
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError as exc:
+        raise DataError(f"row {row}: cannot parse timestamp {text!r}") from exc
+
+
+def _read_rows(reader, path) -> tuple[list[str], list[str], list[list[float]]]:
+    """The feature names, timestamps and numeric rows of ``reader``'s
+    records, each row checked."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty") from None
+    if len(header) < 2:
+        raise DataError(f"{path}: no feature columns")
+    timestamps: list[str] = []
+    rows: list[list[float]] = []
+    prev: datetime | None = None
+    for i, rec in enumerate(reader, start=1):
+        if len(rec) != len(header):
+            raise DataError(f"row {i}: expected {len(header)} cells, got {len(rec)}")
+        stamp = _parse_timestamp(rec[0], i)
+        if prev is not None:
+            if (stamp.tzinfo is None) != (prev.tzinfo is None):
+                raise DataError(f"row {i}: timestamps mix time zone offsets and none")
+            if stamp <= prev:
+                raise DataError(f"row {i}: timestamps not strictly increasing")
+        prev = stamp
+        vals = []
+        for j, cell in enumerate(rec[1:], start=1):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"row {i}, column {header[j]!r}: non-numeric cell {cell!r}"
+                ) from None
+        timestamps.append(rec[0])
+        rows.append(vals)
+    return header[1:], timestamps, rows
+
+
+def load_csv(path) -> SeriesTable:
+    """The per-row loader: an ETT-style CSV (date column + numeric
+    features) read record by record."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset file {path}: {exc}") from exc
+    with fh:
+        try:
+            names, timestamps, rows = _read_rows(csv.reader(fh), path)
+        except UnicodeDecodeError:
+            raise DataError(f"{path} is not valid UTF-8 text") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: malformed CSV: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    values = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0]
+        raise DataError(
+            f"row {i + 1}, column {names[j]!r}: non-finite value {values[i, j]!r}"
+        )
+    return SeriesTable(timestamps, values, names)
+
+
+def naive_dft(x) -> ComplexSpectrum:
+    """Direct-summation DFT with the same convention as rfft."""
+    data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    T = data.shape[-2]
+    c = T // 2 + 1
+    j = np.arange(c)[:, None]
+    t = np.arange(T)[None, :]
+    E = np.exp(-2j * np.pi * j * t / T)
+    bins = np.einsum("jt,...tf->...jf", E, data)
+    return ComplexSpectrum(
+        re=Tensor(bins.real), im=Tensor(bins.imag), origin_length=T
+    )
+
+
+def finite_diff_check(
+    f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-5
+) -> float:
+    """Max relative error between the analytic gradient of f at x and
+    central finite differences; f must be deterministic."""
+    probe = Tensor(x.data.copy(), requires_grad=True)
+    loss = f(probe)
+    loss.backward()
+    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
+
+    flat = x.data.copy().ravel()
+    numeric = np.zeros_like(flat)
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = f(Tensor(flat.reshape(x.shape))).item()
+            flat[i] = orig - step
+            lo = f(Tensor(flat.reshape(x.shape))).item()
+            flat[i] = orig
+            numeric[i] = (hi - lo) / (2.0 * step)
+    err = np.abs(analytic.ravel() - numeric) / (np.abs(analytic.ravel()) + 1e-8)
+    return float(err.max()) if err.size else 0.0

@@ -38,10 +38,11 @@ from mffftnet.facm import (
     select_topk,
 )
 from mffftnet.ctcm import time_contrastive_loss
-from mffftnet.fourier import ComplexSpectrum, irfft, naive_dft, rfft
+from mffftnet.fourier import ComplexSpectrum, irfft, rfft
 from mffftnet.model import Model
-from mffftnet.tensor import Tensor, finite_diff_check
+from mffftnet.tensor import Tensor
 from mffftnet.training import TrainConfig, fit, total_loss
+from tests.oracles import finite_diff_check, naive_dft
 from tests.test_evaluation import probe_targets
 from tests.test_facm import stacked
 from tests.test_training import tiny_model

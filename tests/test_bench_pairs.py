@@ -2,7 +2,7 @@
 
 import pytest
 
-from scripts.bench_pairs import REPORT_BETTER, _not_summarised, _seeds, _summary
+from scripts.bench_pairs import REPORT_BETTER, _not_summarised, _seeds, _summary, _verdict
 
 BETTER = {"windows_per_s": "higher", "wall_s": "lower"}
 
@@ -85,3 +85,51 @@ def test_report_entries_are_summarised_in_their_direction():
     assert "report:wall_s" not in summary["desk-train"]
     assert one_sided == {}
     assert _not_summarised(runs) == ["new_thing"]
+
+
+def _pairs(name, parent, change):
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        runs += [run("parent", pair, {name: p}, seed=pair), run("change", pair, {name: c}, seed=pair)]
+    return runs
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # IQR ~0.035
+
+
+@pytest.mark.parametrize(
+    "name, change, verdict",
+    [
+        # 10/10 wins, median gain 0.3 > IQR
+        ("wall_s", [v - 0.3 for v in PARENT], "gain"),
+        # 9/10 wins is enough
+        ("wall_s", [v - 0.3 for v in PARENT[:9]] + [PARENT[9] + 0.01], "gain"),
+        # 8/10 wins is not, however large the median gain
+        ("wall_s", [v - 0.3 for v in PARENT[:8]] + [v + 0.01 for v in PARENT[8:]], "within_bound"),
+        # 10/10 wins but a median gain inside the parent's IQR
+        ("wall_s", [v - 0.01 for v in PARENT], "within_bound"),
+        # 30% slower against a 25% bound
+        ("wall_s", [v * 1.3 for v in PARENT], "regression"),
+        # 20% slower is within it
+        ("wall_s", [v * 1.2 for v in PARENT], "within_bound"),
+        # higher is better: 30% fewer windows a second is a regression
+        ("windows_per_s", [v * 0.7 for v in PARENT], "regression"),
+        ("windows_per_s", [v * 1.3 for v in PARENT], "gain"),
+    ],
+)
+def test_end_to_end_verdict(name, change, verdict):
+    summary, _ = _summary(_pairs(name, PARENT, change), BETTER, {name: 0.25})
+    assert summary["desk-train"][name]["verdict"] == verdict
+
+
+def test_verdict_only_for_bounded_metrics():
+    runs = _pairs("wall_s", PARENT, [v - 0.3 for v in PARENT])
+    assert "verdict" not in _summary(runs, BETTER)[0]["desk-train"]["wall_s"]
+    assert "verdict" not in _summary(runs, BETTER, {"setup_s": 0.25})[0]["desk-train"]["wall_s"]
+
+
+def test_verdict_bound_is_relative_to_the_parent_median():
+    entry = {"wins": 0, "pairs": 10, "median_gain": -5.0, "parent_iqr": 1.0,
+             "parent": {"median": 100.0}}
+    assert _verdict(entry, 0.05) == "within_bound"  # 5 is not more than 5% of 100
+    assert _verdict({**entry, "median_gain": -5.01}, 0.05) == "regression"

@@ -16,6 +16,7 @@ from mffftnet.data import PerturbationSpec, load_csv, split
 from mffftnet.evaluation import ForecastReport
 from mffftnet.model import Model
 from mffftnet.training import load_checkpoint, save_checkpoint
+from tests.test_data import MALFORMED, field_limit_100  # noqa: F401 (a fixture)
 from tests.test_training import tiny_model
 
 SPEC = {
@@ -368,6 +369,16 @@ def test_train_non_finite_cell_exits_3(tmp_path, corpus, capsys):
 def _train_stderr(tmp_path, data, capsys, *extra):
     rc = main(["train", str(data), "--out", str(tmp_path / "m.bin"), *FAST, *extra])
     return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, raw, message", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_train_malformed_csv_exits_3_with_one_line(tmp_path, capsys, field_limit_100,
+                                                   kind, raw, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(raw)
+    rc, err = _train_stderr(tmp_path, bad, capsys)
+    assert rc == 3 and err == f"data error: {message.format(path=bad)}\n"
+    assert not (tmp_path / "m.bin").exists()
 
 
 @pytest.mark.parametrize(

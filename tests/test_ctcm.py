@@ -23,6 +23,7 @@ from mffftnet.errors import ConfigurationError, ContractError, ParameterError
 from mffftnet.model import Model
 from mffftnet.tensor import Tensor
 from mffftnet.training import total_loss
+from tests.oracles import finite_diff_check
 
 
 def small_setup(K=8, kernels=(1, 2, 4), msff_hidden=4, seed=0):
@@ -78,7 +79,7 @@ def test_multiscale_finite_differences(rng):
         return tn.tsum(multiscale_conv(Tensor(r), {**params, "ctcm.scale4.w": t}, kernels) * g)
 
     for f, x in ((f_r, r), (f_w, params["ctcm.scale4.w"].data)):
-        err = tn.finite_diff_check(f, Tensor(x.copy()))
+        err = finite_diff_check(f, Tensor(x.copy()))
         assert err < 1e-6, f"finite-difference rel. error {err}"
 
 
@@ -111,8 +112,6 @@ def test_msff_gradient(rng):
 
     def f(h_d):
         return tn.tsum(msff(h_d, params) * weight)
-
-    from mffftnet.tensor import finite_diff_check
 
     err = finite_diff_check(f, Tensor(rng.normal(size=(3, 6, 4))))
     assert err < 1e-4
@@ -177,10 +176,10 @@ def test_composite_conv_finite_differences(rng):
             return tn.tsum(composite_conv(x, params, kernels) * g)
         return tn.tsum(composite_conv(Tensor(r), {**params, name: x}, kernels) * g)
 
-    err = tn.finite_diff_check(loss, Tensor(r.copy()))
+    err = finite_diff_check(loss, Tensor(r.copy()))
     assert err < 1e-6, f"r: finite-difference rel. error {err}"
     for name in ("ctcm.scale4.w", "ctcm.scale2.b", "ctcm.msff.conv1.w", "ctcm.msff.conv1.b"):
-        err = tn.finite_diff_check(partial(loss, name=name), Tensor(params[name].data.copy()))
+        err = finite_diff_check(partial(loss, name=name), Tensor(params[name].data.copy()))
         assert err < 1e-6, f"{name}: finite-difference rel. error {err}"
 
 

@@ -1,6 +1,11 @@
 """Dataset ingestion, splits, standardization, windowing, synthetic
 generation, and perturbation injection."""
 
+import ast
+import csv
+import sys
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,8 +13,10 @@ from hypothesis import strategies as st
 
 from mffftnet import data as D
 from mffftnet.errors import DataError, ParameterError
-from mffftnet.fourier import naive_dft
 from mffftnet.tensor import Tensor
+from perfbench.workloads import etth1_like_csv, two_sine_csv
+from tests import oracles
+from tests.oracles import naive_dft
 
 GOLDEN = """date,HUFL,HULL,MUFL,MULL,LUFL,LULL,OT
 2016-07-01 00:00:00,5.827,2.009,1.599,0.462,4.203,1.340,30.531
@@ -110,6 +117,271 @@ def test_fuzz_load_csv_raises_only_data_error(tmp_path, raw):
         D.load_csv(path)
     except DataError:
         pass
+
+
+# -- load_csv against the per-row oracle ---------------------------------------
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: the error message, or the table's
+    timestamps, names, value bytes and shape."""
+    try:
+        table = load(path)
+    except DataError as exc:
+        return str(exc)
+    return table.timestamps, table.feature_names, table.values.tobytes(), table.values.shape
+
+
+def _float_only_number(message: str) -> bool:
+    """Whether ``message`` names a non-numeric cell that ``float`` reads:
+    one with digit-grouping underscores or non-ASCII digits."""
+    if ": non-numeric cell " not in message:
+        return False
+    cell = ast.literal_eval(message.split(": non-numeric cell ", 1)[1])
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return "_" in cell or any(not c.isascii() and c.isdigit() for c in cell)
+
+
+def assert_matches_oracle(path):
+    """``load_csv`` and the per-row oracle return the same table or raise
+    the same message, except that a file that is not UTF-8 is rejected as
+    such before its rows are checked, and that a cell ``float`` reads with
+    underscores or non-ASCII digits is non-numeric."""
+    new, old = _outcome(D.load_csv, path), _outcome(oracles.load_csv, path)
+    if new == old:
+        return
+    assert isinstance(new, str), (new, old)
+    if new == f"{path} is not valid UTF-8 text":
+        assert isinstance(old, str)
+    else:
+        assert _float_only_number(new), (new, old)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=_mutated_golden())
+def test_load_csv_matches_oracle_on_mutated_golden(tmp_path, raw):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(raw)
+    assert_matches_oracle(path)
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        ["inf", "-Infinity", "NaN", "+1e5", "-2.5E-3", ".5", "5.", "1e999", "-0",
+         "x", "", "1 2", "0x10", "1_0", "١٢", "\x1c1", "2\x1f", "\xa03 "]
+    ),
+)
+
+
+@st.composite
+def _cells(draw, text, pad=True):
+    """``text``, maybe padded with whitespace, maybe quoted (``"``
+    doubled inside)."""
+    if pad:
+        text = draw(st.sampled_from(["", "", " ", "\t"])) + text + draw(st.sampled_from(["", " "]))
+    if draw(st.booleans()):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_FAULTS = [None, None, None, None, "order", "zone", "stamp", "cell", "ragged", "blank"]
+
+
+@st.composite
+def _corpus(draw):
+    r"""A small CSV: one to three features, ``\n``, ``\r\n`` or lone ``\r``
+    line ends, quoted and padded cells, signs, exponents, ``inf``/``nan``,
+    and in some corpora one fault: an hour out of order, a time-zone
+    offset, a bad timestamp, a bad or non-finite cell, a ragged row or a
+    blank line."""
+    width = draw(st.integers(1, 3))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    n = draw(st.integers(1, 6))
+    fault, at = draw(st.sampled_from(_FAULTS)), draw(st.integers(0, n - 1))
+    sep = draw(st.sampled_from([" ", "T"]))
+    lines = ["date," + ",".join(f"c{j}" for j in range(width))]
+    for i in range(n):
+        stamp = f"2020-01-01{sep}{i if fault != 'order' or i != at else 0:02d}:00:00"
+        stamp += "+05:00" if fault == "zone" and i >= at else ""
+        stamp = "day" if fault == "stamp" and i == at else stamp
+        numbers = _NUMBERS if fault == "cell" and i == at else st.one_of(
+            st.floats(-1e6, 1e6).map(repr), st.sampled_from(["+1e5", "-2.5E-3", ".5", "5.", "-0", "7"]))
+        count = width + (draw(st.sampled_from([-1, 1])) if fault == "ragged" and i == at else 0)
+        cells = [draw(_cells(draw(numbers))) for _ in range(count)]
+        lines.append(",".join([draw(_cells(stamp, pad=False))] + cells))
+        if fault == "blank" and i == at:
+            lines.append("")
+    text = end.join(lines) + draw(st.sampled_from([end, end, ""]))
+    return text.encode()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=_corpus())
+def test_load_csv_matches_oracle_on_generated_corpora(tmp_path, raw):
+    path = tmp_path / "gen.csv"
+    path.write_bytes(raw)
+    assert_matches_oracle(path)
+
+
+@pytest.mark.parametrize("make, seed", [(etth1_like_csv, 7), (two_sine_csv, 7)])
+def test_load_csv_matches_oracle_on_benchmark_corpora(tmp_path, make, seed):
+    path = tmp_path / "corpus.csv"
+    make(path, seed)
+    new, old = D.load_csv(path), oracles.load_csv(path)
+    assert new.values.tobytes() == old.values.tobytes() and new.values.flags.c_contiguous
+    assert new.timestamps == old.timestamps and new.feature_names == old.feature_names
+
+
+_INF = f"{np.float64('inf')!r}"
+
+# (kind, file bytes, message); "{path}" stands for the file's path
+MALFORMED = [
+    ("empty file", b"", "{path} is empty"),
+    ("header only", b"date,a\n", "{path}: no data rows"),
+    ("no feature column", b"date\n2020-01-01 00:00:00\n", "{path}: no feature columns"),
+    ("ragged row", b"date,a,b\n2020-01-01 00:00:00,1\n", "row 1: expected 3 cells, got 2"),
+    ("blank line", b"date,a\n2020-01-01 00:00:00,1\n\n2020-01-01 01:00:00,2\n",
+     "row 2: expected 2 cells, got 0"),
+    ("trailing blank line", b"date,a\r\n2020-01-01 00:00:00,1\r\n\r\n", "row 2: expected 2 cells, got 0"),
+    ("bad timestamp", b"date,a\n2020-01-01 00:00:00,1\nyesterday,2\n",
+     "row 2: cannot parse timestamp 'yesterday'"),
+    ("time-zone mix", b"date,a\n2020-01-01 00:00:00,1\n2020-01-01 01:00:00+05:00,2\n",
+     "row 2: timestamps mix time zone offsets and none"),
+    ("non-increasing", b"date,a\n2020-01-02 00:00:00,1\n2020-01-01 00:00:00,2\n",
+     "row 2: timestamps not strictly increasing"),
+    ("non-numeric cell", b"date,a,b\n2020-01-01 00:00:00,1.0,oops\n",
+     "row 1, column 'b': non-numeric cell 'oops'"),
+    ("non-finite cell", b"date,a,b\n2020-01-01 00:00:00,1,2\n2020-01-01 01:00:00,3,inf\n",
+     f"row 2, column 'b': non-finite value {_INF}"),
+    ("not UTF-8", b"date,a\n2020-01-01 00:00:00,\xff\n", "{path} is not valid UTF-8 text"),
+    ("field over the limit", b"date,a\n2020-01-01 00:00:00," + b"1" * 200 + b"\n",
+     "{path}: malformed CSV: field larger than field limit (100)"),
+    # two faults: the earlier row's is reported, whatever its kind
+    ("non-numeric before ragged", b"date,a\n2020-01-01 00:00:00,x\n2020-01-01 01:00:00\n",
+     "row 1, column 'a': non-numeric cell 'x'"),
+    ("ragged before non-numeric", b"date,a\n2020-01-01 00:00:00\n2020-01-01 01:00:00,x\n",
+     "row 1: expected 2 cells, got 1"),
+    ("ragged before field over the limit",
+     b"date,a\n2020-01-01 00:00:00\n2020-01-01 01:00:00," + b"1" * 200 + b"\n",
+     "row 1: expected 2 cells, got 1"),
+    ("field over the limit before bad timestamp",
+     b"date,a\n2020-01-01 00:00:00," + b"1" * 200 + b"\nyesterday,1\n",
+     "{path}: malformed CSV: field larger than field limit (100)"),
+    # a non-finite value is only looked for once every row has passed
+    ("non-finite before bad timestamp", b"date,a\n2020-01-01 00:00:00,nan\nyesterday,1\n",
+     "row 2: cannot parse timestamp 'yesterday'"),
+    ("non-increasing after non-numeric", b"date,a\n2020-01-02 00:00:00,x\n2020-01-01 00:00:00,1\n",
+     "row 1, column 'a': non-numeric cell 'x'"),
+]
+
+
+@pytest.fixture
+def field_limit_100():
+    old = csv.field_size_limit(100)
+    yield
+    csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("kind, raw, message", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_load_csv_malformed_message(tmp_path, field_limit_100, kind, raw, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    expected = message.format(path=path)
+    for load in (D.load_csv, oracles.load_csv):
+        with pytest.raises(DataError) as info:
+            load(path)
+        assert str(info.value) == expected, load.__module__
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١", "1٢.5", "٣e1"])
+def test_load_csv_float_only_numbers_are_non_numeric(tmp_path, cell):
+    """``float`` reads these and the per-row oracle accepted them;
+    ``np.loadtxt`` does not."""
+    path = tmp_path / "cell.csv"
+    path.write_text(f"date,a\n2020-01-01 00:00:00,{cell}\n", encoding="utf-8")
+    assert oracles.load_csv(path).values[0, 0] == float(cell)
+    with pytest.raises(DataError, match=r"row 1, column 'a': non-numeric cell"):
+        D.load_csv(path)
+
+
+_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+_DIGITS = [chr(c) for c in range(128, sys.maxunicode + 1) if unicodedata.category(chr(c)) == "Nd"][::40]
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ["1", " 2 ", "-3e-2", "+.5", "5.", "inf", "-Infinity", "nAn", "1e999", "", " ", "1 2",
+     "0x10", "1_0", "1__0", "_1", "1e", "--1", "1\x00", "\x00", "1j", "١"]
+    + [w + "7" + w for w in _WHITESPACE] + [d + "1" for d in _DIGITS],
+)
+def test_is_number_is_what_both_float_and_loadtxt_read(cell):
+    try:
+        float(cell)
+        by_float = True
+    except ValueError:
+        by_float = False
+    row = np.dtype([("date", object), ("values", np.float64, (1,))])
+    try:
+        np.loadtxt([f'd,"{cell}"'], dtype=row, delimiter=",", quotechar='"', comments=None)
+        by_loadtxt = True
+    except ValueError:
+        by_loadtxt = False
+    assert D._is_number(cell) == (by_float and by_loadtxt)
+
+
+@pytest.mark.parametrize(
+    "raw, lengths",
+    [
+        (b"", []),
+        (b"a", [1]),
+        (b"a\n", [1]),
+        (b"a\r\nbb\rccc\n\ndd", [1, 2, 3, 0, 2]),
+        (b"\r\r\n\n\r", [0, 0, 0, 0]),
+        (b"ab\r\n", [2]),
+        ("\u00e9\n".encode(), [2]),  # bytes, not characters
+    ],
+)
+def test_line_lengths_split_lines_as_csv_does(raw, lengths):
+    assert D._line_lengths(raw).tolist() == lengths
+
+
+def test_load_csv_multi_line_quoted_cell(tmp_path):
+    """A quoted cell may hold line breaks; ``float`` strips them from a
+    number, so the file is valid with one row per record, not per line."""
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(b'date,a,b\r\n2020-01-01 00:00:00,"1\r\n",2\r\n"2020-01-01 01:00:00","\n3\n\n","4"\r\n')
+    assert_matches_oracle(path)
+    table = D.load_csv(path)
+    np.testing.assert_array_equal(table.values, [[1.0, 2.0], [3.0, 4.0]])
+    assert table.timestamps == ["2020-01-01 00:00:00", "2020-01-01 01:00:00"]
+
+
+def test_load_csv_long_line_of_short_fields(tmp_path, field_limit_100):
+    """The field limit bounds each field, not the line."""
+    names = [f"c{j}" for j in range(60)]
+    path = tmp_path / "wide.csv"
+    path.write_text("date," + ",".join(names) + "\n2020-01-01 00:00:00," + ",".join(["1.5"] * 60) + "\n")
+    table = D.load_csv(path)
+    assert table.feature_names == names and np.all(table.values == 1.5)
+    assert_matches_oracle(path)
+
+
+@pytest.mark.parametrize("where", ["number", "timestamp", "name"])
+def test_load_csv_information_separator(tmp_path, where):
+    """``np.loadtxt`` strips \\x1c-\\x1f around a number and ``float`` does
+    not: such a cell stays non-numeric. Elsewhere they are plain text."""
+    cells = {"number": ("a", "2020-01-01 00:00:00", "\x1c1"),
+             "timestamp": ("a", "2020-01-01\x1c00:00:00", "1"),
+             "name": ("a\x1d", "2020-01-01 00:00:00", "1")}[where]
+    path = tmp_path / "sep.csv"
+    path.write_text(f"date,{cells[0]}\n{cells[1]},{cells[2]}\n")
+    assert_matches_oracle(path)
+    assert isinstance(_outcome(D.load_csv, path), str) == (where == "number")
 
 
 # -- split -------------------------------------------------------------------

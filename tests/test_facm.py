@@ -16,8 +16,9 @@ from mffftnet.facm import (
     select_topk,
     topk_count,
 )
-from mffftnet.fourier import ComplexSpectrum, naive_dft, rfft
-from mffftnet.tensor import Tensor, finite_diff_check
+from mffftnet.fourier import ComplexSpectrum, rfft
+from mffftnet.tensor import Tensor
+from tests.oracles import finite_diff_check, naive_dft
 
 
 def spectrum_of(values, T):

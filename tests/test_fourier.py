@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from mffftnet import fourier as fr
 from mffftnet import tensor as tn
 from mffftnet.errors import ContractError, ParameterError
-from mffftnet.fourier import ComplexSpectrum, amp_phase, irfft, naive_dft, rfft
-from mffftnet.tensor import Tensor, finite_diff_check
+from mffftnet.fourier import ComplexSpectrum, amp_phase, irfft, rfft
+from mffftnet.tensor import Tensor
+from tests.oracles import finite_diff_check, naive_dft
 
 
 def spectrum_of(values: np.ndarray, T: int) -> ComplexSpectrum:

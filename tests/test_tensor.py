@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from mffftnet import tensor as tn
 from mffftnet.errors import ContractError, DimensionError, NumericError, ParameterError
-from mffftnet.tensor import Parameter, Tensor, finite_diff_check
+from mffftnet.tensor import Parameter, Tensor
+from tests.oracles import finite_diff_check
 
 
 def fdc(f, x, tol, step=1e-5):
