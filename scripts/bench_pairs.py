@@ -9,9 +9,12 @@ Usage:
 For every workload and seed it runs ``python3 perfbench/run.py --workload W
 --seed S --seconds N --trace T`` once in each checkout, parent first on the
 first seed and the change first on the next, and so on; a seed may repeat
-(``--seeds 1,1,1`` runs three pairs on seed 1). Each run keeps its
-last two output lines: the metadata line and the result line. A traced run
-also gets the mean self time per call of every module span in its span file.
+(``--seeds 1,1,1`` runs three pairs on seed 1). Before a workload's pairs,
+each checkout runs it once on the first seed as a warm-up, so no pair
+compares a cold run with a warm one; warm-up runs are discarded. Each run
+keeps its last two output lines: the metadata line and the result line. A
+traced run also gets the mean self time per call of every module span in
+its span file.
 
 The output file gets one *set* per call, under ``--label``: the runs, each
 side's median and quartiles per metric, and per metric the change's wins
@@ -180,9 +183,12 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     better.update({f"report:{k}": v for k, v in REPORT_BETTER.items()})
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = []
+    seeds, runs = _seeds(args.seeds), []
     for workload in args.workload:
-        for i, seed in enumerate(_seeds(args.seeds)):
+        for side in ("parent", "change"):  # warm-up, discarded
+            _run(sides[side], workload, seeds[0], args.seconds, args.trace)
+            print(f"{workload} {side}: warm-up done", file=sys.stderr)
+        for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
                 run = _run(sides[side], workload, seed, args.seconds, args.trace)
@@ -199,7 +205,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --seconds {args.seconds} --trace {args.trace}",
         "commits": {side: _git_commit(path) for side, path in sides.items()},
         "host": {k: runs[0]["metadata"]["meta"][k] for k in ("nproc", "numpy", "python", "blas")},
-        "seeds": _seeds(args.seeds),
+        "seeds": seeds,
         "summary": summary,
         "only_on_one_side": one_sided,
         "report_not_summarised": _not_summarised(runs),

@@ -105,13 +105,13 @@ def extract_features(
     as large as ``chunk * T`` rows per call allow. Otherwise S = 1, and a
     call encodes ``chunk`` lookbacks as a batch. No call holds more than
     ``chunk * T`` rows, and both ways give the per-lookback features bit
-    for bit."""
+    for bit. Each call's rows are written into one M x K array."""
     m = _rows(len(values), T, P)
     if model.config.backbone.receptive_field <= T:
         S, per_call = (chunk - 1) * T + 1, 1
     else:
         S, per_call = 1, chunk
-    feats = []
+    feats = np.empty((m, model.config.backbone.output_dim))
     with no_grad():
         for lo in range(0, m, S * per_call):
             hi = min(lo + S * per_call, m)
@@ -120,9 +120,8 @@ def extract_features(
             )[::S]  # segments x D x rows
             batch = np.ascontiguousarray(segments.transpose(0, 2, 1))
             out = model.encode(Tensor(batch), training=False).data[:, T - 1 :]
-            # copy, or the view keeps the whole call's output alive
-            feats.append(out.reshape(-1, out.shape[-1]).copy())
-    return np.concatenate(feats)
+            feats[lo:hi] = out.reshape(hi - lo, -1)
+    return feats
 
 
 @dataclass
@@ -162,6 +161,19 @@ def _smooth_length(n: int) -> int:
 _CORR_ROWS = 1024
 
 
+# Complex elements of one group's spectra in ``_lag_sums``: a feature
+# column takes (blocks + D) x bins of them (bins = F // 2 + 1), its block
+# spectra and its lag spectrum, and a group as many whole columns as fit,
+# at least one. Correlating 720 lags (2 cores, numpy 2.4, medians of 11
+# interleaved runs, traced peak in brackets): for 34 336 x 320 features
+# against 7 columns, 698 ms (20 MB) at 2^17 elements, 533 ms (22 MB) at
+# 2^18, 466 ms (26 MB) at 2^19, 484-509 ms (34-51 MB) at 2^20-2^21 and
+# 503 ms (198 MB) in one group; for 8553 x 32 against 7, 17 ms (5-7 MB) at
+# 2^17-2^18 and 16 ms (9.5 MB) from 2^19 on, where one group holds every
+# column. 2^19 is the smallest budget that costs no time on either.
+_GROUP_ELEMS = 2**19
+
+
 def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int) -> np.ndarray:
     """K x lags x D: [k, p, d] = sum_i A[i, k] u[i + p, d], with u read as
     zero past its last row.
@@ -171,39 +183,60 @@ def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int) -> np.ndarray:
     >= B + lags - 1 no lag below ``lags`` wraps around, so the per-bin
     products of all blocks add up to the spectrum of the lag sums, and one
     irfft of length F gives them. F follows ``lags`` and ``_CORR_ROWS``, not
-    len(A); at most B rows are one block. The sums match a dense sum within
-    ~1e-15 relative."""
+    len(A); at most B rows are one block.
+
+    The feature columns go through in groups of at most ``_GROUP_ELEMS``
+    spectrum elements: a group's block spectra, one GEMM per bin over all
+    blocks, and one irfft give its columns of the lag sums. Full blocks are
+    a reshaped view of A, and rfft's length argument pads the last, partial
+    one, so no buffer K columns wide grows with len(A); u and its block
+    spectra, D columns wide, are transformed once. Each lag sum is the same
+    sum over the blocks whatever the grouping, and the sums match a dense
+    sum within ~1e-15 relative."""
     (m, K), D = A.shape, u.shape[1]
     fft_len = _smooth_length(min(_CORR_ROWS, m) + lags - 1)
     rows = min(fft_len - lags + 1, m)  # B, widened to fill F
-    blocks = -(-m // rows)
-    a = np.zeros((blocks * rows, K))
-    a[:m] = A
+    blocks, bins, full = -(-m // rows), fft_len // 2 + 1, m // rows
     padded = np.zeros(((blocks - 1) * rows + fft_len, D))  # past it no lag reads u
     n = min(len(u), len(padded))
     padded[:n] = u[:n]
     segments = sliding_window_view(padded, fft_len, axis=0)[::rows]  # blocks x D x F
-    fa = np.fft.rfft(a.reshape(blocks, rows, K), fft_len, axis=1)
-    np.conj(fa, out=fa)
     fu = np.fft.rfft(segments, fft_len)
-    # bins x K x D: the products of every block summed, one GEMM per bin
-    spectrum = np.matmul(fa.transpose(1, 2, 0), fu.transpose(2, 0, 1))
-    # K x D x lags, then a copy, or the view keeps every lag of the irfft alive
-    sums = np.fft.irfft(spectrum.transpose(1, 2, 0), fft_len)[..., :lags]
-    return np.ascontiguousarray(sums.transpose(0, 2, 1))
+    cols = min(K, max(1, _GROUP_ELEMS // ((blocks + D) * bins)))
+    sums = np.empty((K, lags, D))
+    for lo in range(0, K, cols):
+        hi = min(lo + cols, K)
+        fa = np.empty((blocks, bins, hi - lo), dtype=complex)
+        if full:
+            blocked = A[: full * rows].reshape(full, rows, K)[..., lo:hi]
+            np.fft.rfft(blocked, fft_len, axis=1, out=fa[:full])
+        if full < blocks:
+            np.fft.rfft(A[full * rows :, lo:hi], fft_len, axis=0, out=fa[full])
+        np.conj(fa, out=fa)
+        # bins x columns x D: the products of every block summed, one GEMM per bin
+        spectrum = np.matmul(fa.transpose(1, 2, 0), fu.transpose(2, 0, 1))
+        del fa  # or the irfft's output is made beside it
+        lagged = np.fft.irfft(spectrum.transpose(1, 2, 0), fft_len)  # columns x D x F
+        sums[lo:hi] = lagged[..., :lags].transpose(0, 2, 1)
+        del spectrum, lagged  # or they stay alive beside the next group's
+    return sums
 
 
 class _TargetSeries:
     """One split's feature rows X (m0 of them, encoded at the shortest
     horizon P0) against its post-lookback values u (n = m0 + P0 - 1 rows),
-    correlated once for every horizon up to ``max_horizon``.
+    correlated once for every horizon in ``horizons``.
+
+    The series takes ownership of X: it centres X in place, so the caller
+    must not use it afterwards. u is only read.
 
     Target row i of horizon P is u[i : i + P] flattened, so the cross
     moment sum_i a_i y_i^T is, per lag p < P, the cross-correlation of the
-    feature columns with u at lag p. The features are centred once on the
-    mean c of all m0 rows, A = X - c, and one block-wise FFT correlation
-    (``_lag_sums``) gives the lag sums over all m0 rows for every lag below
-    ``max_horizon``.
+    feature columns with u at lag p. Each horizon's own feature mean is
+    taken first; then the features are centred on the mean c of all m0
+    rows, A = X - c, and one block-wise FFT correlation (``_lag_sums``)
+    gives the lag sums over all m0 rows for every lag below the longest
+    horizon.
 
     Horizon P keeps the first m = n - P + 1 rows: it subtracts the lag sums
     of the P - P0 tail rows A[m:m0], one more correlation of P lags, and
@@ -214,11 +247,13 @@ class _TargetSeries:
     shift d = c - x0: with s the sum of the kept A rows,
     sum_i (A_i + d)(A_i + d)^T = S + s d^T + d s^T + m d d^T."""
 
-    def __init__(self, X: np.ndarray, u: np.ndarray, max_horizon: int):
-        self.X, self.u = X, u
+    def __init__(self, X: np.ndarray, u: np.ndarray, horizons):
+        self.u = u
+        self.means = {P: X[: len(u) - P + 1].mean(axis=0) for P in horizons}
         self.c = X.mean(axis=0)
-        self.A = X - self.c
-        self.lags = _lag_sums(self.A, u, max_horizon)
+        X -= self.c
+        self.A = X
+        self.lags = _lag_sums(self.A, u, max(horizons))
         self.gram = self.A.T @ self.A
         zero = np.zeros((1, u.shape[1]))
         self.sums = np.concatenate([zero, np.cumsum(u, axis=0)])
@@ -229,10 +264,9 @@ class _TargetSeries:
         horizon-P targets, about ``centre``'s (x0, y0) or, without one,
         about their own means."""
         m = len(self.u) - P + 1
-        X = self.X[:m]
         ysum = self.sums[m : m + P] - self.sums[:P]  # P x D_out
         ysq = (self.squares[m : m + P] - self.squares[:P]).ravel()
-        x0, y0 = (X.mean(axis=0), ysum.ravel() / m) if centre is None else (centre.x0, centre.y0)
+        x0, y0 = (self.means[P], ysum.ravel() / m) if centre is None else (centre.x0, centre.y0)
         d = self.c - x0
         tail = self.A[m:]
         lags = self.lags[:, :P] + np.multiply.outer(d, ysum)
@@ -252,22 +286,26 @@ def predict(probe: RidgeProbe, X: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rows per block in ``score``. Scoring the test split of an ETTh1-shaped
-# corpus (K=32, horizons 24-720, up to 5040 outputs a row) took 77 ms at
-# 256 rows, 78-80 ms at 64-512, 85 ms at 1024 and 92 ms in one block, and
-# a 256-row block of errors at P=720 is 10 MB against 87 MB unblocked.
-_SCORE_ROWS = 256
+# Errors per block in ``score``: a block takes as many rows as keep its
+# predictions within this many elements (4 MB), at least one. Scoring an
+# ETTh1-shaped test split (K=32, D_out=7, horizons 24-720; 2 cores, medians
+# of 21 interleaved runs, three rounds) took 96-97 ms in blocks of 256 rows,
+# 106-107 ms at 2^17 elements, 109-114 ms at 2^18, 98-102 ms at 2^19 and
+# 90-92 ms at 2^20. 2^19 is the smallest budget within 5% of 256 rows,
+# whose block holds 10 MB of errors at P=720.
+_SCORE_ELEMS = 2**19
 
 
 def score(probe: RidgeProbe, X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
     """(MSE, MAE) of the predictions for X; Y is M x (P*D_out) or the
-    M x P x D_out target windows. The rows are scored in blocks of
-    ``_SCORE_ROWS``, accumulating the sums of err^2 and |err|, so no array
-    holds more than one block's errors."""
+    M x P x D_out target windows. The rows are scored in blocks of at most
+    ``_SCORE_ELEMS`` errors, accumulating the sums of err^2 and |err|, so
+    no array holds more than one block's errors."""
+    rows = max(1, _SCORE_ELEMS // probe.weights.shape[1])
     sq, ab = 0.0, 0.0
-    for lo in range(0, len(X), _SCORE_ROWS):
-        target = Y[lo : lo + _SCORE_ROWS]
-        err = predict(probe, X[lo : lo + _SCORE_ROWS]).reshape(target.shape)
+    for lo in range(0, len(X), rows):
+        target = Y[lo : lo + rows]
+        err = predict(probe, X[lo : lo + rows]).reshape(target.shape)
         err -= target
         err = err.ravel()
         sq += float(err @ err)
@@ -387,18 +425,23 @@ def evaluate_horizons(
         fitting.append(P)
     if fitting:
         P0 = min(fitting)
-        feats = [extract_features(model, values, T, P0) for values in splits]
+        # each series owns and centres its features, so none is named here
         train, valid = (
-            _TargetSeries(X, _after_lookback(values, T, table.target_index, mode), max(fitting))
-            for X, values in zip(feats, splits[:2])
+            _TargetSeries(
+                extract_features(model, values, T, P0),
+                _after_lookback(values, T, table.target_index, mode),
+                fitting,
+            )
+            for values in splits[:2]
         )
+        test = extract_features(model, splits[2], T, P0)
         for P in fitting:
             fit = train.moments(P)
             probe = fit_ridge(fit, valid.moments(P, centre=fit), alpha_grid)
             m = _rows(len(splits[2]), T, P)
             mse, mae = score(
                 probe,
-                feats[2][:m],
+                test[:m],
                 _target_windows(splits[2], T, P, table.target_index, mode),
             )
             report.entries.append(

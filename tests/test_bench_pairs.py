@@ -1,8 +1,10 @@
 """The pair summariser of ``scripts/bench_pairs.py`` on synthetic runs."""
 
+import json
+
 import pytest
 
-from scripts.bench_pairs import REPORT_BETTER, _not_summarised, _seeds, _summary, _verdict
+from scripts.bench_pairs import REPORT_BETTER, _not_summarised, _seeds, _summary, _verdict, main
 
 BETTER = {"windows_per_s": "higher", "wall_s": "lower"}
 
@@ -133,3 +135,38 @@ def test_verdict_bound_is_relative_to_the_parent_median():
              "parent": {"median": 100.0}}
     assert _verdict(entry, 0.05) == "within_bound"  # 5 is not more than 5% of 100
     assert _verdict({**entry, "median_gain": -5.01}, 0.05) == "regression"
+
+
+STUB_RUN = '''\
+import json, pathlib, sys
+count = pathlib.Path("calls")
+n = int(count.read_text()) + 1 if count.exists() else 1
+count.write_text(str(n))
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+meta = {"nproc": 1, "numpy": "x", "python": "x", "blas": "x"}
+print(json.dumps({"meta": meta, "seed": seed, "call": n}))
+# the first call of a checkout is its warm-up: a value no pair may see
+print(json.dumps({"metrics": {"wall_s": {"value": 1000.0 if n == 1 else float(seed)}}}))
+'''
+
+
+def test_warm_up_runs_are_discarded(tmp_path):
+    # a stub benchmark command in two checkouts: each is run once before
+    # the pairs, and that run is in neither the runs nor the summary
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}], "per_layer": []}))
+    out = tmp_path / "bench.json"
+    assert main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                 "--workload", "desk-train", "--seeds", "3-5", "--out", str(out)]) == 0
+    for side in ("parent", "change"):
+        assert (tmp_path / side / "calls").read_text() == "4"  # warm-up and three pairs
+    (doc,) = json.loads(out.read_text())["sets"]
+    assert len(doc["runs"]) == 6
+    assert sorted(run["metadata"]["call"] for run in doc["runs"]) == [2, 2, 3, 3, 4, 4]
+    assert {run["result"]["metrics"]["wall_s"]["value"] for run in doc["runs"]} == {3.0, 4.0, 5.0}
+    wall = doc["summary"]["desk-train"]["wall_s"]
+    assert wall["pairs"] == 3
+    assert wall["parent"] == wall["change"] == {"median": 4.0, "q1": 3.0, "q3": 5.0}

@@ -1,6 +1,8 @@
 """Ridge forecasting probe: closed-form solve, alpha selection, feature
 extraction geometry, and report serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from mffftnet.evaluation import (
     RidgeProbe,
     _after_lookback,
     _CORR_ROWS,
-    _SCORE_ROWS,
+    _SCORE_ELEMS,
     _smooth_length,
     _target_windows,
     _TargetSeries,
@@ -47,15 +49,21 @@ def test_score_hand_case():
     assert mae == (1 + 2 + 3 + 4) / 4  # 2.5
 
 
-@pytest.mark.parametrize("rows", [_SCORE_ROWS - 3, 2 * _SCORE_ROWS, 2 * _SCORE_ROWS + 1])
+SCORE_WIDTH = 2048  # errors a row: P = 512 steps of D = 4 values
+SCORE_BLOCK = _SCORE_ELEMS // SCORE_WIDTH  # rows a block
+
+
+@pytest.mark.parametrize("rows", [SCORE_BLOCK - 3, 2 * SCORE_BLOCK, 2 * SCORE_BLOCK + 1])
 def test_score_blocks_match_dense(rng, rows):
     # below one block, at a block multiple, and one row past it
     probe = RidgeProbe(
-        weights=rng.normal(size=(4, 6)), intercept=rng.normal(size=6), ridge_alpha=1.0
+        weights=rng.normal(size=(4, SCORE_WIDTH)),
+        intercept=rng.normal(size=SCORE_WIDTH),
+        ridge_alpha=1.0,
     )
     X = rng.normal(size=(rows, 4))
-    values = rng.normal(size=(rows + 2, 2))
-    Y = _target_windows(values, 0, 3, 0, "multivariate")  # rows x 3 x 2 view
+    values = rng.normal(size=(rows + 511, 4))
+    Y = _target_windows(values, 0, 512, 0, "multivariate")  # rows x 512 x 4 view
     err = predict(probe, X) - Y.reshape(rows, -1)
     mse, mae = score(probe, X, Y)
     assert abs(mse - np.mean(err**2)) <= 1e-12 * np.mean(err**2)
@@ -214,14 +222,19 @@ def test_smooth_length():
     assert _smooth_length(8576) == 8640  # 8576 = 2^7 * 67
 
 
+SERIES_K = 5  # feature columns in ``check_series_moments``
+
+
 def check_series_moments(rng, mode, n_after, P0, P_max):
     """Every horizon's moments from one ``_TargetSeries`` against dense
     rows, about their own means and about an off-split centre."""
-    T, K = 8, 5
+    T, K = 8, SERIES_K
     values = rng.normal(size=(T + n_after, 3)) + 0.5
     feats = rng.normal(size=(n_after - P0 + 1, K)) + 1.0
-    series = _TargetSeries(feats, _after_lookback(values, T, 1, mode), P_max)
-    for P in range(P0, P_max + 1):
+    # the series centres its features in place: hand it a copy
+    horizons = list(range(P0, P_max + 1))
+    series = _TargetSeries(feats.copy(), _after_lookback(values, T, 1, mode), horizons)
+    for P in horizons:
         m = n_after - P + 1
         Y = _target_windows(values, T, P, 1, mode).reshape(m, -1)
         # an off-split centre, as the validation moments use the train means
@@ -263,9 +276,54 @@ def test_target_series_moments_match_dense(rng, mode, n_after):
 )
 def test_target_series_moments_span_blocks(rng, monkeypatch, mode, block, n_after, P0, P_max):
     # splits much longer than the longest horizon: the correlation runs
-    # over several row blocks, the last one partial
+    # over several row blocks, the last one partial. It takes the feature
+    # columns one per group, two per group with a last group of one, and
+    # all in one group.
     monkeypatch.setattr(evaluation, "_CORR_ROWS", block)
-    check_series_moments(rng, mode, n_after, P0, P_max)
+    m0, D = n_after - P0 + 1, 3 if mode == "multivariate" else 1
+    fft_len = _smooth_length(min(block, m0) + P_max - 1)
+    blocks = -(-m0 // min(fft_len - P_max + 1, m0))
+    assert blocks >= 3
+    for cols in (1, 2, SERIES_K):
+        monkeypatch.setattr(evaluation, "_GROUP_ELEMS", cols * (blocks + D) * (fft_len // 2 + 1))
+        check_series_moments(rng, mode, n_after, P0, P_max)
+
+
+def traced_series_and_score(rng, m0, K=64, D=7, horizons=(24, 48, 96, 192)):
+    """The traced peak above its inputs of one split's ``_TargetSeries``,
+    every horizon's moments and then ``score`` at the longest horizon, and
+    the bytes the series keeps: features, lag sums and cumulative sums."""
+    feats = rng.normal(size=(m0, K))
+    u = rng.normal(size=(m0 + min(horizons) - 1, D))
+    P = max(horizons)
+    test_x, test_values = rng.normal(size=(m0, K)), rng.normal(size=(m0 + P - 1, D))
+    probe = RidgeProbe(
+        weights=rng.normal(size=(K, P * D)), intercept=rng.normal(size=P * D), ridge_alpha=1.0
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        series = _TargetSeries(feats, u, list(horizons))
+        for P in horizons:
+            series.moments(P)
+        score(probe, test_x, _target_windows(test_values, 0, P, 0, "multivariate"))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (series.A, series.lags, series.sums, series.squares))
+    return peak, kept
+
+
+def test_probe_working_memory_does_not_grow_with_the_split(rng):
+    # a split 4x longer, with the same K, D and horizons, may raise the
+    # peak by no more than it raises what the series keeps: the correlation
+    # and the scoring work in buffers of a fixed number of elements. At
+    # 8000 rows the 64 feature columns already take two groups.
+    peak, kept = traced_series_and_score(rng, 8_000)
+    peak4, kept4 = traced_series_and_score(rng, 32_000)
+    assert peak4 - peak <= kept4 - kept, (
+        f"peak grew {(peak4 - peak) / 1e6:.1f} MB, kept {(kept4 - kept) / 1e6:.1f} MB"
+    )
 
 
 # -- feature extraction ------------------------------------------------------
@@ -403,6 +461,17 @@ def test_evaluate_horizons_report(rng):
     assert abs(report.avg_mse - np.mean([e["mse"] for e in report.entries])) < 1e-12
     assert abs(report.avg_mae - np.mean([e["mae"] for e in report.entries])) < 1e-12
     assert all(np.isfinite(e["mse"]) and e["mse"] >= 0 for e in report.entries)
+
+
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+def test_evaluate_horizons_leaves_values_untouched(rng, mode):
+    # the series centre their features in place; never the caller's values
+    table = make_table(rng)
+    spec = split(table)
+    table = standardize(table, spec)
+    before = table.values.tobytes()
+    evaluate_horizons(tiny_model(), table, spec, T=16, horizons=[4, 8], mode=mode)
+    assert table.values.tobytes() == before
 
 
 @pytest.mark.parametrize("mode", ["multivariate", "univariate"])
