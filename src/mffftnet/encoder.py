@@ -83,8 +83,7 @@ def encode(
         dilation = 2**i
         z = tn.causal_conv1d(h, params[f"backbone.block{i}.conv1.w"], dilation)
         z = act(z + params[f"backbone.block{i}.conv1.b"])
-        if cfg.dropout_rate > 0:
-            z = tn.dropout(z, cfg.dropout_rate, [rng_seed, 17, i], training)
+        z = tn.dropout(z, cfg.dropout_rate, [rng_seed, 17, i], training)
         z = tn.causal_conv1d(z, params[f"backbone.block{i}.conv2.w"], dilation)
         h = h + z + params[f"backbone.block{i}.conv2.b"]
     return tn.matmul(h, params["backbone.proj.w"]) + params["backbone.proj.b"]

@@ -323,11 +323,13 @@ def _check_alphas(alpha_grid) -> None:
 
 
 def check_probe_grid(horizons, alpha_grid, mode) -> None:
-    """Raise ``ConfigurationError`` unless every horizon is an integer >= 1,
-    the alpha grid is non-empty, finite and positive, and the mode is
-    multivariate or univariate."""
+    """Raise ``ConfigurationError`` unless there is a horizon, every horizon
+    is an integer >= 1, the alpha grid is non-empty, finite and positive,
+    and the mode is multivariate or univariate."""
     if mode not in ("multivariate", "univariate"):
         raise ConfigurationError(f"mode must be multivariate or univariate, got {mode!r}")
+    if len(horizons) == 0:
+        raise ConfigurationError("the horizons list is empty")
     for P in horizons:
         if isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1:
             raise ConfigurationError(f"horizons must be integers >= 1, got {P!r}")
@@ -401,9 +403,10 @@ def evaluate_horizons(
     matrices and one solve per alpha the metrics agree within 1e-10
     relative.
 
-    A horizon below 1, a bad alpha grid (empty, non-finite or not
-    positive) or a mode other than multivariate or univariate raises
-    ``ConfigurationError``.
+    An empty horizon list, a horizon below 1, a bad alpha grid (empty,
+    non-finite or not positive) or a mode other than multivariate or
+    univariate raises ``ConfigurationError``, and so does a list in which
+    no horizon fits every split, before any window is encoded.
     """
     check_probe_grid(horizons, alpha_grid, mode)
     report = ForecastReport(
@@ -423,30 +426,33 @@ def evaluate_horizons(
             report.warnings.append(f"horizon {P} skipped: {exc}")
             continue
         fitting.append(P)
-    if fitting:
-        P0 = min(fitting)
-        # each series owns and centres its features, so none is named here
-        train, valid = (
-            _TargetSeries(
-                extract_features(model, values, T, P0),
-                _after_lookback(values, T, table.target_index, mode),
-                fitting,
-            )
-            for values in splits[:2]
+    if not fitting:
+        raise ConfigurationError(
+            f"none of the horizons fits every split: {'; '.join(report.warnings)}"
         )
-        test = extract_features(model, splits[2], T, P0)
-        for P in fitting:
-            fit = train.moments(P)
-            probe = fit_ridge(fit, valid.moments(P, centre=fit), alpha_grid)
-            m = _rows(len(splits[2]), T, P)
-            mse, mae = score(
-                probe,
-                test[:m],
-                _target_windows(splits[2], T, P, table.target_index, mode),
-            )
-            report.entries.append(
-                {"horizon": P, "mse": mse, "mae": mae, "ridge_alpha": probe.ridge_alpha}
-            )
+    P0 = min(fitting)
+    # each series owns and centres its features, so none is named here
+    train, valid = (
+        _TargetSeries(
+            extract_features(model, values, T, P0),
+            _after_lookback(values, T, table.target_index, mode),
+            fitting,
+        )
+        for values in splits[:2]
+    )
+    test = extract_features(model, splits[2], T, P0)
+    for P in fitting:
+        fit = train.moments(P)
+        probe = fit_ridge(fit, valid.moments(P, centre=fit), alpha_grid)
+        m = _rows(len(splits[2]), T, P)
+        mse, mae = score(
+            probe,
+            test[:m],
+            _target_windows(splits[2], T, P, table.target_index, mode),
+        )
+        report.entries.append(
+            {"horizon": P, "mse": mse, "mae": mae, "ridge_alpha": probe.ridge_alpha}
+        )
     report.finalize()
     return report
 

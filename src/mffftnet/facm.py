@@ -3,10 +3,13 @@
 Pipeline per window: FFT of the representation over time, hard top-k
 masking of low-amplitude bins, complex linear reweighting (learnable
 complex weight matrix plus per-bin complex bias), inverse FFT, dropout.
-The frequency loss takes amplitude and phase of both views' reweighted
-spectra, stacked on a leading axis of 2, and contrasts each between the
-views' bin rows with the shared ``tensor.info_nce`` (as CoST does, Woo et
-al., arXiv 2202.01575).
+A spectrum is one real (..., c, 2K) tensor holding ``[re ‖ im]`` on its
+last axis (``fourier``), so the complex product z·(W_re + i·W_im) is one
+real matmul of the masked spectrum by the block matrix
+[[W_re, W_im], [-W_im, W_re]]. The frequency loss takes amplitude and
+phase of both views' reweighted spectra, stacked on a leading axis of 2,
+and contrasts each between the views' bin rows with the shared
+``tensor.info_nce`` (as CoST does, Woo et al., arXiv 2202.01575).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from . import tensor as tn
-from .fourier import ComplexSpectrum, amp_phase, irfft, rfft
+from .fourier import amp_phase, as_complex, irfft, rfft
 from .tensor import Parameter, ParameterInit, Tensor
 
 
@@ -50,9 +53,10 @@ def make_facm_params(
     return init.params
 
 
-def mean_amplitude(s: ComplexSpectrum) -> np.ndarray:
-    """Per-bin modulus averaged over the feature channels, (..., c)."""
-    return np.abs(s.values).mean(axis=-1)
+def mean_amplitude(z: Tensor) -> np.ndarray:
+    """Per-bin modulus of a (..., c, 2K) spectrum averaged over the K
+    feature channels, (..., c)."""
+    return np.abs(as_complex(z.data)).mean(axis=-1)
 
 
 def topk_count(c: int, mask_ratio: float) -> int:
@@ -81,36 +85,33 @@ def facm_apply(
     cfg: FacmConfig,
     training: bool = False,
     rng_seed: int = 0,
-) -> tuple[Tensor, ComplexSpectrum]:
+) -> tuple[Tensor, Tensor]:
     """Returns both the time-domain output (..., T, K/2) and the
-    post-masking, post-reweighting spectrum the frequency loss consumes."""
+    post-masking, post-reweighting (..., c, K) spectrum ``[re ‖ im]`` the
+    frequency loss consumes."""
     K = r.shape[-1]
     if params["facm.omega.re"].shape[0] != K:
         raise ContractError(
             f"FACM weights built for K={params['facm.omega.re'].shape[0]}, got K={K}"
         )
     spec = rfft(r)
-    mask = _topk_mask(mean_amplitude(spec), cfg.mask_ratio)[..., None]
-    mask_t = Tensor(mask)
-    re_m = spec.re * mask_t
-    im_m = spec.im * mask_t
+    masked = spec * Tensor(_topk_mask(mean_amplitude(spec), cfg.mask_ratio)[..., None])
     w_re, w_im = params["facm.omega.re"], params["facm.omega.im"]
-    b_re, b_im = params["facm.beta.re"], params["facm.beta.im"]
-    out_re = tn.matmul(re_m, w_re) - tn.matmul(im_m, w_im) + b_re
-    out_im = tn.matmul(re_m, w_im) + tn.matmul(im_m, w_re) + b_im
-    weighted = ComplexSpectrum(re=out_re, im=out_im, origin_length=spec.origin_length)
-    h_hat = irfft(weighted)
+    w = tn.concat([tn.concat([w_re, w_im]), tn.concat([-w_im, w_re])], axis=0)
+    bias = tn.concat([params["facm.beta.re"], params["facm.beta.im"]])
+    weighted = tn.matmul(masked, w) + bias
+    h_hat = irfft(weighted, r.shape[-2])
     h_hat = tn.dropout(h_hat, cfg.dropout_rate, [rng_seed, 29], training)
     return h_hat, weighted
 
 
-def freq_contrastive_loss(s: ComplexSpectrum, lam: float) -> tuple[Tensor, Tensor, Tensor]:
+def freq_contrastive_loss(z: Tensor, lam: float) -> tuple[Tensor, Tensor, Tensor]:
     """(L_amp, L_phase, L_freq), L_freq = lam*L_amp + (1-lam)*L_phase, of a
-    (2, ..., c, d) spectrum holding the two views on its leading axis, as
+    (2, ..., c, 2d) spectrum holding the two views on its leading axis, as
     ``facm_apply`` returns it. Each term is the InfoNCE of view 0's bin rows
     against view 1's, averaged over the bins and any batch axes."""
-    if s.re.ndim < 3 or s.re.shape[0] != 2:
-        raise ContractError(f"frequency loss needs a (2, ..., c, d) spectrum, got {s.re.shape}")
-    l_amp, l_phase = (tn.tmean(tn.info_nce(*tn.unstack(f))) for f in amp_phase(s))
+    if z.ndim < 3 or z.shape[0] != 2:
+        raise ContractError(f"frequency loss needs a (2, ..., c, 2d) spectrum, got {z.shape}")
+    l_amp, l_phase = (tn.tmean(tn.info_nce(*tn.unstack(f))) for f in amp_phase(z))
     l_freq = l_amp * lam + l_phase * (1.0 - lam)
     return l_amp, l_phase, l_freq

@@ -5,48 +5,28 @@ inverse with 1/T, which is numpy's ``np.fft`` default. Any window length is
 exact (no padding).
 
 Transforms act along axis -2 of a (..., T, F) array: one DFT per feature
-column, batched over leading axes. The forward/inverse maps are linear, so
-their backward rules are the corresponding adjoint transforms.
+column, batched over leading axes. A spectrum is one real (..., c, 2F)
+tensor of c = floor(T/2)+1 bins holding ``[re ‖ im]`` on its last axis.
+Both maps are linear, and each one's backward rule is the other real FFT.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .tensor import Tensor, _accum, _make, atan2, tsqrt, unstack
-
-# -- spectrum containers ---------------------------------------------------
+from .tensor import Tensor, _accum, _make, atan2, reshape, tsqrt, unstack
 
 
-@dataclass
-class ComplexSpectrum:
-    """Non-redundant half spectrum of a real signal: c = floor(T/2)+1 bins."""
-
-    re: Tensor
-    im: Tensor
-    origin_length: int
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.re.data + 1j * self.im.data
-
-    def validate(self) -> None:
-        T = self.origin_length
-        c = T // 2 + 1
-        if self.re.shape != self.im.shape or self.re.shape[-2] != c:
-            raise ContractError(
-                f"spectrum shape {self.re.shape} inconsistent with origin length {T}"
-            )
+def as_complex(z: np.ndarray) -> np.ndarray:
+    """The complex (..., c, F) bins of a (..., c, 2F) spectrum array."""
+    F = z.shape[-1] // 2
+    return z[..., :F] + 1j * z[..., F:]
 
 
-# -- autodiff transforms ---------------------------------------------------
-
-
-def rfft(x: Tensor) -> ComplexSpectrum:
-    """Half-spectrum DFT of a real (..., T, F) tensor along the time axis."""
+def rfft(x: Tensor) -> Tensor:
+    """Half-spectrum DFT of a real (..., T, F) tensor along the time axis,
+    as the (..., c, 2F) spectrum ``[re ‖ im]``."""
     T = x.shape[-2]
     if T < 2:
         raise ParameterError(f"rfft needs T >= 2, got T={T}")
@@ -54,33 +34,33 @@ def rfft(x: Tensor) -> ComplexSpectrum:
     bins = np.fft.rfft(x.data, axis=-2)
 
     def bw(g):
-        # one adjoint for both parts: it is linear, and g[1] enters as i·g_im
-        gpad = np.zeros(x.shape[:-2] + (T,) + x.shape[-1:], dtype=np.complex128)
-        gpad[..., :c, :] = g[0] + 1j * g[1]
-        _accum(x, np.real(T * np.fft.ifft(gpad, axis=-2)))
+        # irfft counts bins 1 .. T-c twice, once more as their conjugate mirror
+        gs = as_complex(g)
+        gs[..., 1 : T - c + 1, :] *= 0.5
+        _accum(x, T * np.fft.irfft(gs, n=T, axis=-2), owned=True)
 
-    re, im = unstack(_make(np.stack([bins.real, bins.imag]), (x,), bw))
-    return ComplexSpectrum(re=re, im=im, origin_length=T)
+    return _make(np.concatenate([bins.real, bins.imag], axis=-1), (x,), bw)
 
 
-def irfft(s: ComplexSpectrum) -> Tensor:
-    """Inverse transform back to a real (..., T, F) tensor; irfft(rfft(x)) == x."""
-    s.validate()
-    T = s.origin_length
+def irfft(z: Tensor, T: int) -> Tensor:
+    """Inverse transform of a (..., c, 2F) spectrum back to a real (..., T, F)
+    tensor; irfft(rfft(x), T) == x."""
     c = T // 2 + 1
-    out_data = np.fft.irfft(s.re.data + 1j * s.im.data, n=T, axis=-2)
+    if z.shape[-2] != c or z.shape[-1] % 2:
+        raise ContractError(f"spectrum shape {z.shape} inconsistent with origin length {T}")
 
     def bw(g):
         # bins 1 .. T-c also stand for their conjugate mirror bins T-1 .. c
         gs = np.fft.rfft(g, axis=-2) / T
         gs[..., 1 : T - c + 1, :] *= 2.0
-        _accum(s.re, gs.real)
-        _accum(s.im, gs.imag)
+        _accum(z, np.concatenate([gs.real, gs.imag], axis=-1), owned=True)
 
-    return _make(out_data, (s.re, s.im), bw)
+    return _make(np.fft.irfft(as_complex(z.data), n=T, axis=-2), (z,), bw)
 
 
-def amp_phase(s: ComplexSpectrum) -> tuple[Tensor, Tensor]:
-    """Polar decomposition per bin, ``(amplitude, phase)``; the phase of an
-    exactly-zero bin is 0."""
-    return tsqrt(s.re * s.re + s.im * s.im), atan2(s.im, s.re)
+def amp_phase(z: Tensor) -> tuple[Tensor, Tensor]:
+    """Polar decomposition per bin and channel of a (..., c, 2F) spectrum,
+    ``(amplitude, phase)``, each (..., c, F); the phase of an exactly-zero
+    bin is 0."""
+    re, im = unstack(reshape(z, z.shape[:-1] + (2, z.shape[-1] // 2)), axis=-2)
+    return tsqrt(re * re + im * im), atan2(im, re)

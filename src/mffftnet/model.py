@@ -15,7 +15,6 @@ from .ctcm import CtcmConfig
 from .encoder import BackboneConfig
 from .errors import ConfigurationError
 from .facm import FacmConfig
-from .fourier import ComplexSpectrum
 from .tensor import Parameter, Tensor
 
 
@@ -57,7 +56,7 @@ class Model:
 
     def facm(
         self, r: Tensor, training: bool = False, rng_seed: int = 0
-    ) -> tuple[Tensor, ComplexSpectrum]:
+    ) -> tuple[Tensor, Tensor]:
         return facm_mod.facm_apply(r, self.params, self.config.facm, training, rng_seed)
 
     def ctcm(self, r: Tensor) -> Tensor:

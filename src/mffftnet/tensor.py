@@ -392,18 +392,20 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
 
-def unstack(a: Tensor) -> list[Tensor]:
-    """Split along the leading axis: ``unstack(a)[i].data == a.data[i]``."""
+def unstack(a: Tensor, axis: int = 0) -> list[Tensor]:
+    """Split along ``axis``: ``unstack(a, axis)[i].data == np.take(a.data, i, axis)``."""
 
     def piece(i: int) -> Tensor:
+        index = (slice(None),) * (axis % a.ndim) + (i,)
+
         def bw(g):
             gg = np.zeros_like(a.data)
-            gg[i] = g
+            gg[index] = g
             _accum(a, gg, owned=True)
 
-        return _make(a.data[i], (a,), bw)
+        return _make(a.data[index], (a,), bw)
 
-    return [piece(i) for i in range(a.shape[0])]
+    return [piece(i) for i in range(a.shape[axis])]
 
 
 def diagonal(a: Tensor) -> Tensor:
@@ -592,11 +594,12 @@ def avg_pool2d(x: Tensor, window: tuple[int, int]) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate) so eval is identity."""
+    """Inverted dropout: survivors scaled by 1/(1-rate). Out of training or
+    at rate 0 it returns ``x`` itself, with no tape node."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return _make(x.data.copy(), (x,), lambda g: _accum(x, g))
+        return x
     rng = np.random.default_rng(rng_seed)
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return _make(x.data * mask, (x,), lambda g: _accum(x, g * mask, owned=True))

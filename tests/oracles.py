@@ -20,7 +20,6 @@ import numpy as np
 
 from mffftnet.data import SeriesTable
 from mffftnet.errors import DataError
-from mffftnet.fourier import ComplexSpectrum
 from mffftnet.tensor import Tensor, no_grad
 
 
@@ -92,8 +91,9 @@ def load_csv(path) -> SeriesTable:
     return SeriesTable(timestamps, values, names)
 
 
-def naive_dft(x) -> ComplexSpectrum:
-    """Direct-summation DFT with the same convention as rfft."""
+def naive_dft(x) -> Tensor:
+    """Direct-summation DFT with the same convention and the same
+    (..., c, 2F) ``[re ‖ im]`` layout as rfft."""
     data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     T = data.shape[-2]
     c = T // 2 + 1
@@ -101,9 +101,7 @@ def naive_dft(x) -> ComplexSpectrum:
     t = np.arange(T)[None, :]
     E = np.exp(-2j * np.pi * j * t / T)
     bins = np.einsum("jt,...tf->...jf", E, data)
-    return ComplexSpectrum(
-        re=Tensor(bins.real), im=Tensor(bins.imag), origin_length=T
-    )
+    return Tensor(np.concatenate([bins.real, bins.imag], axis=-1))
 
 
 def finite_diff_check(

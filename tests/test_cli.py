@@ -328,7 +328,7 @@ def no_encoding(monkeypatch):
     monkeypatch.setattr(Model, "encode", fail)
 
 
-@pytest.mark.parametrize("horizons", ["0", "-5", "abc", "8,0"])
+@pytest.mark.parametrize("horizons", ["0", "-5", "abc", "8,0", ",", "5000"])
 def test_eval_bad_horizons_exits_2(tmp_path, corpus, checkpoint, capsys, no_encoding, horizons):
     rep = tmp_path / "rep.json"
     rc = main(

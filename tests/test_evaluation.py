@@ -197,7 +197,7 @@ def test_fit_ridge_rejects_bad_alpha_grid(rng, grid):
         fit_ridge(fit, fit, grid)
 
 
-@pytest.mark.parametrize("horizons", [[0], [4, -5], [2.5], [True]])
+@pytest.mark.parametrize("horizons", [[0], [4, -5], [2.5], [True], [], [500]])
 def test_evaluate_horizons_rejects_bad_horizon(rng, horizons):
     table = make_table(rng)
     spec = split(table)

@@ -16,29 +16,21 @@ from mffftnet.facm import (
     select_topk,
     topk_count,
 )
-from mffftnet.fourier import ComplexSpectrum, rfft
+from mffftnet.fourier import as_complex, irfft, rfft
 from mffftnet.tensor import Tensor
 from tests.oracles import finite_diff_check, naive_dft
 
 
-def spectrum_of(values, T):
+def spectrum_of(values):
     values = np.asarray(values, dtype=complex)
-    return ComplexSpectrum(
-        re=Tensor(values.real.copy()), im=Tensor(values.imag.copy()), origin_length=T
-    )
+    return Tensor(np.concatenate([values.real, values.imag], axis=-1))
 
 
 def stacked(s1, s2):
     """The two views' spectra on a leading axis of 2, as ``facm_apply``
     returns them for a stacked batch; reshape and concat keep the stack
     differentiable."""
-
-    def stack(a, b):
-        return tn.concat([tn.reshape(t, (1, *t.shape)) for t in (a, b)], axis=0)
-
-    return ComplexSpectrum(
-        re=stack(s1.re, s2.re), im=stack(s1.im, s2.im), origin_length=s1.origin_length
-    )
+    return tn.concat([tn.reshape(t, (1, *t.shape)) for t in (s1, s2)], axis=0)
 
 
 def identity_style_params(K, T):
@@ -59,19 +51,19 @@ def identity_style_params(K, T):
 
 def test_mean_amplitude_zero_spectrum():
     np.testing.assert_array_equal(
-        mean_amplitude(spectrum_of(np.zeros((3, 2)), 4)), np.zeros(3)
+        mean_amplitude(spectrum_of(np.zeros((3, 2)))), np.zeros(3)
     )
 
 
 def test_mean_amplitude_single_channel():
-    s = spectrum_of(np.array([[3 + 4j], [0 + 0j]]), 2)
+    s = spectrum_of(np.array([[3 + 4j], [0 + 0j]]))
     np.testing.assert_allclose(mean_amplitude(s), [5.0, 0.0])
 
 
 def test_mean_amplitude_oracle(rng):
     vals = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
     np.testing.assert_allclose(
-        mean_amplitude(spectrum_of(vals, 16)), np.abs(vals).mean(axis=1), atol=1e-12
+        mean_amplitude(spectrum_of(vals)), np.abs(vals).mean(axis=1), atol=1e-12
     )
 
 
@@ -120,7 +112,7 @@ def test_pure_tone_energy_concentration():
     r = np.tile(np.sin(2 * np.pi * t / 8)[:, None], (1, K))
     out = facm_apply(Tensor(r), params, cfg, training=False)[0]
     spec = naive_dft(out)
-    energy = np.abs(spec.values) ** 2
+    energy = np.abs(as_complex(spec.data)) ** 2
     target_bin = T // 8
     assert energy[target_bin].sum() / energy.sum() > 1 - 1e-9
 
@@ -133,12 +125,10 @@ def test_hard_masking_drops_masked_bins(rng):
     spec = rfft(Tensor(r))
     keep = select_topk(mean_amplitude(spec), cfg.mask_ratio)
     # zero the masked input bins externally; output must be identical
-    full = spec.values.copy()
+    full = as_complex(spec.data)
     masked = np.zeros_like(full)
     masked[keep] = full[keep]
-    from mffftnet.fourier import irfft
-
-    r_masked = irfft(spectrum_of(masked, T)).data
+    r_masked = irfft(spectrum_of(masked), T).data
     out1 = facm_apply(Tensor(r), params, cfg, training=False)[0].data
     out2 = facm_apply(Tensor(r_masked), params, cfg, training=False)[0].data
     np.testing.assert_allclose(out1, out2, atol=1e-9)
@@ -151,6 +141,26 @@ def test_facm_output_shape(rng):
         Tensor(rng.normal(size=(T, K))), params, FacmConfig(dropout_rate=0.0)
     )[0]
     assert out.shape == (T, K // 2)
+
+
+def test_reweighted_spectrum_is_the_complex_product(rng):
+    # one real matmul by [[W_re, W_im], [-W_im, W_re]] plus [b_re ‖ b_im]
+    # is (mask·(re + i·im)) @ (W_re + i·W_im) + (b_re + i·b_im) in complex128
+    K, T, B = 8, 21, 3
+    params = make_facm_params(K, T, 4)
+    for name in ("facm.beta.re", "facm.beta.im"):
+        params[name].data = rng.normal(size=params[name].shape)
+    cfg = FacmConfig(mask_ratio=0.4, dropout_rate=0.0)
+    r = rng.normal(size=(B, T, K))
+    spec = np.fft.rfft(r, axis=-2)
+    mask = np.zeros(spec.shape[:-1])
+    np.put_along_axis(mask, select_topk(np.abs(spec).mean(axis=-1), cfg.mask_ratio), 1.0, axis=-1)
+    w = params["facm.omega.re"].data + 1j * params["facm.omega.im"].data
+    beta = params["facm.beta.re"].data + 1j * params["facm.beta.im"].data
+    expect = (mask[..., None] * spec) @ w + beta
+    _, z = facm_apply(Tensor(r), params, cfg)
+    assert z.shape == (B, T // 2 + 1, K)
+    np.testing.assert_allclose(as_complex(z.data), expect, rtol=0, atol=1e-12)
 
 
 def test_facm_k_mismatch(rng):
@@ -221,7 +231,7 @@ def brute_force_info_nce(f1: np.ndarray, f2: np.ndarray) -> float:
 
 def test_freq_loss_single_row_is_zero(rng):
     vals = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
-    s1, s2 = spectrum_of(vals, 2), spectrum_of(2 * vals, 2)
+    s1, s2 = spectrum_of(vals), spectrum_of(2 * vals)
     _, _, l_freq = freq_contrastive_loss(stacked(s1, s2), 0.5)
     assert abs(l_freq.item()) < 1e-12
 
@@ -229,7 +239,7 @@ def test_freq_loss_single_row_is_zero(rng):
 def test_freq_loss_matches_brute_force(rng):
     v1 = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     v2 = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    s1, s2 = spectrum_of(v1, 3), spectrum_of(v2, 3)
+    s1, s2 = spectrum_of(v1), spectrum_of(v2)
     l_amp, l_phase, l_freq = freq_contrastive_loss(stacked(s1, s2), 0.5)
     a1, p1 = np.abs(v1), np.angle(v1)
     a2, p2 = np.abs(v2), np.angle(v2)
@@ -241,7 +251,7 @@ def test_freq_loss_matches_brute_force(rng):
 def test_freq_loss_lambda_endpoints(rng):
     v1 = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     v2 = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    s1, s2 = spectrum_of(v1, 7), spectrum_of(v2, 7)
+    s1, s2 = spectrum_of(v1), spectrum_of(v2)
     l_amp, l_phase, l_freq_1 = freq_contrastive_loss(stacked(s1, s2), 1.0)
     assert l_freq_1.item() == l_amp.item()
     _, _, l_freq_0 = freq_contrastive_loss(stacked(s1, s2), 0.0)
@@ -252,27 +262,27 @@ def test_freq_loss_nonnegative(rng):
     for _ in range(5):
         v1 = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         v2 = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        _, _, l = freq_contrastive_loss(stacked(spectrum_of(v1, 9), spectrum_of(v2, 9)), 0.5)
+        _, _, l = freq_contrastive_loss(stacked(spectrum_of(v1), spectrum_of(v2)), 0.5)
         assert l.item() >= 0.0
 
 
 def test_freq_loss_batch_permutation_invariance(rng):
     v1 = rng.normal(size=(3, 5, 2)) + 1j * rng.normal(size=(3, 5, 2))
     v2 = rng.normal(size=(3, 5, 2)) + 1j * rng.normal(size=(3, 5, 2))
-    _, _, a = freq_contrastive_loss(stacked(spectrum_of(v1, 9), spectrum_of(v2, 9)), 0.5)
+    _, _, a = freq_contrastive_loss(stacked(spectrum_of(v1), spectrum_of(v2)), 0.5)
     perm = [2, 0, 1]
     _, _, b = freq_contrastive_loss(
-        stacked(spectrum_of(v1[perm], 9), spectrum_of(v2[perm], 9)), 0.5
+        stacked(spectrum_of(v1[perm]), spectrum_of(v2[perm])), 0.5
     )
     assert abs(a.item() - b.item()) < 1e-12
 
 
 def test_freq_loss_shape_mismatch(rng):
     # the views sit on a leading axis of exactly 2: three views, or one
-    # view's (c, d) spectrum on its own, are rejected
+    # view's (c, 2d) spectrum on its own, are rejected
     for shape in [(3, 4, 2), (2, 3)]:
         with pytest.raises(ContractError):
-            freq_contrastive_loss(spectrum_of(rng.normal(size=shape) + 0j, 5), 0.5)
+            freq_contrastive_loss(spectrum_of(rng.normal(size=shape) + 0j), 0.5)
 
 
 def test_freq_loss_gradient_through_upstream(rng):

@@ -496,6 +496,21 @@ def test_unstack_and_gradient(rng):
     fdc(f, x, 1e-6)
 
 
+def test_unstack_inner_axis_gradient(rng):
+    x = rng.normal(size=(3, 2, 4))
+    parts = tn.unstack(Tensor(x), axis=-2)
+    assert len(parts) == 2
+    for i, part in enumerate(parts):
+        np.testing.assert_array_equal(part.data, x[:, i])
+    w0, w1 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+
+    def f(t):
+        a, b = tn.unstack(t, axis=-2)
+        return tn.tsum(a * Tensor(w0)) + tn.tsum(b * b * Tensor(w1))
+
+    fdc(f, x, 1e-6)
+
+
 def test_transpose_reshape_gradient(rng):
     def f(t):
         return tn.tsum(tn.reshape(tn.transpose(t, (1, 0)), (6,)) * Tensor(np.arange(6.0)))
