@@ -95,6 +95,12 @@ def _prepare(path):
     return table, spec, std
 
 
+def _check_horizons(spec, cfg: RunConfig) -> None:
+    """Raise ``ConfigurationError`` unless some probe horizon fits every
+    split of ``spec``: from the split lengths, before any model trains."""
+    eval_mod.fitting_horizons(spec, int(cfg["window.length"]), cfg.int_list("eval.horizons"))
+
+
 def _train_windows(std, spec, cfg: RunConfig) -> np.ndarray:
     T = int(cfg["window.length"])
     stride = int(cfg["window.stride"])
@@ -171,6 +177,7 @@ def cmd_ablate(args) -> int:
             f"unknown variants {unknown}; choose from {sorted(ABLATION_VARIANTS)}"
         )
     _, spec, std = _prepare(args.data)
+    _check_horizons(spec, cfg)
     name = Path(args.data).stem
     rows = []
     for variant in variants:
@@ -215,6 +222,7 @@ def cmd_robustness(args) -> int:
         for ratio in [0.0] + number_list(args.ratios, float, "--ratios")
     ]
     table, spec, std = _prepare(args.data)
+    _check_horizons(spec, cfg)
     name = Path(args.data).stem
     rows = []
     for pert in perts:
@@ -250,6 +258,7 @@ def cmd_transfer(args) -> int:
     _, pre_spec, pre_std = _prepare(args.pretrain_data)
     # the fine-tune inputs fail here, before any pretraining
     _, ft_spec, ft_std = _prepare(args.finetune_data)
+    _check_horizons(ft_spec, cfg)
     ft_epochs = args.finetune_epochs
     if ft_epochs is None:
         ft_epochs = int(cfg["train.epochs"]) // 2

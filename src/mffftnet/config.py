@@ -96,8 +96,8 @@ _TYPES = {key: type(value) for key, value in DEFAULTS.items()}
 
 
 def _coerce(key: str, raw) -> object:
-    """``raw`` as ``key``'s type; a float key must be finite and the seed
-    non-negative."""
+    """``raw`` as ``key``'s type; a float key must be finite, the seed
+    non-negative and a dropout rate in [0, 1)."""
     if key not in _TYPES:
         raise ConfigurationError(f"unknown configuration key {key!r}")
     want = _TYPES[key]
@@ -109,6 +109,8 @@ def _coerce(key: str, raw) -> object:
         raise ConfigurationError(f"non-finite value {raw!r} for key {key!r}")
     if key == "seed" and value < 0:
         raise ConfigurationError(f"seed must be >= 0, got {value}")
+    if key in ("backbone.dropout", "facm.dropout") and not 0.0 <= value < 1.0:
+        raise ConfigurationError(f"{key}: dropout rate must be in [0, 1), got {value}")
     return value
 
 

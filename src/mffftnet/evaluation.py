@@ -336,6 +336,28 @@ def check_probe_grid(horizons, alpha_grid, mode) -> None:
     _check_alphas(alpha_grid)
 
 
+def fitting_horizons(split_spec: SplitSpec, T: int, horizons) -> tuple[list[int], list[str]]:
+    """The horizons whose lookback/target pairs fit every split, and a
+    warning for each other one. Needs only the split lengths, so a caller
+    can run it before any training; raises ``ConfigurationError`` when no
+    horizon fits."""
+    ranges = [split_spec.train_range, split_spec.valid_range, split_spec.test_range]
+    fitting, warnings = [], []
+    for P in horizons:
+        try:
+            for a, b in ranges:
+                _rows(b - a, T, P)
+        except ConfigurationError as exc:
+            warnings.append(f"horizon {P} skipped: {exc}")
+            continue
+        fitting.append(P)
+    if not fitting:
+        raise ConfigurationError(
+            f"none of the horizons fits every split: {'; '.join(warnings)}"
+        )
+    return fitting, warnings
+
+
 def fit_ridge(
     train: Moments, valid: Moments, alpha_grid=DEFAULT_ALPHA_GRID
 ) -> RidgeProbe:
@@ -415,21 +437,9 @@ def evaluate_horizons(
         config=config_snapshot or {},
         timestamp=timestamp,
     )
+    fitting, report.warnings = fitting_horizons(split_spec, T, horizons)
     ranges = [split_spec.train_range, split_spec.valid_range, split_spec.test_range]
     splits = [table.values[a:b] for a, b in ranges]
-    fitting = []
-    for P in horizons:
-        try:
-            for values in splits:
-                _rows(len(values), T, P)
-        except ConfigurationError as exc:
-            report.warnings.append(f"horizon {P} skipped: {exc}")
-            continue
-        fitting.append(P)
-    if not fitting:
-        raise ConfigurationError(
-            f"none of the horizons fits every split: {'; '.join(report.warnings)}"
-        )
     P0 = min(fitting)
     # each series owns and centres its features, so none is named here
     train, valid = (

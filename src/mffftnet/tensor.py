@@ -20,6 +20,7 @@ leading axes are treated as batch dimensions.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -446,6 +447,15 @@ def info_nce(a: Tensor, b: Tensor) -> Tensor:
 # B=8). The value is measured in CHANGES.md.
 _BLOCK_COLS = 1024
 
+# Elements of one gradient chunk: a block's rows are taken a chunk of whole
+# windows at a time, as many as keep it within _BLOCK_ELEMS (at least one),
+# so the block no longer grows with the batch. Desk-train peak RSS, seeds
+# 4-6, 10 s runs on 2 cores: 66.3-66.8 MB unchunked, 64.1-64.3 MB at 2^19,
+# 60.2-60.5 MB at 2^18, 56.9-57.1 MB at 2^17. Where one window fills the
+# budget the GEMMs get thinner: the paper-shaped composite backward at B=8
+# (one 201-row window per chunk) takes ~5.3 s against ~4.9 s unchunked.
+_BLOCK_ELEMS = 1 << 17
+
 
 def _tap_conv(x: Tensor, w: Tensor, taps, op: str) -> Tensor:
     """Channels-first core of every convolution: each tap contracts the
@@ -487,24 +497,41 @@ def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps) -
 
     ``W`` stacks the (Cin x Cout) tap matrices, ``gW`` of the same shape
     receives their gradients, and each tap is ``(i, src, dst)`` as in
-    ``_tap_conv``; ``g`` is the gradient of the output. Each tap's
-    ``g[dst]`` goes into its rows and columns of a zeroed (N x block) gQ,
-    then two GEMMs give ``gx += gQ @ W_blockᵀ`` and ``gW_block = xᵀ @ gQ``,
+    ``_tap_conv``; ``g`` is the gradient of the output. The windows are the
+    leading axes that x and g share, those before the taps' spatial slices.
+    A block's rows are taken in chunks of whole windows, each within
+    ``_BLOCK_ELEMS`` elements (at least one window): each tap's ``g[dst]``
+    goes into its rows and columns of the chunk's zeroed gQ, then two GEMMs
+    give ``gx[chunk] += gQ @ W_blockᵀ`` and ``gW_block += x[chunk]ᵀ @ gQ``,
     where W_block = [W[i] | W[i'] | ...] is (Cin x block). Each gW[i] of a
-    tap is overwritten, so no two taps may share an i. Returns gx."""
+    tap is overwritten after the block's last chunk, so no two taps may
+    share an i. Returns gx.
+
+    At the desk composite convolution (16 windows of 64 rows, 896 columns)
+    an unchunked gQ is 7.3 MB, 11x the largest array on the tape, and sets
+    desk-train's peak RSS: 66.3-66.8 MB, against 64.1-64.3, 60.2-60.5 and
+    56.9-57.1 MB at budgets of 2^19, 2^18 and 2^17 elements (seeds 4-6,
+    2 cores)."""
     cin, cout = x.shape[-1], g.shape[-1]
-    x2 = x.reshape(-1, cin)
-    gx = np.zeros(x2.shape)
+    d = x.ndim - len(taps[0][1])  # the window axes: src is (..., spatial slices)
+    xw, gw = x.reshape((-1,) + x.shape[d:]), g.reshape((-1,) + g.shape[d:])
+    rows = math.prod(x.shape[d:-1])
+    gx = np.zeros(xw.shape)
     per = max(1, _BLOCK_COLS // cout)
     for j in range(0, len(taps), per):
         block = taps[j:j + per]
-        gq = np.zeros(x.shape[:-1] + (len(block), cout))
-        for b, (_, src, dst) in enumerate(block):
-            gq[src + (b, slice(None))] = g[dst]
-        gq = gq.reshape(len(x2), -1)
-        wb = np.stack([W[i] for i, _, _ in block], axis=1)
-        gx += gq @ wb.reshape(cin, -1).T
-        gwb = (x2.T @ gq).reshape(cin, len(block), cout)
+        wb = np.stack([W[i] for i, _, _ in block], axis=1).reshape(cin, -1)
+        gwb = np.zeros(wb.shape)
+        step = max(1, _BLOCK_ELEMS // (rows * wb.shape[1]))
+        for c in range(0, len(xw), step):
+            xc, gc = xw[c:c + step], gw[c:c + step]
+            gq = np.zeros(xc.shape[:-1] + (len(block), cout))
+            for b, (_, src, dst) in enumerate(block):
+                gq[src + (b, slice(None))] = gc[dst]
+            gq = gq.reshape(-1, wb.shape[1])
+            gx[c:c + step] += (gq @ wb.T).reshape(xc.shape)
+            gwb += xc.reshape(-1, cin).T @ gq
+        gwb = gwb.reshape(cin, len(block), cout)
         for b, (i, _, _) in enumerate(block):
             gW[i] = gwb[:, b]
     return gx.reshape(x.shape)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mffftnet import cli
+from mffftnet import training as train_mod
 from mffftnet.cli import ABLATION_VARIANTS, main
 from mffftnet.config import DEFAULTS, RunConfig, _coerce
 from mffftnet.data import PerturbationSpec, load_csv, split
@@ -97,9 +98,12 @@ def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
 
 CONFIG_KEYS = {*DEFAULTS, "profile"}
 
-# a valid value other than the desk profile's for each string key
-STR_FLAG_VALUES = {
+# a valid value other than the desk profile's for each string key, and for
+# each number key that default + 1 would put out of range
+FLAG_VALUES = {
     "backbone.activation": "gelu",
+    "backbone.dropout": 0.25,
+    "facm.dropout": 0.3,
     "ctcm.kernels": "1,2",
     "eval.horizons": "12",
     "eval.mode": "univariate",
@@ -110,7 +114,7 @@ STR_FLAG_VALUES = {
 @pytest.mark.parametrize("key", list(DEFAULTS))
 def test_config_flag_value_reaches_resolved_config(key):
     default = DEFAULTS[key]
-    value = STR_FLAG_VALUES[key] if isinstance(default, str) else default + 1
+    value = FLAG_VALUES[key] if key in FLAG_VALUES else default + 1
     flag = "--" + key.replace("_", "-")
     args = cli.build_parser().parse_args(
         ["train", "d.csv", "--out", "m.bin", "--profile", "desk", flag, str(value)]
@@ -352,6 +356,39 @@ def test_train_bad_eval_horizons_exits_2(tmp_path, corpus, capsys):
     rc = main(["train", str(corpus), "--out", str(out), *FAST, "--eval.horizons", "0"])
     err = capsys.readouterr().err
     assert rc == 2 and "horizons" in err and _one_line_error(err)
+
+
+@pytest.mark.parametrize("key", ["--backbone.dropout", "--facm.dropout"])
+@pytest.mark.parametrize("rate", ["-0.1", "1", "1.5"])
+def test_train_bad_dropout_exits_2_before_reading_data(tmp_path, capsys, key, rate):
+    out = tmp_path / "m.bin"
+    rc = main(["train", str(tmp_path / "absent.csv"), "--out", str(out), key, rate])
+    err = capsys.readouterr().err
+    assert rc == 2 and "dropout rate must be in [0, 1)" in err and _one_line_error(err)
+    assert not out.exists()
+
+
+# each command's flags after its data files; the last one names the output
+TRAINING_COMMANDS = {
+    "ablate": ["--variants", "full,wo-fm", "--out"],
+    "robustness": ["--kind", "noise", "--ratios", "0.1", "--out"],
+    "transfer": ["--report"],
+}
+
+
+@pytest.mark.parametrize("command", list(TRAINING_COMMANDS))
+def test_unfit_horizons_exit_2_before_training(tmp_path, corpus, capsys, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise AssertionError("a model was trained before the horizons were checked")
+
+    monkeypatch.setattr(train_mod, "fit", fail)
+    data = [str(corpus)] * (2 if command == "transfer" else 1)
+    out = tmp_path / "out.json"
+    rc = main([command, *data, *TRAINING_COMMANDS[command], str(out),
+               "--train.epochs", "1", "--eval.horizons", "5000"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "none of the horizons fits every split" in err and _one_line_error(err)
+    assert not out.exists()
 
 
 def test_train_non_finite_cell_exits_3(tmp_path, corpus, capsys):
@@ -679,15 +716,20 @@ def wide_corpus(tmp_path):
     "case, needle",
     [("negative-epochs", "epochs must be >= 0"),
      ("feature-count", "--reinit-input"),
-     ("missing-file", "data file not found")],
+     ("missing-file", "data file not found"),
+     ("short-file", "none of the horizons fits every split")],
 )
 def test_transfer_bad_finetune_input_exits_2_before_training(
     tmp_path, corpus, wide_corpus, capsys, no_training, case, needle
 ):
+    # 80 rows: the pretrain splits fit lookback 32 + horizon 8, its test split does not
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(corpus.read_text().splitlines()[:81]) + "\n")
     finetune, extra = {
         "negative-epochs": (corpus, ["--finetune-epochs", "-1"]),
         "feature-count": (wide_corpus, []),
         "missing-file": (tmp_path / "absent.csv", []),
+        "short-file": (short, []),
     }[case]
     rep = tmp_path / "tr.json"
     rc = main(["transfer", str(corpus), str(finetune), "--report", str(rep), *FAST, *extra])

@@ -1,6 +1,7 @@
 """Time-domain module: multi-scale causal stack, MSFF collapse, fusion,
 and the per-timestep contrastive loss."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -132,6 +133,12 @@ def random_biases(rng, params, kernels, K, H):
     params["ctcm.msff.conv1.b"].data = rng.normal(size=H)
 
 
+def composite_param_names(kernels):
+    """The parameters composite_conv reads."""
+    names = [f"ctcm.scale{kj}.{part}" for kj in kernels for part in "wb"]
+    return names + ["ctcm.msff.conv1.w", "ctcm.msff.conv1.b"]
+
+
 @pytest.mark.parametrize(
     "kernels,T,K,H",
     [
@@ -149,8 +156,7 @@ def test_composite_conv_matches_unfused(rng, kernels, T, K, H):
     random_biases(rng, params, kernels, K, H)
     r = rng.normal(size=(2, 3, T, K))
     g = rng.normal(size=(2, 3, len(kernels), T, H))
-    names = [f"ctcm.scale{kj}.{part}" for kj in kernels for part in "wb"]
-    names += ["ctcm.msff.conv1.w", "ctcm.msff.conv1.b"]
+    names = composite_param_names(kernels)
     results = []
     for front_end in (composite_conv, unfused_front_end):
         rt = Tensor(r, requires_grad=True)
@@ -181,6 +187,81 @@ def test_composite_conv_finite_differences(rng):
     for name in ("ctcm.scale4.w", "ctcm.scale2.b", "ctcm.msff.conv1.w", "ctcm.msff.conv1.b"):
         err = finite_diff_check(partial(loss, name=name), Tensor(params[name].data.copy()))
         assert err < 1e-6, f"{name}: finite-difference rel. error {err}"
+
+
+# -- kn2row blocking -----------------------------------------------------------
+
+
+def _composite_case(kernels, T, K, H):
+    def make(rng):
+        _, params = small_setup(K=K, kernels=kernels, msff_hidden=H)
+        random_biases(rng, params, kernels, K, H)
+        r = Tensor(rng.normal(size=(2, 3, T, K)), requires_grad=True)
+        leaves = [r] + [params[name] for name in composite_param_names(kernels)]
+        return leaves, lambda: composite_conv(r, params, kernels), H
+    return make
+
+
+def _tap_op_case(op, x_shape, w_shape, **kw):
+    def make(rng):
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        return [x, w], lambda: op(x, w, **kw), w_shape[-1]
+    return make
+
+
+# each case builds (gradient leaves, forward, Cout)
+KN2ROW_CASES = {
+    "composite-desk": _composite_case((1, 2, 4, 8, 16), 64, 32, 16),
+    "composite-kernel-equals-T": _composite_case((3, 5), 5, 4, 3),
+    "conv1d-dilation-2": _tap_op_case(tn.causal_conv1d, (2, 3, 20, 4), (3, 4, 5), dilation=2),
+    "conv2d": _tap_op_case(tn.conv2d, (2, 3, 5, 6, 4), (3, 3, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("case", list(KN2ROW_CASES))
+def test_kn2row_one_window_one_tap_matches_default_blocking(monkeypatch, rng, case):
+    leaves, forward, cout = KN2ROW_CASES[case](rng)
+    g = Tensor(rng.normal(size=forward().shape))
+
+    def grads():
+        for leaf in leaves:
+            leaf.grad = None
+        tn.tsum(forward() * g).backward()
+        return [leaf.grad for leaf in leaves]
+
+    want = grads()
+    monkeypatch.setattr(tn, "_BLOCK_ELEMS", 1)  # one window per chunk
+    monkeypatch.setattr(tn, "_BLOCK_COLS", cout)  # one tap per block
+    for got, ref in zip(grads(), want):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def composite_backward_memory(lead):
+    """Traced peak of composite_conv's backward rule above the memory held
+    when it starts, and the bytes of the gradients it leaves, at desk shape."""
+    kernels, T, K, H = (1, 2, 4, 8, 16), 64, 32, 16
+    _, params = small_setup(K=K, kernels=kernels, msff_hidden=H)
+    rng = np.random.default_rng(0)
+    r = Tensor(rng.normal(size=lead + (T, K)), requires_grad=True)
+    out = composite_conv(r, params, kernels)
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out._backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = r.grad.nbytes + sum(params[n].grad.nbytes for n in composite_param_names(kernels))
+    return peak - base, kept
+
+
+def test_composite_backward_working_memory_does_not_grow_with_batch():
+    # unchunked, the kn2row block alone went 7.3 -> 29.4 MB here
+    peak_8, kept_8 = composite_backward_memory((2, 8))
+    peak_32, kept_32 = composite_backward_memory((2, 32))
+    assert peak_32 - peak_8 <= kept_32 - kept_8 + 0.5e6, (peak_8, peak_32, kept_8, kept_32)
 
 
 def training_step(profile, B, seed):
