@@ -31,13 +31,17 @@ direction ``REPORT_BETTER`` gives; a report name that is missing from that
 table and from the result line is not summarised, and the set lists it
 under ``report_not_summarised``. A metric or span that only one side of a
 pair reports is not compared; the set lists it under ``only_on_one_side``.
-A call on an existing file adds its set to the file.
+Each side's commit is recorded with the sha256 of its ``src/``,
+``scripts/`` and ``perfbench/`` files, which also names a checkout that
+has no ``.git``. A call on an existing file adds its set to the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -56,6 +60,10 @@ REPORT_BETTER = {
 }
 
 
+# The directories whose files a set's content hash covers.
+HASHED_DIRS = ("src", "scripts", "perfbench")
+
+
 def _seeds(text: str) -> list[int]:
     seeds = []
     for part in text.split(","):
@@ -65,9 +73,27 @@ def _seeds(text: str) -> list[int]:
 
 
 def _git_commit(checkout: Path) -> str | None:
+    """HEAD of the checkout's own repository, or None. Git's upward search
+    stops at the checkout's parent, so a checkout without ``.git`` inside
+    another work tree does not read that tree's HEAD."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(checkout.parent))
     out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _content_sha256(checkout: Path) -> str:
+    """sha256 over the sorted relative paths and bytes of the files under
+    ``HASHED_DIRS``, leaving out the ``__pycache__`` folders that running
+    leaves behind: it names the code a set measured, with or without git."""
+    digest = hashlib.sha256()
+    files = sorted(path for top in HASHED_DIRS for path in (checkout / top).rglob("*")
+                   if path.is_file() and "__pycache__" not in path.parts)
+    for path in files:
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(checkout).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def _span_self_s(path: Path) -> dict[str, float]:
@@ -204,6 +230,7 @@ def main(argv=None) -> int:
         "what": args.what,
         "command": f"python3 perfbench/run.py --seconds {args.seconds} --trace {args.trace}",
         "commits": {side: _git_commit(path) for side, path in sides.items()},
+        "content_sha256": {side: _content_sha256(path) for side, path in sides.items()},
         "host": {k: runs[0]["metadata"]["meta"][k] for k in ("nproc", "numpy", "python", "blas")},
         "seeds": seeds,
         "summary": summary,

@@ -97,7 +97,8 @@ _TYPES = {key: type(value) for key, value in DEFAULTS.items()}
 
 def _coerce(key: str, raw) -> object:
     """``raw`` as ``key``'s type; a float key must be finite, the seed
-    non-negative and a dropout rate in [0, 1)."""
+    non-negative, a dropout rate and the momentum in [0, 1), the learning
+    rate positive and the weight decay non-negative."""
     if key not in _TYPES:
         raise ConfigurationError(f"unknown configuration key {key!r}")
     want = _TYPES[key]
@@ -111,6 +112,12 @@ def _coerce(key: str, raw) -> object:
         raise ConfigurationError(f"seed must be >= 0, got {value}")
     if key in ("backbone.dropout", "facm.dropout") and not 0.0 <= value < 1.0:
         raise ConfigurationError(f"{key}: dropout rate must be in [0, 1), got {value}")
+    if key == "train.learning_rate" and not value > 0.0:
+        raise ConfigurationError(f"{key} must be > 0, got {value}")
+    if key == "train.momentum" and not 0.0 <= value < 1.0:
+        raise ConfigurationError(f"{key} must be in [0, 1), got {value}")
+    if key == "train.weight_decay" and value < 0.0:
+        raise ConfigurationError(f"{key} must be >= 0, got {value}")
     return value
 
 

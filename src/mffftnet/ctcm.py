@@ -13,18 +13,19 @@ representation with the InfoNCE that the frequency loss also uses,
 
 The scale convolutions and MSFF's 3x3 convolution are both linear, so
 the model folds them into one convolution from r (RepVGG's structural
-re-parameterization, Ding et al., arXiv 2101.03697): ``composite_conv``
-builds K x H composite taps from the scale and MSFF weights, runs them on
-r as one tape node, and never builds the stack. MSFF reads zeros past the
-last stack row, where the composite reads the scales' convolution one
-step past the window; the last output row subtracts that term. The
-unfused pair, ``multiscale_conv`` then ``msff``, stays as the reference
-that the tests compare against and that the benchmark tracer wraps by
-name; the model does not run it.
+re-parameterization, Ding et al., arXiv 2101.03697) and never builds the
+stack: ``composite_conv`` composes K x H taps from the weights alone,
+runs them on r with the convolutions' shared tap core, takes the scale
+biases' rows from ``tensor.conv2d`` and corrects the last output row,
+where MSFF reads zeros past the stack. The unfused pair,
+``multiscale_conv`` then ``msff``, stays as the reference that the tests
+compare against and that the benchmark tracer wraps by name; the model
+does not run it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,51 +115,103 @@ def _check_kernels(kernels: tuple[int, ...], T: int) -> None:
             raise ParameterError(f"kernel {kj} exceeds window length {T}")
 
 
-# Elements of one block of composite products, (taps x K x 9H): 16 MB. A
-# whole paper-shaped scale (128 x 320 x 864) would be 283 MB.
-_COMPOSE_ELEMS = 1 << 21
-
-
 def composite_conv(
     r: Tensor, params: dict[str, Parameter], kernels: tuple[int, ...]
 ) -> Tensor:
     """MSFF's conv1 pre-activation straight from r: (..., T, K) -> (..., n, T, H).
 
-    Equal to ``tn.conv2d(multiscale_conv(r), w1) + b1`` up to rounding, as
-    one tape node. Scale j' reads r[t-s] through W_j'[k-1-s], and MSFF tap
-    (a, b) reads stack cell (j+a-1, t+b-1), so output scale j reads r[t-u]
-    through the composite matrix
+    Equal to ``tn.conv2d(multiscale_conv(r), w1) + b1`` up to rounding.
+    Scale j' reads r[t-s] through W_j'[k-1-s], and MSFF tap (a, b) reads
+    stack cell (j+a-1, t+b-1), so output scale j reads r[t-u] through the
+    composite matrix
 
         V_j[u] = sum of W_j'[k-1-s] @ w1[a, b] over j' = j+a-1, s-(b-1) = u
 
     for u = -1 .. the largest kernel among scales j-1 .. j+1 (u = -1 is
-    MSFF's step ahead). The scale biases go through w1 the same way, over
-    the (a, b) whose stack cell exists: one row for t = 0, one for the
-    interior and one for t = T-1. MSFF reads zeros past the last stack row,
-    but the composite reads there the scales' convolution one step past the
-    window, c_j'[T] = sum over s >= 1 of r[T-s] @ W_j'[k-1-s]; the last
-    output row subtracts c_j'[T] @ w1[a, 2]. The composition runs in blocks
-    of ``_COMPOSE_ELEMS``; the products go straight into V, which is the
-    only buffer kept for the backward pass besides c[T].
+    MSFF's step ahead). ``_compose`` builds V from the weights alone and
+    ``tn._tap_conv`` runs it on r. The bias rows are ``tn.conv2d`` of the
+    scale biases over a first, an interior and a last step (fewer if T < 3),
+    plus b1: conv2d's zero padding gives each of those steps its row. MSFF
+    reads zeros past the last stack row, but the taps read there the
+    scales' convolution one step past the window, c_j'[T] = sum over s >= 1
+    of r[T-s] @ W_j'[k-1-s]. A last node adds the bias rows and subtracts
+    c_j'[T] @ w1[a, 2] from the last output row.
     """
     T, K = r.shape[-2:]
     _check_kernels(kernels, T)
     ws = [params[f"ctcm.scale{kj}.w"] for kj in kernels]
     bs = [params[f"ctcm.scale{kj}.b"] for kj in kernels]
     w1, b1 = params["ctcm.msff.conv1.w"], params["ctcm.msff.conv1.b"]
-    n, H = len(kernels), w1.shape[-1]
-    lead = r.shape[:-2]
-    x = r.data
-    # column (a, b, h) of w1cat is w1[a, b, :, h]
-    w1cat = w1.data.transpose(2, 0, 1, 3).reshape(K, 9 * H)
-    # w1 row a takes source scale j' = j + a - 1 to output scale j: the
-    # (output, source) slices of every a
-    pairs = [(slice(max(0, 1 - a), min(n, n + 1 - a)),
-              slice(max(0, a - 1), min(n, n + a - 1))) for a in range(3)]
+    n, H, lead = len(kernels), w1.shape[-1], r.shape[:-2]
     # V_j[u] sits at top[j] - u for u = kmax_j .. -1, so that row i of a
     # source scale's w, the lag k-1-i, lands on V at a rising index
     kmax = [max(kernels[max(j - 1, 0):j + 2]) for j in range(n)]
     top = np.cumsum([k + 2 for k in kmax]) - 2
+    taps = []
+    for j in range(n):
+        for u in range(-1, kmax[j] + 1):
+            if abs(u) < T:
+                src, dst = tn._shift(-u, T)
+                taps.append((top[j] - u, (..., src), (..., j, dst, slice(None))))
+    out = tn._tap_conv(r, _compose(ws, w1, kernels, top), taps, "composite_conv", lead + (n, T))
+    L = min(T, 3)  # step t takes bias row at[t]
+    stack = tn.reshape(tn.concat(bs, axis=0), (n, 1, K)) * Tensor(np.ones((1, L, 1)))
+    rows, at = tn.conv2d(stack, w1) + b1, np.minimum(np.arange(T), 1)
+    at[-1] = L - 1
+
+    # w1 row a takes source scale j' = j + a - 1 to output scale j: the
+    # (output, source) slices of every a
+    pairs = [(slice(max(0, 1 - a), min(n, n + 1 - a)),
+              slice(max(0, a - 1), min(n, n + a - 1))) for a in range(3)]
+
+    def tail(jj):
+        """r's last k-1 rows, flattened per window, and the matching taps of
+        scale jj: c_jj[T] = tail_r @ tail_w (zero for k = 1)."""
+        k = kernels[jj]
+        return (r.data[..., T - k + 1:, :].reshape(math.prod(lead), (k - 1) * K),
+                ws[jj].data[:k - 1].reshape(-1, K))
+
+    phantom = np.stack([tr @ tw for tr, tw in map(tail, range(n))], 1).reshape(lead + (n, K))
+    # in place: only this node reads the taps' output, and _tap_conv's
+    # backward never reads it, so no second activation-sized array is made
+    y = out.data
+    y += rows.data[:, at]
+    for a, (jo, js) in enumerate(pairs):
+        y[..., jo, T - 1, :] -= phantom[..., js, :] @ w1.data[a, 2]
+
+    def bw(g):
+        # the taps' output has no other reader: g is its whole gradient
+        tn._accum(out, g, owned=True)
+        gt = g.reshape((-1, n, T, H)).sum(axis=0)
+        tn._accum(rows, np.stack([gt[:, at == i].sum(axis=1) for i in range(L)], 1), owned=True)
+        glast = g[..., T - 1, :]
+        gph, gw1 = np.zeros(phantom.shape), np.zeros(w1.shape)
+        for a, (jo, js) in enumerate(pairs):
+            gph[..., js, :] -= glast[..., jo, :] @ w1.data[a, 2].T
+            gw1[a, 2] -= phantom[..., js, :].reshape(-1, K).T @ glast[..., jo, :].reshape(-1, H)
+        gx = tn._grad_buffer(r)
+        for jj, w in enumerate(ws):
+            (tr, tw), k = tail(jj), kernels[jj]
+            gp = gph[..., jj, :].reshape(-1, K)
+            tn._grad_buffer(w)[:k - 1] += (tr.T @ gp).reshape(k - 1, K, K)
+            gx[..., T - k + 1:, :] += (gp @ tw.T).reshape(lead + (k - 1, K))
+        tn._accum(w1, gw1, owned=True)
+
+    return tn._make(y, (out, rows, r, *ws, w1), bw)
+
+
+# Elements of one block of composite products, (taps x K x 9H): 16 MB. A
+# whole paper-shaped scale (128 x 320 x 864) would be 283 MB.
+_COMPOSE_ELEMS = 1 << 21
+
+
+def _compose(ws: list[Parameter], w1: Parameter, kernels: tuple[int, ...], top) -> Tensor:
+    """The composite taps V, V_j[u] at row top[j] - u, as one tape node whose
+    parents are the scale weights and w1 only: V reads no batch data. It
+    runs in blocks of ``_COMPOSE_ELEMS`` products, which go straight into V."""
+    n, (K, H) = len(ws), w1.shape[-2:]
+    # column (a, b, h) of w1cat is w1[a, b, :, h]
+    w1cat = w1.data.transpose(2, 0, 1, 3).reshape(K, 9 * H)
     per = max(1, _COMPOSE_ELEMS // (9 * K * H))
 
     def blocks(jj):
@@ -177,86 +230,21 @@ def composite_conv(
             for a, b, v in at:
                 V[v + i0:v + i1] += p[:, :, a, b]
 
-    q = np.stack([b.data for b in bs]) @ w1cat  # (n, 9H): b_j' @ w1[a, b]
-    qs = np.zeros((n, 3, H))
-    for a, (jo, js) in enumerate(pairs):
-        qs[jo] += q[js].reshape(-1, 3, 3, H)[:, a]
-    rows = np.broadcast_to(b1.data + qs[:, 1, None], (n, T, H)).copy()
-    rows[:, 1:] += qs[:, 0, None]
-    rows[:, :-1] += qs[:, 2, None]
-    out = np.empty(lead + (n, T, H))
-    out[...] = rows
-
-    taps = []
-    for j in range(n):
-        for u in range(-1, kmax[j] + 1):
-            if abs(u) < T:
-                src, dst = tn._shift(-u, T)
-                taps.append((top[j] - u, (..., src), (..., j, dst, slice(None))))
-    for v, src, dst in taps:
-        out[dst] += x[src + (slice(None),)] @ V[v]
-
-    def tail(jj):
-        """r's last k-1 rows, flattened per window, and the matching taps of
-        scale jj: c_jj[T] = tail_r @ tail_w."""
-        k = kernels[jj]
-        return (x[..., T - k + 1:, :].reshape(-1, (k - 1) * K),
-                ws[jj].data[:k - 1].reshape(-1, K))
-
-    phantom = np.zeros(lead + (n, K))
-    for jj in range(n):
-        if kernels[jj] > 1:
-            tr, tw = tail(jj)
-            phantom[..., jj, :] = (tr @ tw).reshape(lead + (K,))
-    for a, (jo, js) in enumerate(pairs):
-        out[..., jo, T - 1, :] -= phantom[..., js, :] @ w1.data[a, 2]
-
-    def bw(g):
-        gV = np.zeros(V.shape)
-        gx = tn._kn2row(x, g, V, gV, taps)
-        gws = [np.zeros(w.shape) for w in ws]
+    def bw(gV):
         gw1 = np.zeros((K, 3, 3, H))
         gw1cat = gw1.reshape(K, 9 * H)
         for jj, w in enumerate(ws):
+            gw = tn._grad_buffer(w)
             for i0, i1, at in blocks(jj):
                 gp = np.zeros((i1 - i0, K, 3, 3, H))
                 for a, b, v in at:
                     gp[:, :, a, b] = gV[v + i0:v + i1]
                 gp = gp.reshape(-1, 9 * H)
-                gws[jj][i0:i1] = (gp @ w1cat.T).reshape(i1 - i0, K, K)
+                gw[i0:i1] += (gp @ w1cat.T).reshape(i1 - i0, K, K)
                 gw1cat += w.data[i0:i1].reshape(-1, K).T @ gp
-
-        gt = g.reshape((-1, n, T, H)).sum(axis=0)
-        gqs = np.stack([gt[:, 1:].sum(axis=1), gt.sum(axis=1), gt[:, :-1].sum(axis=1)], axis=1)
-        gq = np.zeros((n, 3, 3, H))
-        for a, (jo, js) in enumerate(pairs):
-            gq[js, a] = gqs[jo]
-        gq = gq.reshape(n, 9 * H)
-        gbs = gq @ w1cat.T
-        gw1cat += np.stack([b.data for b in bs]).T @ gq
-
-        glast = g[..., T - 1, :]
-        gph = np.zeros(phantom.shape)
-        for a, (jo, js) in enumerate(pairs):
-            gph[..., js, :] -= glast[..., jo, :] @ w1.data[a, 2].T
-            gw1[:, a, 2] -= phantom[..., js, :].reshape(-1, K).T @ glast[..., jo, :].reshape(-1, H)
-        for jj in range(n):
-            k = kernels[jj]
-            if k > 1:
-                tr, tw = tail(jj)
-                gp = gph[..., jj, :].reshape(-1, K)
-                gws[jj][:k - 1] += (tr.T @ gp).reshape(k - 1, K, K)
-                gx[..., T - k + 1:, :] += (gp @ tw.T).reshape(lead + (k - 1, K))
-
-        tn._accum(r, gx, owned=True)
-        for w, gw in zip(ws, gws):
-            tn._accum(w, gw, owned=True)
-        for b, gb in zip(bs, gbs):
-            tn._accum(b, gb, owned=True)
         tn._accum(w1, gw1.transpose(1, 2, 0, 3).copy(), owned=True)
-        tn._accum(b1, gt.sum(axis=(0, 1)), owned=True)
 
-    return tn._make(out, (r, *ws, *bs, w1, b1), bw)
+    return tn._make(V, (*ws, w1), bw)
 
 
 def ctcm_forward(

@@ -216,6 +216,16 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
         t.grad += g
 
 
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """t's gradient, C-contiguous and zero if t had none, for a backward rule
+    to add into in place (scratch if t needs no gradient); safe, as
+    ``_accum`` keeps only gradients built for t alone."""
+    if not t.requires_grad:
+        return np.zeros(t.shape)
+    t.grad = np.zeros(t.shape) if t.grad is None else np.ascontiguousarray(t.grad)
+    return t.grad
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
     while g.ndim > len(shape):
@@ -457,7 +467,7 @@ _BLOCK_COLS = 1024
 _BLOCK_ELEMS = 1 << 17
 
 
-def _tap_conv(x: Tensor, w: Tensor, taps, op: str) -> Tensor:
+def _tap_conv(x: Tensor, w: Tensor, taps, op: str, shape=None) -> Tensor:
     """Channels-first core of every convolution: each tap contracts the
     channels of the unpadded input, and its shift is a slice add after.
 
@@ -465,11 +475,11 @@ def _tap_conv(x: Tensor, w: Tensor, taps, op: str) -> Tensor:
     order, stack the tap matrices W. Each tap is ``(i, src, dst)``: ``i``
     indexes W, ``src`` is a tuple ``(..., s_1, ..., s_d)`` of slices over
     x's d spatial axes, and ``dst`` an index tuple, channel axis included,
-    of the same shape into the output, which has shape x.shape[:-1] +
-    (Cout,) and starts at zero. The tap adds ``x[src] @ W[i]`` into
-    ``out[dst]``, so no zero-padded border is built; a tap that would read
-    only the border (its shift is at least the axis length) is left out by
-    the caller.
+    of the same shape into the output, of shape ``shape`` (x.shape[:-1] by
+    default) + (Cout,), which starts at zero. The tap adds ``x[src] @ W[i]``
+    into ``out[dst]``, so no zero-padded border is built; a tap that would
+    read only the border (its shift is at least the axis length) is left
+    out by the caller.
 
     The forward pass runs one matmul per tap; on the desk step that beat
     one GEMM per tap block followed by slice adds (CHANGES.md). The
@@ -478,20 +488,21 @@ def _tap_conv(x: Tensor, w: Tensor, taps, op: str) -> Tensor:
     ``op`` is the calling op's name; the backward rule carries it in its
     qualified name, as every other op's does."""
     W = w.data.reshape((-1,) + w.shape[-2:])
-    out = np.zeros(x.shape[:-1] + W.shape[-1:])
+    out = np.zeros((x.shape[:-1] if shape is None else shape) + W.shape[-1:])
     for i, src, dst in taps:
         out[dst] += x.data[src + (slice(None),)] @ W[i]
 
     def bw(g):
         gW = np.zeros(W.shape)
-        _accum(x, _kn2row(x.data, g, W, gW, taps), owned=True)
+        _kn2row(x.data, g, W, gW, taps, _grad_buffer(x))
         _accum(w, gW.reshape(w.shape), owned=True)
 
     bw.__qualname__ = f"{op}.<locals>.bw"
     return _make(out, (x, w), bw)
 
 
-def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps) -> np.ndarray:
+def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps,
+            gx: np.ndarray) -> None:
     """Backward pass of a tap list: the kn2row form of Vasudevan et al.
     (arXiv 1704.04428) on blocks of at most ``_BLOCK_COLS`` columns.
 
@@ -505,7 +516,8 @@ def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps) -
     give ``gx[chunk] += gQ @ W_blockᵀ`` and ``gW_block += x[chunk]ᵀ @ gQ``,
     where W_block = [W[i] | W[i'] | ...] is (Cin x block). Each gW[i] of a
     tap is overwritten after the block's last chunk, so no two taps may
-    share an i. Returns gx.
+    share an i. The input gradient is added into ``gx``, a C-contiguous
+    array of x's shape.
 
     At the desk composite convolution (16 windows of 64 rows, 896 columns)
     an unchunked gQ is 7.3 MB, 11x the largest array on the tape, and sets
@@ -516,7 +528,7 @@ def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps) -
     d = x.ndim - len(taps[0][1])  # the window axes: src is (..., spatial slices)
     xw, gw = x.reshape((-1,) + x.shape[d:]), g.reshape((-1,) + g.shape[d:])
     rows = math.prod(x.shape[d:-1])
-    gx = np.zeros(xw.shape)
+    gx = gx.reshape(xw.shape)
     per = max(1, _BLOCK_COLS // cout)
     for j in range(0, len(taps), per):
         block = taps[j:j + per]
@@ -534,7 +546,6 @@ def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps) -
         gwb = gwb.reshape(cin, len(block), cout)
         for b, (i, _, _) in enumerate(block):
             gW[i] = gwb[:, b]
-    return gx.reshape(x.shape)
 
 
 def _shift(o: int, n: int) -> tuple[slice, slice]:
@@ -579,9 +590,8 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     tap whose offset is at least the axis length (a 3x3 kernel over one
     row) is skipped.
 
-    The model folds its only 2-D convolution, MSFF's, into
-    ``ctcm.composite_conv``; this op stays as that fold's unfused
-    reference in the tests, and the benchmark tracer wraps it by name.
+    The model runs it for the scale biases' rows of
+    ``ctcm.composite_conv``, which folds MSFF's 3x3 convolution.
     """
     kh, kw, cin, _ = w.shape
     if x.shape[-1] != cin:

@@ -1,6 +1,7 @@
 """The pair summariser of ``scripts/bench_pairs.py`` on synthetic runs."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -150,23 +151,66 @@ print(json.dumps({"metrics": {"wall_s": {"value": 1000.0 if n == 1 else float(se
 '''
 
 
+def stub_checkouts(root):
+    """Parent and change checkouts under ``root`` whose benchmark command is
+    ``STUB_RUN``, with the same one-file ``src/``."""
+    for side in ("parent", "change"):
+        (root / side / "perfbench").mkdir(parents=True)
+        (root / side / "perfbench" / "run.py").write_text(STUB_RUN)
+        (root / side / "src").mkdir()
+        (root / side / "src" / "code.py").write_text("x = 1\n")
+    (root / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}], "per_layer": []}))
+
+
+def one_set(root, seeds="3-5"):
+    out = root / "bench.json"
+    assert main(["--parent", str(root / "parent"), "--change", str(root / "change"),
+                 "--workload", "desk-train", "--seeds", seeds, "--out", str(out)]) == 0
+    return json.loads(out.read_text())["sets"][-1]
+
+
 def test_warm_up_runs_are_discarded(tmp_path):
     # a stub benchmark command in two checkouts: each is run once before
     # the pairs, and that run is in neither the runs nor the summary
-    for side in ("parent", "change"):
-        (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}], "per_layer": []}))
-    out = tmp_path / "bench.json"
-    assert main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-                 "--workload", "desk-train", "--seeds", "3-5", "--out", str(out)]) == 0
+    stub_checkouts(tmp_path)
+    doc = one_set(tmp_path)
     for side in ("parent", "change"):
         assert (tmp_path / side / "calls").read_text() == "4"  # warm-up and three pairs
-    (doc,) = json.loads(out.read_text())["sets"]
     assert len(doc["runs"]) == 6
     assert sorted(run["metadata"]["call"] for run in doc["runs"]) == [2, 2, 3, 3, 4, 4]
     assert {run["result"]["metrics"]["wall_s"]["value"] for run in doc["runs"]} == {3.0, 4.0, 5.0}
     wall = doc["summary"]["desk-train"]["wall_s"]
     assert wall["pairs"] == 3
     assert wall["parent"] == wall["change"] == {"median": 4.0, "q1": 3.0, "q3": 5.0}
+
+
+def git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def test_checkout_inside_another_work_tree_has_no_commit(tmp_path):
+    # checkouts without .git nested in a repository: its HEAD is not theirs
+    git(tmp_path, "init", "-q")
+    git(tmp_path, "commit", "-q", "--allow-empty", "-m", "outer")
+    stub_checkouts(tmp_path)
+    assert one_set(tmp_path, "3")["commits"] == {"parent": None, "change": None}
+    git(tmp_path / "change", "init", "-q")
+    git(tmp_path / "change", "commit", "-q", "--allow-empty", "-m", "inner")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path / "change",
+                          capture_output=True, text=True, check=True).stdout.strip()
+    assert one_set(tmp_path, "3")["commits"] == {"parent": None, "change": head}
+
+
+def test_content_hash_tells_checkouts_apart_by_one_source_byte(tmp_path):
+    stub_checkouts(tmp_path)
+    hashes = one_set(tmp_path, "3")["content_sha256"]
+    assert hashes["parent"] == hashes["change"]
+    # a run's bytecode cache is not code
+    (tmp_path / "change" / "src" / "__pycache__").mkdir()
+    (tmp_path / "change" / "src" / "__pycache__" / "code.pyc").write_bytes(b"\0")
+    assert one_set(tmp_path, "3")["content_sha256"] == hashes
+    (tmp_path / "change" / "src" / "code.py").write_text("x = 2\n")
+    changed = one_set(tmp_path, "3")["content_sha256"]
+    assert changed["parent"] == hashes["parent"] != changed["change"]

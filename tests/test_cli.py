@@ -105,6 +105,7 @@ FLAG_VALUES = {
     "backbone.dropout": 0.25,
     "facm.dropout": 0.3,
     "ctcm.kernels": "1,2",
+    "train.momentum": 0.5,
     "eval.horizons": "12",
     "eval.mode": "univariate",
     "eval.ridge_alphas": "0.5,5",
@@ -365,6 +366,18 @@ def test_train_bad_dropout_exits_2_before_reading_data(tmp_path, capsys, key, ra
     rc = main(["train", str(tmp_path / "absent.csv"), "--out", str(out), key, rate])
     err = capsys.readouterr().err
     assert rc == 2 and "dropout rate must be in [0, 1)" in err and _one_line_error(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("train.learning-rate", "-0.001"),
+                                       ("train.learning-rate", "0"),
+                                       ("train.momentum", "1.5"),
+                                       ("train.weight-decay", "-1")])
+def test_train_bad_optimizer_setting_exits_2_before_reading_data(tmp_path, capsys, key, value):
+    out = tmp_path / "m.bin"
+    rc = main(["train", str(tmp_path / "absent.csv"), "--out", str(out), "--" + key, value])
+    err = capsys.readouterr().err
+    assert rc == 2 and key.replace("-", "_") in err and _one_line_error(err)
     assert not out.exists()
 
 

@@ -238,22 +238,24 @@ def test_kn2row_one_window_one_tap_matches_default_blocking(monkeypatch, rng, ca
 
 
 def composite_backward_memory(lead):
-    """Traced peak of composite_conv's backward rule above the memory held
-    when it starts, and the bytes of the gradients it leaves, at desk shape."""
+    """Traced peak of the backward pass through composite_conv's subgraph,
+    above the memory held after the forward pass, and the bytes of the
+    gradients it leaves (the output's included), at desk shape."""
     kernels, T, K, H = (1, 2, 4, 8, 16), 64, 32, 16
     _, params = small_setup(K=K, kernels=kernels, msff_hidden=H)
     rng = np.random.default_rng(0)
     r = Tensor(rng.normal(size=lead + (T, K)), requires_grad=True)
     out = composite_conv(r, params, kernels)
-    g = rng.normal(size=out.shape)
+    loss = tn.tsum(out)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out._backward_fn(g)
+        loss.backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = r.grad.nbytes + sum(params[n].grad.nbytes for n in composite_param_names(kernels))
+    kept = out.grad.nbytes + r.grad.nbytes
+    kept += sum(params[n].grad.nbytes for n in composite_param_names(kernels))
     return peak - base, kept
 
 
@@ -262,6 +264,21 @@ def test_composite_backward_working_memory_does_not_grow_with_batch():
     peak_8, kept_8 = composite_backward_memory((2, 8))
     peak_32, kept_32 = composite_backward_memory((2, 32))
     assert peak_32 - peak_8 <= kept_32 - kept_8 + 0.5e6, (peak_8, peak_32, kept_8, kept_32)
+
+
+def test_composite_taps_read_parameters_only(rng):
+    # the output's first parent is the taps' node, whose parents are r and V
+    kernels, K, H = (1, 2, 4), 4, 3
+    _, params = small_setup(K=K, kernels=kernels, msff_hidden=H)
+    random_biases(rng, params, kernels, K, H)
+    names = [f"ctcm.scale{kj}.w" for kj in kernels] + ["ctcm.msff.conv1.w"]
+    taps = []
+    for lead in ((2, 3), (2, 7)):
+        r = Tensor(rng.normal(size=lead + (9, K)), requires_grad=True)
+        x, V = composite_conv(r, params, kernels)._parents[0]._parents
+        assert x is r and [p.name for p in V._parents] == names
+        taps.append(V.data.tobytes())
+    assert taps[0] == taps[1]
 
 
 def training_step(profile, B, seed):
