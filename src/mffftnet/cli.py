@@ -6,7 +6,8 @@ spelled ``-``, whose value is coerced like a config file value. ``mff
 eval`` takes the profile and overrides its checkpoint was trained with in
 place of the profile and config file, and has only the ``--eval.horizons``
 and ``--eval.mode`` flags. Exit codes: 0 success, 2 usage/configuration
-error, 3 data error, 4 numeric failure.
+error or an output that cannot be written, 3 data error, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -135,7 +136,23 @@ def _evaluate(model, std, spec, cfg: RunConfig, name: str):
 
 
 def _write(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
+# the arguments that name a file a command writes
+_OUTPUTS = ("out", "history", "report")
+
+
+def _check_outputs(args) -> None:
+    """Raise ``ConfigurationError`` unless each output of ``args`` lies in
+    an existing directory: before any input is read or model trained."""
+    for name in _OUTPUTS:
+        path = getattr(args, name, None)
+        if path is not None and not Path(path).parent.is_dir():
+            raise ConfigurationError(f"cannot write {path}: no directory {Path(path).parent}")
 
 
 # -- commands --------------------------------------------------------------
@@ -168,7 +185,8 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    # a repeated variant trains once
+    variants = list(dict.fromkeys(v.strip() for v in args.variants.split(",") if v.strip()))
     if not variants:
         raise ConfigurationError("variant list is empty")
     unknown = [v for v in variants if v not in ABLATION_VARIANTS]
@@ -219,7 +237,8 @@ def cmd_robustness(args) -> int:
             noise_std=args.noise_std,
             seed=int(cfg["seed"]),
         )
-        for ratio in [0.0] + number_list(args.ratios, float, "--ratios")
+        # each distinct ratio once, the unperturbed baseline first
+        for ratio in dict.fromkeys([0.0, *number_list(args.ratios, float, "--ratios")])
     ]
     table, spec, std = _prepare(args.data)
     _check_horizons(spec, cfg)
@@ -407,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         # a non-finite tensor value raises NumericError naming the op, its
         # shape and the step; numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

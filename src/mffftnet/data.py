@@ -3,9 +3,10 @@ robustness perturbation injectors.
 
 CSV layout follows the ETT convention: header row with a leading ``date``
 column, remaining columns numeric features, last column the univariate
-target. ``load_csv`` parses every data row in one ``np.loadtxt`` call and
-checks the rows as whole arrays; only a file that fails a check has its
-records gone through one by one, to name the first fault.
+target. ``load_csv`` has two parts. A file that passes gets one
+``np.loadtxt`` parse of every data row and checks on the whole arrays. Any
+other file gets a loop over its ``csv`` records that stops at the first
+fault and names it.
 """
 
 from __future__ import annotations
@@ -134,32 +135,6 @@ def _line_lengths(raw: bytes) -> np.ndarray:
     return lengths[:-1] if lengths[-1] == 0 else lengths
 
 
-def _parse_stamps(texts) -> list[datetime]:
-    """The timestamps of ``texts`` up to, not including, the first that
-    ``datetime.fromisoformat`` rejects."""
-    stamps: list[datetime] = []
-    try:  # list.extend keeps what it took before the iterator raised
-        stamps.extend(map(datetime.fromisoformat, texts))
-    except ValueError:
-        pass
-    return stamps
-
-
-def _first_zone_change(stamps: list[datetime]) -> int:
-    """The index of the first timestamp whose having a time zone offset
-    differs from its predecessor's; ``len(stamps)`` if none does."""
-    naive = np.array([s.tzinfo is None for s in stamps], dtype=bool)
-    change = np.flatnonzero(naive[1:] != naive[:-1])
-    return int(change[0]) + 1 if len(change) else len(stamps)
-
-
-def _first_non_increase(stamps: list[datetime]) -> int:
-    """The index of the first timestamp not after its predecessor;
-    ``len(stamps)`` if they strictly increase."""
-    later = list(map(operator.lt, stamps, stamps[1:]))
-    return later.index(False) + 1 if False in later else len(stamps)
-
-
 def _is_number(cell: str) -> bool:
     """Whether ``cell`` is a number to both ``float`` and ``np.loadtxt``:
     ``float``'s grammar, but ASCII only and without digit-grouping
@@ -170,35 +145,6 @@ def _is_number(cell: str) -> bool:
         return False
     text = cell.strip()
     return "_" not in text and text.isascii()
-
-
-def _row_fault(header: list[str], records: list[list[str]]) -> str | None:
-    """The message for the first faulty data row of ``records`` (row 1 is
-    the first after the header). A row is checked for, in this order: its
-    cell count, an unparsable timestamp, a time-zone mix with the row
-    before, a timestamp not after the row before's, and a non-numeric cell
-    (leftmost first). Each check looks only at the rows before the first
-    fault found so far, so the last one to find a fault found the first."""
-    counts = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
-    ragged = np.flatnonzero(counts != len(header))
-    n = int(ragged[0]) if len(ragged) else len(records)
-    message = None
-    if n < len(records):
-        message = f"row {n + 1}: expected {len(header)} cells, got {counts[n]}"
-    stamps = _parse_stamps(rec[0] for rec in records[:n])
-    if len(stamps) < n:
-        n = len(stamps)
-        message = f"row {n + 1}: cannot parse timestamp {records[n][0]!r}"
-    if (i := _first_zone_change(stamps[:n])) < n:
-        n, message = i, f"row {i + 1}: timestamps mix time zone offsets and none"
-    if (i := _first_non_increase(stamps[:n])) < n:
-        n, message = i, f"row {i + 1}: timestamps not strictly increasing"
-    cells = np.array([rec[1:] for rec in records[:n]], dtype=object).reshape(n, len(header) - 1)
-    bad = np.argwhere(~np.frompyfunc(_is_number, 1, 1)(cells).astype(bool))
-    if len(bad):
-        i, j = bad[0]
-        message = f"row {i + 1}, column {header[j + 1]!r}: non-numeric cell {cells[i, j]!r}"
-    return message
 
 
 def _parse_rows(lines, width: int) -> tuple[list[str] | None, np.ndarray | None]:
@@ -220,35 +166,50 @@ def _rows_pass(timestamps: list[str], values: np.ndarray, lengths: np.ndarray) -
     strictly increase, and with every value finite."""
     if len(values) != len(lengths) or lengths.max() > csv.field_size_limit():
         return False
-    n = len(timestamps)
-    stamps = _parse_stamps(timestamps)
+    try:
+        stamps = list(map(datetime.fromisoformat, timestamps))
+    except ValueError:
+        return False
+    # tested first: an aware and a naive timestamp do not compare
     return (
-        len(stamps) == n
-        and _first_zone_change(stamps) == n
-        and _first_non_increase(stamps) == n
+        len({s.tzinfo is None for s in stamps}) == 1
+        and all(map(operator.lt, stamps, stamps[1:]))
         and bool(np.isfinite(values).all())
     )
 
 
 def _fault(path, text: str, header: list[str], values) -> DataError | None:
     """The error that checking ``text``'s records one by one meets first,
-    in file order: a row fault (``_row_fault``), then a record ``csv``
-    cannot read (a field over ``csv.field_size_limit()``), then a
-    non-finite value in ``values``, the parsed rows. None when the rows
-    hold none of these."""
+    in file order (row 1 is the first after the header). A row is checked
+    for, in this order: its cell count, an unparsable timestamp, a time
+    zone mix with the row before, a timestamp not after the row before's,
+    and a non-numeric cell, leftmost first. A record ``csv`` cannot read (a
+    field over ``csv.field_size_limit()``) fails where it stands. Once
+    every record has passed, the first non-finite value in ``values``, the
+    parsed rows, is the fault. None when the rows hold none of these."""
     reader = csv.reader(io.StringIO(text, newline=""))
     next(reader)
-    records: list[list[str]] = []
+    before = None
     try:
-        records.extend(reader)
-        unreadable = None
+        for n, record in enumerate(reader, 1):
+            if len(record) != len(header):
+                return DataError(f"row {n}: expected {len(header)} cells, got {len(record)}")
+            try:
+                stamp = datetime.fromisoformat(record[0])
+            except ValueError:
+                return DataError(f"row {n}: cannot parse timestamp {record[0]!r}")
+            if before is not None and (before.tzinfo is None) != (stamp.tzinfo is None):
+                return DataError(f"row {n}: timestamps mix time zone offsets and none")
+            if before is not None and not before < stamp:
+                return DataError(f"row {n}: timestamps not strictly increasing")
+            before = stamp
+            for name, cell in zip(header[1:], record[1:]):
+                if not _is_number(cell):
+                    return DataError(f"row {n}, column {name!r}: non-numeric cell {cell!r}")
     except csv.Error as exc:
-        unreadable = DataError(f"{path}: malformed CSV: {exc}")
-    message = _row_fault(header, records)
-    if message is not None:
-        return DataError(message)
-    if unreadable is not None or values is None:
-        return unreadable
+        return DataError(f"{path}: malformed CSV: {exc}")
+    if values is None:
+        return None
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         i, j = bad[0]
@@ -287,6 +248,8 @@ def load_csv(path) -> SeriesTable:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise DataError(f"{path} is not valid UTF-8 text") from None
+    # decoded again in chunks: an io.StringIO of ``text`` would hold a copy
+    # of it at 4 bytes a character while loadtxt runs
     lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
     reader = csv.reader(lines)
     try:

@@ -174,7 +174,8 @@ def save_checkpoint(
     path, model: Model, config_text: str, epoch: int = 0, step: int = 0
 ) -> None:
     """Versioned binary container: magic, version, config text, named
-    little-endian float64 parameter blobs."""
+    little-endian float64 parameter blobs. A file that cannot be written
+    raises ``ConfigurationError``."""
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack("<I", _VERSION))
@@ -193,8 +194,11 @@ def save_checkpoint(
             buf.write(struct.pack("<I", dim))
         buf.write(struct.pack("<B", int(p.weight_decay_exempt)))
         buf.write(p.data.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(buf.getvalue())
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
 def load_checkpoint(path) -> Checkpoint:

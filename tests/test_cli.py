@@ -750,3 +750,69 @@ def test_transfer_bad_finetune_input_exits_2_before_training(
     assert rc == 2 and err.startswith("error: ") and _one_line_error(err)
     assert needle in err
     assert not rep.exists()
+
+
+# -- outputs -----------------------------------------------------------------
+
+
+# each command with one output in a directory that does not exist
+MISSING_DIRECTORY_OUTPUTS = {
+    "train --out": ["train", "{corpus}", "--out", "{out}", *FAST],
+    "train --history": ["train", "{corpus}", "--out", "{tmp}/m.bin", "--history", "{out}", *FAST],
+    "eval --report": ["eval", "{checkpoint}", "{corpus}", "--report", "{out}",
+                      "--eval.horizons", "8"],
+    "ablate --out": ["ablate", "{corpus}", "--variants", "full", "--out", "{out}", *FAST],
+    "robustness --out": ["robustness", "{corpus}", "--kind", "noise", "--ratios", "0.1",
+                         "--out", "{out}", *FAST],
+    "transfer --report": ["transfer", "{corpus}", "{corpus}", "--report", "{out}", *FAST],
+    "synth out": ["synth", "{tmp}/spec.json", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_DIRECTORY_OUTPUTS))
+def test_output_in_missing_directory_exits_2_before_any_work(
+    tmp_path, corpus, capsys, monkeypatch, request, case
+):
+    argv = MISSING_DIRECTORY_OUTPUTS[case]
+    checkpoint = request.getfixturevalue("checkpoint") if argv[0] == "eval" else None
+    fits = []
+    monkeypatch.setattr(train_mod, "fit", lambda *args, **kwargs: fits.append(args))
+    out = tmp_path / "absent" / "out"
+    names = {"corpus": corpus, "checkpoint": checkpoint, "out": out, "tmp": tmp_path}
+    rc = main([arg.format(**names) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2 and err == f"error: cannot write {out}: no directory {out.parent}\n"
+    assert fits == []
+
+
+@pytest.mark.parametrize(
+    "outputs", [["--out", "{tmp}"], ["--out", "{tmp}/m.bin", "--history", "{tmp}"]],
+    ids=["--out", "--history"],
+)
+def test_train_output_that_cannot_be_written_exits_2(tmp_path, corpus, capsys, outputs):
+    # a directory lies in an existing directory, but no file can be written in its place
+    rc = main(["train", str(corpus), *[arg.format(tmp=tmp_path) for arg in outputs], *FAST])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(f"error: cannot write {tmp_path}: ") and _one_line_error(err)
+
+
+@pytest.mark.parametrize(
+    "argv, key, rows",
+    [
+        (["robustness", "--kind", "missing", "--ratios", "0,0.1,0.1"], "ratio", [0.0, 0.1]),
+        (["ablate", "--variants", "full,full"], "variant", ["full"]),
+    ],
+    ids=["ratios", "variants"],
+)
+def test_repeated_ratio_or_variant_trains_once(tmp_path, corpus, monkeypatch, argv, key, rows):
+    fit, fits = train_mod.fit, []
+
+    def spy(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "fit", spy)
+    out = tmp_path / "out.json"
+    assert main([argv[0], str(corpus), *argv[1:], "--out", str(out), *FAST]) == 0
+    assert [r[key] for r in json.loads(out.read_text())["rows"]] == rows
+    assert len(fits) == len(rows)

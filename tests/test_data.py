@@ -278,6 +278,19 @@ MALFORMED = [
      "row 2: cannot parse timestamp 'yesterday'"),
     ("non-increasing after non-numeric", b"date,a\n2020-01-02 00:00:00,x\n2020-01-01 00:00:00,1\n",
      "row 1, column 'a': non-numeric cell 'x'"),
+    # two faults in one row: cell count, then timestamp, then cells, leftmost first
+    ("bad timestamp before non-numeric in a row", b"date,a\nyesterday,x\n",
+     "row 1: cannot parse timestamp 'yesterday'"),
+    ("time-zone mix before non-numeric in a row",
+     b"date,a\n2020-01-01 00:00:00,1\n2020-01-01 01:00:00+05:00,x\n",
+     "row 2: timestamps mix time zone offsets and none"),
+    ("non-increasing before non-numeric in a row",
+     b"date,a\n2020-01-02 00:00:00,1\n2020-01-01 00:00:00,x\n",
+     "row 2: timestamps not strictly increasing"),
+    ("ragged before bad timestamp in a row", b"date,a,b\nyesterday,1\n",
+     "row 1: expected 3 cells, got 2"),
+    ("leftmost non-numeric in a row", b"date,a,b\n2020-01-01 00:00:00,x,y\n",
+     "row 1, column 'a': non-numeric cell 'x'"),
 ]
 
 
