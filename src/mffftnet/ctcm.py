@@ -11,6 +11,13 @@ K; the time contrastive loss ties each fused timestep to its backbone
 representation with the InfoNCE that the frequency loss also uses,
 ``tensor.info_nce``.
 
+Under that loss ``ctcm.msff.conv2.b``, ``ctcm.proj.b`` and ``fuse.b`` get
+an exactly-zero analytic gradient: each only adds one vector v to every
+fused row, which adds r_i · v to every logit of row i, and the InfoNCE of
+a row does not change when all its logits shift together. Nothing else
+reads them, so training leaves them at their initial zeros up to
+rounding (computed gradients of at most 1.5e-13 on a desk step).
+
 The scale convolutions and MSFF's 3x3 convolution are both linear, so
 the model folds them into one convolution from r (RepVGG's structural
 re-parameterization, Ding et al., arXiv 2101.03697) and never builds the
@@ -164,12 +171,14 @@ def composite_conv(
     pairs = [(slice(max(0, 1 - a), min(n, n + 1 - a)),
               slice(max(0, a - 1), min(n, n + a - 1))) for a in range(3)]
 
+    rd, wds, w1d = r.data, [w.data for w in ws], w1.data
+
     def tail(jj):
         """r's last k-1 rows, flattened per window, and the matching taps of
         scale jj: c_jj[T] = tail_r @ tail_w (zero for k = 1)."""
         k = kernels[jj]
-        return (r.data[..., T - k + 1:, :].reshape(math.prod(lead), (k - 1) * K),
-                ws[jj].data[:k - 1].reshape(-1, K))
+        return (rd[..., T - k + 1:, :].reshape(math.prod(lead), (k - 1) * K),
+                wds[jj][:k - 1].reshape(-1, K))
 
     phantom = np.stack([tr @ tw for tr, tw in map(tail, range(n))], 1).reshape(lead + (n, K))
     # in place: only this node reads the taps' output, and _tap_conv's
@@ -177,25 +186,27 @@ def composite_conv(
     y = out.data
     y += rows.data[:, at]
     for a, (jo, js) in enumerate(pairs):
-        y[..., jo, T - 1, :] -= phantom[..., js, :] @ w1.data[a, 2]
+        y[..., jo, T - 1, :] -= phantom[..., js, :] @ w1d[a, 2]
+    nout, nrows, nr, nw1 = out._node, rows._node, r._node, w1._node
+    nws = [w._node for w in ws]
 
     def bw(g):
         # the taps' output has no other reader: g is its whole gradient
-        tn._accum(out, g, owned=True)
+        tn._accum(nout, g, owned=True)
         gt = g.reshape((-1, n, T, H)).sum(axis=0)
-        tn._accum(rows, np.stack([gt[:, at == i].sum(axis=1) for i in range(L)], 1), owned=True)
+        tn._accum(nrows, np.stack([gt[:, at == i].sum(axis=1) for i in range(L)], 1), owned=True)
         glast = g[..., T - 1, :]
-        gph, gw1 = np.zeros(phantom.shape), np.zeros(w1.shape)
+        gph, gw1 = np.zeros(phantom.shape), np.zeros(w1d.shape)
         for a, (jo, js) in enumerate(pairs):
-            gph[..., js, :] -= glast[..., jo, :] @ w1.data[a, 2].T
+            gph[..., js, :] -= glast[..., jo, :] @ w1d[a, 2].T
             gw1[a, 2] -= phantom[..., js, :].reshape(-1, K).T @ glast[..., jo, :].reshape(-1, H)
-        gx = tn._grad_buffer(r)
-        for jj, w in enumerate(ws):
+        gx = tn._grad_buffer(nr)
+        for jj, nw in enumerate(nws):
             (tr, tw), k = tail(jj), kernels[jj]
             gp = gph[..., jj, :].reshape(-1, K)
-            tn._grad_buffer(w)[:k - 1] += (tr.T @ gp).reshape(k - 1, K, K)
+            tn._grad_buffer(nw)[:k - 1] += (tr.T @ gp).reshape(k - 1, K, K)
             gx[..., T - k + 1:, :] += (gp @ tw.T).reshape(lead + (k - 1, K))
-        tn._accum(w1, gw1, owned=True)
+        tn._accum(nw1, gw1, owned=True)
 
     return tn._make(y, (out, rows, r, *ws, w1), bw)
 
@@ -210,6 +221,7 @@ def _compose(ws: list[Parameter], w1: Parameter, kernels: tuple[int, ...], top) 
     parents are the scale weights and w1 only: V reads no batch data. It
     runs in blocks of ``_COMPOSE_ELEMS`` products, which go straight into V."""
     n, (K, H) = len(ws), w1.shape[-2:]
+    wds, nws, nw1 = [w.data for w in ws], [w._node for w in ws], w1._node
     # column (a, b, h) of w1cat is w1[a, b, :, h]
     w1cat = w1.data.transpose(2, 0, 1, 3).reshape(K, 9 * H)
     per = max(1, _COMPOSE_ELEMS // (9 * K * H))
@@ -224,25 +236,25 @@ def _compose(ws: list[Parameter], w1: Parameter, kernels: tuple[int, ...], top) 
             yield i0, min(k, i0 + per), at
 
     V = np.zeros((top[-1] + 2, K, H))
-    for jj, w in enumerate(ws):
+    for jj, wd in enumerate(wds):
         for i0, i1, at in blocks(jj):
-            p = (w.data[i0:i1].reshape(-1, K) @ w1cat).reshape(i1 - i0, K, 3, 3, H)
+            p = (wd[i0:i1].reshape(-1, K) @ w1cat).reshape(i1 - i0, K, 3, 3, H)
             for a, b, v in at:
                 V[v + i0:v + i1] += p[:, :, a, b]
 
     def bw(gV):
         gw1 = np.zeros((K, 3, 3, H))
         gw1cat = gw1.reshape(K, 9 * H)
-        for jj, w in enumerate(ws):
-            gw = tn._grad_buffer(w)
+        for jj, (wd, nw) in enumerate(zip(wds, nws)):
+            gw = tn._grad_buffer(nw)
             for i0, i1, at in blocks(jj):
                 gp = np.zeros((i1 - i0, K, 3, 3, H))
                 for a, b, v in at:
                     gp[:, :, a, b] = gV[v + i0:v + i1]
                 gp = gp.reshape(-1, 9 * H)
                 gw[i0:i1] += (gp @ w1cat.T).reshape(i1 - i0, K, K)
-                gw1cat += w.data[i0:i1].reshape(-1, K).T @ gp
-        tn._accum(w1, gw1.transpose(1, 2, 0, 3).copy(), owned=True)
+                gw1cat += wd[i0:i1].reshape(-1, K).T @ gp
+        tn._accum(nw1, gw1.transpose(1, 2, 0, 3).copy(), owned=True)
 
     return tn._make(V, (*ws, w1), bw)
 

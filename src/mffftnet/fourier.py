@@ -30,14 +30,14 @@ def rfft(x: Tensor) -> Tensor:
     T = x.shape[-2]
     if T < 2:
         raise ParameterError(f"rfft needs T >= 2, got T={T}")
-    c = T // 2 + 1
+    c, nx = T // 2 + 1, x._node
     bins = np.fft.rfft(x.data, axis=-2)
 
     def bw(g):
         # irfft counts bins 1 .. T-c twice, once more as their conjugate mirror
         gs = as_complex(g)
         gs[..., 1 : T - c + 1, :] *= 0.5
-        _accum(x, T * np.fft.irfft(gs, n=T, axis=-2), owned=True)
+        _accum(nx, T * np.fft.irfft(gs, n=T, axis=-2), owned=True)
 
     return _make(np.concatenate([bins.real, bins.imag], axis=-1), (x,), bw)
 
@@ -48,12 +48,13 @@ def irfft(z: Tensor, T: int) -> Tensor:
     c = T // 2 + 1
     if z.shape[-2] != c or z.shape[-1] % 2:
         raise ContractError(f"spectrum shape {z.shape} inconsistent with origin length {T}")
+    nz = z._node
 
     def bw(g):
         # bins 1 .. T-c also stand for their conjugate mirror bins T-1 .. c
         gs = np.fft.rfft(g, axis=-2) / T
         gs[..., 1 : T - c + 1, :] *= 2.0
-        _accum(z, np.concatenate([gs.real, gs.imag], axis=-1), owned=True)
+        _accum(nz, np.concatenate([gs.real, gs.imag], axis=-1), owned=True)
 
     return _make(np.fft.irfft(as_complex(z.data), n=T, axis=-2), (z,), bw)
 

@@ -1,10 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every tensor op records its inputs and a backward rule on an implicit tape
-(the parent links of the output). ``backward`` on a scalar walks the graph
-in reverse topological order and accumulates gradients with ``+=`` so a
-tensor read by several ops (e.g. the backbone output, which feeds both
-FACM and CTCM) receives contributions from all of them.
+A tensor is its value, ``data``, and a small graph ``Node`` that holds its
+gradient, whether it needs one, and, for an op output, the nodes of the
+op's inputs and the op's backward rule. The tape links nodes only, and each
+backward rule closes over its inputs' nodes and exactly the arrays it
+reads, never over a tensor. So an op output that the caller drops and no
+rule reads (a matmul output before its bias add, the InfoNCE logits) is
+freed as soon as the forward pass moves on, as in PyTorch's autograd
+(Paszke et al., arXiv 1912.01703). ``backward`` on a scalar walks the
+graph in reverse topological order and accumulates gradients with ``+=``
+so a tensor read by several ops (e.g. the backbone output, which feeds
+both FACM and CTCM) receives contributions from all of them.
 
 ``backward`` releases the graph as it consumes it: each node drops its
 parent links and its backward rule (with the arrays the rule saved) once
@@ -42,15 +48,41 @@ def no_grad():
         _grad_enabled = prev
 
 
+class Node:
+    """A tensor's place on the tape: its gradient, whether it needs one, its
+    shape, the nodes of the op's inputs and the op's backward rule. The
+    tape links nodes, never tensors, so an op output that no backward rule
+    reads is freed as soon as its caller drops it."""
+
+    __slots__ = ("shape", "grad", "requires_grad", "parents", "backward_fn")
+
+    def __init__(self, shape: tuple[int, ...], requires_grad: bool):
+        self.shape = shape
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.parents: tuple[Node, ...] = ()
+        self.backward_fn: Callable[[np.ndarray], None] | None = None
+
+
+def _on_node(attr: str) -> property:
+    """A tensor attribute that reads and sets its node's ``attr``."""
+    return property(lambda t: getattr(t._node, attr),
+                    lambda t, value: setattr(t._node, attr, value))
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    """An array and its tape node; ``grad``, ``requires_grad`` and
+    ``_backward_fn`` live on the node."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._node = Node(self.data.shape, requires_grad)
+
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _backward_fn = _on_node("backward_fn")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,9 +111,9 @@ class Tensor:
             raise DimensionError(
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
-        order: list[Tensor] = []
+        order: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -89,12 +121,12 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._backward_fn is _released:
+            if node.backward_fn is _released:
                 # raise before any rule runs, so no gradient changes
-                _released(node.data)
+                _released(None)
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
@@ -102,11 +134,11 @@ class Tensor:
         # and drops the list's reference to each one as it is visited
         while order:
             node = order.pop()
-            fn = node._backward_fn
+            fn = node.backward_fn
             if fn is None:
                 continue
-            node._backward_fn = _released
-            node._parents = ()
+            node.backward_fn = _released
+            node.parents = ()
             if node.grad is not None:
                 fn(node.grad)
 
@@ -190,40 +222,46 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
+    """The output tensor of an op; if an input needs a gradient, its node
+    links the inputs' nodes and takes ``backward_fn``, which closes over
+    those nodes and the arrays it reads, never over a tensor."""
     if not np.all(np.isfinite(data)):
         # an op's backward rule is defined inside it, so its qualified name
         # starts with the op's name
         op = backward_fn.__qualname__.split(".")[0]
         raise NumericError(f"non-finite value in the {op} output of shape {np.shape(data)}")
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    if _grad_enabled:
+        nodes = tuple(p._node for p in parents)
+        if any(n.requires_grad for n in nodes):
+            node = out._node
+            node.requires_grad = True
+            node.parents = nodes
+            node.backward_fn = backward_fn
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add g into t's gradient. The first g is kept as it is when ``owned``
-    (the backward rule built it for t alone), and copied otherwise: it may
-    be another node's gradient or a view of one, as ``add`` passes its own
-    g to both parents."""
-    if not t.requires_grad:
+def _accum(n: Node, g: np.ndarray, owned: bool = False) -> None:
+    """Add g into node n's gradient. The first g is kept as it is when
+    ``owned`` (the backward rule built it for n alone), and copied
+    otherwise: it may be another node's gradient or a view of one, as
+    ``add`` passes its own g to both parents."""
+    if not n.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g if owned else np.array(g)
+    if n.grad is None:
+        n.grad = g if owned else np.array(g)
     else:
-        t.grad += g
+        n.grad += g
 
 
-def _grad_buffer(t: Tensor) -> np.ndarray:
-    """t's gradient, C-contiguous and zero if t had none, for a backward rule
-    to add into in place (scratch if t needs no gradient); safe, as
-    ``_accum`` keeps only gradients built for t alone."""
-    if not t.requires_grad:
-        return np.zeros(t.shape)
-    t.grad = np.zeros(t.shape) if t.grad is None else np.ascontiguousarray(t.grad)
-    return t.grad
+def _grad_buffer(n: Node) -> np.ndarray:
+    """Node n's gradient, C-contiguous and zero if n had none, for a
+    backward rule to add into in place (scratch if n needs no gradient);
+    safe, as ``_accum`` keeps only gradients built for n alone."""
+    if not n.requires_grad:
+        return np.zeros(n.shape)
+    n.grad = np.zeros(n.shape) if n.grad is None else np.ascontiguousarray(n.grad)
+    return n.grad
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -239,23 +277,35 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- arithmetic ------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    na, nb = a._node, b._node
+
     def bw(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(na, _unbroadcast(g, na.shape))
+        _accum(nb, _unbroadcast(g, nb.shape))
 
     return _make(a.data + b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; an operand's array is kept for backward, and
+    the product that uses it computed, only if the other operand needs a
+    gradient."""
+    na, nb = a._node, b._node
+    ad = a.data if nb.requires_grad else None
+    bd = b.data if na.requires_grad else None
+
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape), owned=True)
-        _accum(b, _unbroadcast(g * a.data, b.shape), owned=True)
+        if bd is not None:
+            _accum(na, _unbroadcast(g * bd, na.shape), owned=True)
+        if ad is not None:
+            _accum(nb, _unbroadcast(g * ad, nb.shape), owned=True)
 
     return _make(a.data * b.data, (a, b), bw)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: _accum(a, -g, owned=True))
+    na = a._node
+    return _make(-a.data, (a,), lambda g: _accum(na, -g, owned=True))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -268,20 +318,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions differ: {a.shape} x {b.shape}"
         )
 
+    # as in ``mul``, each operand's array only if the other needs a gradient
+    na, nb = a._node, b._node
+    ad = a.data if nb.requires_grad else None
+    bd = b.data if na.requires_grad else None
+
     def bw(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), owned=True)
+        if bd is not None:
+            _accum(na, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), na.shape), owned=True)
+        if ad is not None:
+            _accum(nb, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), nb.shape), owned=True)
 
     return _make(np.matmul(a.data, b.data), (a, b), bw)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    na = a._node
+
     def bw(g):
         if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy(), owned=True)
+            _accum(na, np.broadcast_to(g, na.shape).copy(), owned=True)
             return
         gg = g if keepdims else np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.shape).copy(), owned=True)
+        _accum(na, np.broadcast_to(gg, na.shape).copy(), owned=True)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
@@ -292,27 +351,28 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def texp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    return _make(out_data, (a,), lambda g: _accum(a, g * out_data))
+    na, out_data = a._node, np.exp(a.data)
+    return _make(out_data, (a,), lambda g: _accum(na, g * out_data))
 
 
 def tlog(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), (a,), lambda g: _accum(a, g / a.data))
+    na, x = a._node, a.data
+    return _make(np.log(x), (a,), lambda g: _accum(na, g / x))
 
 
 def tsqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
+    na, out_data = a._node, np.sqrt(a.data)
 
     def bw(g):
         # guarded at zero so masked-to-zero amplitudes don't blow up
-        _accum(a, g * 0.5 / np.maximum(out_data, 1e-12), owned=True)
+        _accum(na, g * 0.5 / np.maximum(out_data, 1e-12), owned=True)
 
     return _make(out_data, (a,), bw)
 
 
 def ttanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-    return _make(out_data, (a,), lambda g: _accum(a, g * (1.0 - out_data**2)))
+    na, out_data = a._node, np.tanh(a.data)
+    return _make(out_data, (a,), lambda g: _accum(na, g * (1.0 - out_data**2)))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -323,17 +383,18 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = _logistic(a.data)
-    return _make(s, (a,), lambda g: _accum(a, g * s * (1.0 - s)))
+    na, s = a._node, _logistic(a.data)
+    return _make(s, (a,), lambda g: _accum(na, g * s * (1.0 - s)))
 
 
 def silu(a: Tensor) -> Tensor:
-    s = _logistic(a.data)
+    na, x = a._node, a.data
+    s = _logistic(x)
 
     def bw(g):
-        _accum(a, g * s * (1.0 + a.data * (1.0 - s)), owned=True)
+        _accum(na, g * s * (1.0 + x * (1.0 - s)), owned=True)
 
-    return _make(a.data * s, (a,), bw)
+    return _make(x * s, (a,), bw)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -341,35 +402,38 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU, available as the backbone ablation activation."""
-    x = a.data
+    na, x = a._node, a.data
     inner = _GELU_C * (x + 0.044715 * x**3)
     t = np.tanh(inner)
 
     def bw(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner), owned=True)
+        _accum(na, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner), owned=True)
 
     return _make(0.5 * x * (1.0 + t), (a,), bw)
 
 
 def atan2(y: Tensor, x: Tensor) -> Tensor:
+    ny, nx, yd, xd = y._node, x._node, y.data, x.data
+
     def bw(g):
-        denom = x.data**2 + y.data**2
+        denom = xd**2 + yd**2
         denom = np.maximum(denom, 1e-24)
-        _accum(y, _unbroadcast(g * x.data / denom, y.shape), owned=True)
-        _accum(x, _unbroadcast(-g * y.data / denom, x.shape), owned=True)
+        _accum(ny, _unbroadcast(g * xd / denom, ny.shape), owned=True)
+        _accum(nx, _unbroadcast(-g * yd / denom, nx.shape), owned=True)
 
     return _make(np.arctan2(y.data, x.data), (y, x), bw)
 
 
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
+    na = a._node
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=axis, keepdims=True)
     out_data = np.squeeze(m + np.log(s), axis=axis)
 
     def bw(g):
-        _accum(a, np.expand_dims(g, axis) * (e / s), owned=True)
+        _accum(na, np.expand_dims(g, axis) * (e / s), owned=True)
 
     return _make(out_data, (a,), bw)
 
@@ -377,28 +441,28 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
 # -- shape ops -------------------------------------------------------------
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
+    na, shape = a._node, tuple(shape)
     return _make(
-        a.data.reshape(shape), (a,), lambda g: _accum(a, g.reshape(a.shape))
+        a.data.reshape(shape), (a,), lambda g: _accum(na, g.reshape(na.shape))
     )
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
+    na, axes = a._node, tuple(axes)
     inv = tuple(np.argsort(axes))
     return _make(
-        a.data.transpose(axes), (a,), lambda g: _accum(a, g.transpose(inv))
+        a.data.transpose(axes), (a,), lambda g: _accum(na, g.transpose(inv))
     )
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = list(tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    nodes = [t._node for t in tensors]
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def bw(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+        for n, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            _accum(n, piece)
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
@@ -406,13 +470,15 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 def unstack(a: Tensor, axis: int = 0) -> list[Tensor]:
     """Split along ``axis``: ``unstack(a, axis)[i].data == np.take(a.data, i, axis)``."""
 
+    na = a._node
+
     def piece(i: int) -> Tensor:
         index = (slice(None),) * (axis % a.ndim) + (i,)
 
         def bw(g):
-            gg = np.zeros_like(a.data)
+            gg = np.zeros(na.shape)
             gg[index] = g
-            _accum(a, gg, owned=True)
+            _accum(na, gg, owned=True)
 
         return _make(a.data[index], (a,), bw)
 
@@ -424,11 +490,13 @@ def diagonal(a: Tensor) -> Tensor:
     if a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"diagonal needs a square trailing block, got {a.shape}")
 
+    na = a._node
+
     def bw(g):
-        gg = np.zeros_like(a.data)
-        idx = np.arange(a.shape[-1])
+        gg = np.zeros(na.shape)
+        idx = np.arange(na.shape[-1])
         gg[..., idx, idx] = g
-        _accum(a, gg, owned=True)
+        _accum(na, gg, owned=True)
 
     return _make(np.diagonal(a.data, axis1=-2, axis2=-1).copy(), (a,), bw)
 
@@ -487,15 +555,16 @@ def _tap_conv(x: Tensor, w: Tensor, taps, op: str, shape=None) -> Tensor:
 
     ``op`` is the calling op's name; the backward rule carries it in its
     qualified name, as every other op's does."""
+    nx, nw, xd = x._node, w._node, x.data
     W = w.data.reshape((-1,) + w.shape[-2:])
     out = np.zeros((x.shape[:-1] if shape is None else shape) + W.shape[-1:])
     for i, src, dst in taps:
-        out[dst] += x.data[src + (slice(None),)] @ W[i]
+        out[dst] += xd[src + (slice(None),)] @ W[i]
 
     def bw(g):
         gW = np.zeros(W.shape)
-        _kn2row(x.data, g, W, gW, taps, _grad_buffer(x))
-        _accum(w, gW.reshape(w.shape), owned=True)
+        _kn2row(xd, g, W, gW, taps, _grad_buffer(nx))
+        _accum(nw, gW.reshape(nw.shape), owned=True)
 
     bw.__qualname__ = f"{op}.<locals>.bw"
     return _make(out, (x, w), bw)
@@ -616,16 +685,16 @@ def avg_pool2d(x: Tensor, window: tuple[int, int]) -> Tensor:
     if ph < 1 or pw < 1 or ph > H or pw > W:
         raise ParameterError(f"pool window {window} invalid for input {H}x{W}")
     Ho, Wo = H // ph, W // pw
-    lead = x.shape[:-2]
+    nx, lead = x._node, x.shape[:-2]
     trimmed = x.data[..., : Ho * ph, : Wo * pw]
     blocks = trimmed.reshape(lead + (Ho, ph, Wo, pw))
     out_data = blocks.mean(axis=(-3, -1))
 
     def bw(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(nx.shape)
         expanded = np.repeat(np.repeat(g, ph, axis=-2), pw, axis=-1) / (ph * pw)
         gx[..., : Ho * ph, : Wo * pw] = expanded
-        _accum(x, gx)
+        _accum(nx, gx)
 
     return _make(out_data, (x,), bw)
 
@@ -638,5 +707,5 @@ def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
     if not training or rate == 0.0:
         return x
     rng = np.random.default_rng(rng_seed)
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return _make(x.data * mask, (x,), lambda g: _accum(x, g * mask, owned=True))
+    nx, mask = x._node, (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return _make(x.data * mask, (x,), lambda g: _accum(nx, g * mask, owned=True))

@@ -266,18 +266,25 @@ def test_composite_backward_working_memory_does_not_grow_with_batch():
     assert peak_32 - peak_8 <= kept_32 - kept_8 + 0.5e6, (peak_8, peak_32, kept_8, kept_32)
 
 
-def test_composite_taps_read_parameters_only(rng):
-    # the output's first parent is the taps' node, whose parents are r and V
+def test_composite_taps_read_parameters_only(rng, monkeypatch):
+    # the output's first parent is the taps' node, whose parents are the
+    # nodes of r and of V; the tape holds nodes, so V's data is caught as
+    # _compose returns it
     kernels, K, H = (1, 2, 4), 4, 3
     _, params = small_setup(K=K, kernels=kernels, msff_hidden=H)
     random_biases(rng, params, kernels, K, H)
     names = [f"ctcm.scale{kj}.w" for kj in kernels] + ["ctcm.msff.conv1.w"]
+    composed = []
+    compose = ctcm_mod._compose
+    monkeypatch.setattr(ctcm_mod, "_compose", lambda *a: composed.append(compose(*a)) or composed[-1])
     taps = []
     for lead in ((2, 3), (2, 7)):
         r = Tensor(rng.normal(size=lead + (9, K)), requires_grad=True)
-        x, V = composite_conv(r, params, kernels)._parents[0]._parents
-        assert x is r and [p.name for p in V._parents] == names
-        taps.append(V.data.tobytes())
+        x, V = composite_conv(r, params, kernels)._node.parents[0].parents
+        assert x is r._node and V is composed[-1]._node
+        assert len(V.parents) == len(names)
+        assert all(p is params[name]._node for p, name in zip(V.parents, names))
+        taps.append(composed[-1].data.tobytes())
     assert taps[0] == taps[1]
 
 
