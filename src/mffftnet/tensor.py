@@ -12,6 +12,16 @@ graph in reverse topological order and accumulates gradients with ``+=``
 so a tensor read by several ops (e.g. the backbone output, which feeds
 both FACM and CTCM) receives contributions from all of them.
 
+Where one or two ufunc passes rebuild an array from what a rule keeps
+anyway, the rule recomputes it instead of keeping it (Chen et al., arXiv
+1604.06174): ``silu`` and ``gelu`` keep only their input and recompute the
+logistic or the tanh, ``dropout`` keeps only its seed, frozen as a tuple,
+and draws its mask again, and ``info_nce`` is one node that keeps its two
+operands and each row's max and exp-sum and recomputes the logits and the
+softmax. Each rebuilds its arrays with the forward's own expressions in
+the same order, so every output and gradient is bit-identical to keeping
+them.
+
 ``backward`` releases the graph as it consumes it: each node drops its
 parent links and its backward rule (with the arrays the rule saved) once
 the rule has run, so only one step's graph is alive at a time. A tensor
@@ -388,29 +398,34 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
+    """x·σ(x); backward keeps x and recomputes σ(x) from it."""
     na, x = a._node, a.data
-    s = _logistic(x)
 
     def bw(g):
+        s = _logistic(x)
         _accum(na, g * s * (1.0 + x * (1.0 - s)), owned=True)
 
-    return _make(x * s, (a,), bw)
+    return _make(x * _logistic(x), (a,), bw)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    return np.tanh(_GELU_C * (x + 0.044715 * x**3))
+
+
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU, available as the backbone ablation activation."""
+    """tanh-approximation GELU, available as the backbone ablation
+    activation; backward keeps x and recomputes the tanh from it."""
     na, x = a._node, a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
 
     def bw(g):
+        t = _gelu_tanh(x)
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
         _accum(na, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner), owned=True)
 
-    return _make(0.5 * x * (1.0 + t), (a,), bw)
+    return _make(0.5 * x * (1.0 + _gelu_tanh(x)), (a,), bw)
 
 
 def atan2(y: Tensor, x: Tensor) -> Tensor:
@@ -486,7 +501,7 @@ def unstack(a: Tensor, axis: int = 0) -> list[Tensor]:
 
 
 def diagonal(a: Tensor) -> Tensor:
-    """Diagonal of the last two axes; used by ``info_nce``."""
+    """Diagonal of the last two axes."""
     if a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"diagonal needs a square trailing block, got {a.shape}")
 
@@ -504,11 +519,38 @@ def diagonal(a: Tensor) -> Tensor:
 def info_nce(a: Tensor, b: Tensor) -> Tensor:
     """Per-row InfoNCE (arXiv 1807.03748) of two (..., rows, dim) tensors:
     logsumexp(a @ bᵀ) - diag(a @ bᵀ), shape (..., rows); row i's positive
-    is b[i] and its negatives the other rows of b."""
+    is b[i] and its negatives the other rows of b.
+
+    One tape node that keeps a, b and each row's max and exp-sum; backward
+    recomputes the logits and the softmax from them with the forward's
+    expressions, so the gradients equal those of the ``matmul``,
+    ``logsumexp`` and ``diagonal`` composition bit for bit."""
     if a.shape != b.shape:
         raise ContractError(f"InfoNCE operand shapes differ: {a.shape} vs {b.shape}")
-    logits = matmul(a, transpose(b, (*range(b.ndim - 2), b.ndim - 1, b.ndim - 2)))
-    return logsumexp(logits, axis=-1) - diagonal(logits)
+    na, nb, ad, bd = a._node, b._node, a.data, b.data
+    e = np.matmul(ad, np.swapaxes(bd, -1, -2))
+    if not np.all(np.isfinite(e)):
+        raise NumericError(f"non-finite value in the info_nce logits of shape {e.shape}")
+    diag = np.diagonal(e, axis1=-2, axis2=-1).copy()
+    m = e.max(axis=-1, keepdims=True)
+    e -= m
+    s = np.exp(e, out=e).sum(axis=-1, keepdims=True)
+    lse = np.squeeze(m + np.log(s), axis=-1)
+
+    def bw(g):
+        # in place: each array this allocates between the tape's frees can
+        # make the heap grow back (CHANGES.md)
+        gl = np.matmul(ad, np.swapaxes(bd, -1, -2))
+        gl -= m
+        np.exp(gl, out=gl)
+        gl /= s
+        gl *= np.expand_dims(g, -1)
+        idx = np.arange(gl.shape[-1])
+        gl[..., idx, idx] -= g
+        _accum(na, np.matmul(gl, bd), owned=True)
+        _accum(nb, np.swapaxes(np.matmul(np.swapaxes(ad, -1, -2), gl), -1, -2))
+
+    return _make(lse - diag, (a, b), bw)
 
 
 # -- neural primitives -----------------------------------------------------
@@ -700,12 +742,18 @@ def avg_pool2d(x: Tensor, window: tuple[int, int]) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate). Out of training or
-    at rate 0 it returns ``x`` itself, with no tape node."""
+    """Inverted dropout: survivors scaled by 1/(1-rate). The mask is drawn
+    from ``np.random.default_rng(rng_seed)``, ``rng_seed`` an int or a
+    sequence of ints; backward keeps the seed as a tuple, so a caller may
+    reuse its list, and draws the mask again. Out of training or at rate 0
+    it returns ``x`` itself, with no tape node."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    rng = np.random.default_rng(rng_seed)
-    nx, mask = x._node, (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return _make(x.data * mask, (x,), lambda g: _accum(nx, g * mask, owned=True))
+    nx, seed = x._node, tuple(np.atleast_1d(rng_seed).tolist())
+
+    def mask():
+        return (np.random.default_rng(seed).random(nx.shape) >= rate) / (1.0 - rate)
+
+    return _make(x.data * mask(), (x,), lambda g: _accum(nx, g * mask(), owned=True))

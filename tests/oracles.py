@@ -8,6 +8,11 @@
 - ``naive_dft``: the direct-summation DFT, the oracle of ``fourier.rfft``.
 - ``finite_diff_check``: central finite differences against an op's
   analytic gradient.
+- ``silu``, ``gelu``, ``dropout`` and ``info_nce``: the stored-activation
+  forms of the ops whose backward rules in ``mffftnet.tensor`` recompute
+  what these save (the logistic, the tanh, the mask, the logits and
+  softmax as ``matmul``/``transpose``/``logsumexp``/``diagonal`` nodes).
+  Outputs and gradients must agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from mffftnet import tensor as tn
 from mffftnet.data import SeriesTable
-from mffftnet.errors import DataError
+from mffftnet.errors import ContractError, DataError, ParameterError
 from mffftnet.tensor import Tensor, no_grad
 
 
@@ -127,3 +133,46 @@ def finite_diff_check(
             numeric[i] = (hi - lo) / (2.0 * step)
     err = np.abs(analytic.ravel() - numeric) / (np.abs(analytic.ravel()) + 1e-8)
     return float(err.max()) if err.size else 0.0
+
+
+def silu(a: Tensor) -> Tensor:
+    """SiLU whose backward rule keeps the logistic it computed."""
+    na, x = a._node, a.data
+    s = tn._logistic(x)
+
+    def bw(g):
+        tn._accum(na, g * s * (1.0 + x * (1.0 - s)), owned=True)
+
+    return tn._make(x * s, (a,), bw)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """tanh-approximation GELU whose backward rule keeps the tanh."""
+    na, x = a._node, a.data
+    t = np.tanh(tn._GELU_C * (x + 0.044715 * x**3))
+
+    def bw(g):
+        dinner = tn._GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        tn._accum(na, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner), owned=True)
+
+    return tn._make(0.5 * x * (1.0 + t), (a,), bw)
+
+
+def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
+    """Inverted dropout whose backward rule keeps the mask."""
+    if not 0.0 <= rate < 1.0:
+        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return x
+    rng = np.random.default_rng(rng_seed)
+    nx, mask = x._node, (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return tn._make(x.data * mask, (x,), lambda g: tn._accum(nx, g * mask, owned=True))
+
+
+def info_nce(a: Tensor, b: Tensor) -> Tensor:
+    """Per-row InfoNCE built from tape primitives, which keep the logits'
+    softmax on the tape."""
+    if a.shape != b.shape:
+        raise ContractError(f"InfoNCE operand shapes differ: {a.shape} vs {b.shape}")
+    logits = tn.matmul(a, tn.transpose(b, (*range(b.ndim - 2), b.ndim - 1, b.ndim - 2)))
+    return tn.logsumexp(logits, axis=-1) - tn.diagonal(logits)
