@@ -121,7 +121,7 @@ def _build_and_fit(std, spec, cfg: RunConfig, drop: tuple[str, ...] = ()):
 
 
 def _evaluate(model, std, spec, cfg: RunConfig, name: str):
-    return eval_mod.evaluate_horizons(
+    report = eval_mod.evaluate_horizons(
         model,
         std,
         spec,
@@ -129,10 +129,9 @@ def _evaluate(model, std, spec, cfg: RunConfig, name: str):
         horizons=cfg.int_list("eval.horizons"),
         mode=str(cfg["eval.mode"]),
         alpha_grid=tuple(cfg.float_list("eval.ridge_alphas")),
-        dataset_name=name,
-        config_snapshot=cfg.snapshot(),
-        timestamp=_timestamp(),
     )
+    report.dataset, report.config, report.timestamp = name, cfg.snapshot(), _timestamp()
+    return report
 
 
 def _write(path, text: str) -> None:
@@ -342,6 +341,11 @@ def _synthetic_spec(spec) -> tuple[int, list[SyntheticFeature], int]:
                 raise ConfigurationError(
                     f"a synthetic wave is [period, amplitude, phase], got {list(w)}"
                 )
+        if not np.isfinite([f.slope, f.noise_std, *np.ravel(f.waves)]).all() or f.noise_std < 0:
+            raise ConfigurationError(
+                "a synthetic feature needs finite waves and slope and a finite"
+                f" noise_std >= 0, got {f}"
+            )
     return n, features, seed
 
 

@@ -39,7 +39,6 @@ class SeriesTable:
     timestamps: list[str]
     values: np.ndarray  # N x D float64
     feature_names: list[str]
-    missing_mask: np.ndarray | None = None  # True where a cell was discarded
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -365,22 +364,13 @@ def gen_synthetic(
     return SeriesTable(stamps, values, names)
 
 
-def bundled_two_sine(n: int = 1600, seed: int = 7) -> SeriesTable:
-    """The small two-sinusoid corpus used by desk-scale training runs."""
-    comps = [
-        SyntheticFeature(waves=[(24.0, 1.0, 0.0), (12.0, 0.5, 0.7)], noise_std=0.05),
-        SyntheticFeature(waves=[(16.0, 1.0, 1.1)], noise_std=0.05),
-    ]
-    return gen_synthetic(n, comps, seed=seed)
-
-
 def inject(table: SeriesTable, spec: PerturbationSpec) -> SeriesTable:
     """Perturb exactly ceil(ratio*N*D) cells, chosen uniformly without
     replacement under the spec seed.
 
     noise: add Normal(noise_mean, noise_std^2) draws to the chosen cells.
     missing: zero the chosen cells (train-mean imputation on standardized
-    data) and record them in ``missing_mask``.
+    data).
     """
     n_cells = table.values.size
     k = math.ceil(spec.ratio * n_cells)
@@ -392,8 +382,6 @@ def inject(table: SeriesTable, spec: PerturbationSpec) -> SeriesTable:
     coords = np.unravel_index(flat_idx, table.values.shape)
     if spec.kind == "noise":
         values[coords] += rng.normal(spec.noise_mean, spec.noise_std, size=k)
-        return replace(table, values=values)
-    mask = np.zeros(table.values.shape, dtype=bool)
-    mask[coords] = True
-    values[coords] = 0.0
-    return replace(table, values=values, missing_mask=mask)
+    else:
+        values[coords] = 0.0
+    return replace(table, values=values)

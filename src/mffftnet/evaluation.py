@@ -91,9 +91,12 @@ def _target_windows(
     return sliding_window_view(u, P, axis=0).transpose(0, 2, 1)
 
 
-def extract_features(
-    model: Model, values: np.ndarray, T: int, P: int, chunk: int = 64
-) -> np.ndarray:
+# Lookbacks an ``extract_features`` call encodes at once: no encoder call
+# holds more than ``_ENCODE_LOOKBACKS * T`` rows.
+_ENCODE_LOOKBACKS = 64
+
+
+def extract_features(model: Model, values: np.ndarray, T: int, P: int) -> np.ndarray:
     """Features M x K over one split's rows: row i is the encoder output at
     the last step of lookback i, the T rows ending at row i + T - 1.
 
@@ -102,15 +105,15 @@ def extract_features(
     backbone's receptive field fits in T, the last step of a lookback never
     reads the zero padding before it, so it equals the output at that row
     of any causal pass over a longer run of rows ending there: S is then
-    as large as ``chunk * T`` rows per call allow. Otherwise S = 1, and a
-    call encodes ``chunk`` lookbacks as a batch. No call holds more than
-    ``chunk * T`` rows, and both ways give the per-lookback features bit
-    for bit. Each call's rows are written into one M x K array."""
+    as large as ``_ENCODE_LOOKBACKS * T`` rows per call allow. Otherwise
+    S = 1, and a call encodes ``_ENCODE_LOOKBACKS`` lookbacks as a batch.
+    Both ways give the per-lookback features bit for bit. Each call's rows
+    are written into one M x K array."""
     m = _rows(len(values), T, P)
     if model.config.backbone.receptive_field <= T:
-        S, per_call = (chunk - 1) * T + 1, 1
+        S, per_call = (_ENCODE_LOOKBACKS - 1) * T + 1, 1
     else:
-        S, per_call = 1, chunk
+        S, per_call = 1, _ENCODE_LOOKBACKS
     feats = np.empty((m, model.config.backbone.output_dim))
     with no_grad():
         for lo in range(0, m, S * per_call):
@@ -337,13 +340,13 @@ def check_probe_grid(horizons, alpha_grid, mode) -> None:
 
 
 def fitting_horizons(split_spec: SplitSpec, T: int, horizons) -> tuple[list[int], list[str]]:
-    """The horizons whose lookback/target pairs fit every split, and a
-    warning for each other one. Needs only the split lengths, so a caller
-    can run it before any training; raises ``ConfigurationError`` when no
-    horizon fits."""
+    """Each distinct horizon once, in first-seen order: those whose
+    lookback/target pairs fit every split, and a warning for each other
+    one. Needs only the split lengths, so a caller can run it before any
+    training; raises ``ConfigurationError`` when no horizon fits."""
     ranges = [split_spec.train_range, split_spec.valid_range, split_spec.test_range]
     fitting, warnings = [], []
-    for P in horizons:
+    for P in dict.fromkeys(horizons):
         try:
             for a, b in ranges:
                 _rows(b - a, T, P)
@@ -400,12 +403,11 @@ def evaluate_horizons(
     horizons: list[int],
     mode: str = "multivariate",
     alpha_grid=DEFAULT_ALPHA_GRID,
-    dataset_name: str = "",
-    config_snapshot: dict | None = None,
-    timestamp: str = "",
 ) -> ForecastReport:
     """Per horizon: fit on train, select alpha on valid, score on test.
-    Horizons that do not fit in a split become warning entries.
+    Horizons that do not fit in a split become warning entries. The report's
+    dataset reads "unnamed" and its config and timestamp are empty; a
+    caller that knows them sets them on the report.
 
     Each split is encoded once, at the smallest fitting horizon; a longer
     horizon P uses the first ``n - T - P + 1`` of those feature rows. A
@@ -431,12 +433,7 @@ def evaluate_horizons(
     no horizon fits every split, before any window is encoded.
     """
     check_probe_grid(horizons, alpha_grid, mode)
-    report = ForecastReport(
-        dataset=dataset_name or "unnamed",
-        mode=mode,
-        config=config_snapshot or {},
-        timestamp=timestamp,
-    )
+    report = ForecastReport(dataset="unnamed", mode=mode)
     fitting, report.warnings = fitting_horizons(split_spec, T, horizons)
     ranges = [split_spec.train_range, split_spec.valid_range, split_spec.test_range]
     splits = [table.values[a:b] for a, b in ranges]

@@ -1,7 +1,7 @@
 """Frequency-aware contrastive module.
 
 Pipeline per window: FFT of the representation over time, hard top-k
-masking of low-amplitude bins, complex linear reweighting (learnable
+masking of low-amplitude bins (``_topk_mask``), complex linear reweighting (learnable
 complex weight matrix plus per-bin complex bias), inverse FFT, dropout.
 A spectrum is one real (..., c, 2K) tensor holding ``[re ‖ im]`` on its
 last axis (``fourier``), so the complex product z·(W_re + i·W_im) is one
@@ -53,29 +53,14 @@ def make_facm_params(
     return init.params
 
 
-def mean_amplitude(z: Tensor) -> np.ndarray:
-    """Per-bin modulus of a (..., c, 2K) spectrum averaged over the K
-    feature channels, (..., c)."""
-    return np.abs(as_complex(z.data)).mean(axis=-1)
-
-
-def topk_count(c: int, mask_ratio: float) -> int:
-    return max(1, int(np.floor(c * mask_ratio)))
-
-
-def select_topk(A: np.ndarray, mask_ratio: float) -> np.ndarray:
-    """Indices of the k = max(1, floor(c*mask_ratio)) largest amplitudes,
-    ties broken toward the lower index; returned sorted ascending."""
-    A = np.asarray(A)
-    k = topk_count(A.shape[-1], mask_ratio)
-    order = np.argsort(-A, axis=-1, kind="stable")
-    return np.sort(order[..., :k], axis=-1)
-
-
-def _topk_mask(A: np.ndarray, mask_ratio: float) -> np.ndarray:
-    idx = select_topk(A, mask_ratio)
-    mask = np.zeros(A.shape, dtype=np.float64)
-    np.put_along_axis(mask, idx, 1.0, axis=-1)
+def _topk_mask(z: np.ndarray, mask_ratio: float) -> np.ndarray:
+    """(..., c, 1) mask of a (..., c, 2K) spectrum: 1 on the k = max(1,
+    floor(c*mask_ratio)) bins with the largest modulus averaged over the K
+    channels, ties broken toward the lower bin, 0 elsewhere."""
+    amp = np.abs(as_complex(z)).mean(axis=-1, keepdims=True)
+    k = max(1, int(np.floor(amp.shape[-2] * mask_ratio)))
+    mask = np.zeros(amp.shape)
+    np.put_along_axis(mask, np.argsort(-amp, axis=-2, kind="stable")[..., :k, :], 1.0, axis=-2)
     return mask
 
 
@@ -95,7 +80,7 @@ def facm_apply(
             f"FACM weights built for K={params['facm.omega.re'].shape[0]}, got K={K}"
         )
     spec = rfft(r)
-    masked = spec * Tensor(_topk_mask(mean_amplitude(spec), cfg.mask_ratio)[..., None])
+    masked = spec * Tensor(_topk_mask(spec.data, cfg.mask_ratio))
     w_re, w_im = params["facm.omega.re"], params["facm.omega.im"]
     w = tn.concat([tn.concat([w_re, w_im]), tn.concat([-w_im, w_re])], axis=0)
     bias = tn.concat([params["facm.beta.re"], params["facm.beta.im"]])

@@ -156,29 +156,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ParameterError("tensor/tensor division is not supported")
-        return mul(self, _as_tensor(1.0 / float(other)))
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -342,22 +327,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.matmul(a.data, b.data), (a, b), bw)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axis=None) -> Tensor:
     na = a._node
 
     def bw(g):
-        if axis is None:
-            _accum(na, np.broadcast_to(g, na.shape).copy(), owned=True)
-            return
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         _accum(na, np.broadcast_to(gg, na.shape).copy(), owned=True)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
+    return _make(a.data.sum(axis=axis), (a,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis=None) -> Tensor:
     n = a.data.size if axis is None else a.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+    return tsum(a, axis=axis) * (1.0 / n)
 
 
 def texp(a: Tensor) -> Tensor:

@@ -82,8 +82,19 @@ def test_synth_bad_spec(tmp_path, capsys):
         {"n": 10, "features": [{"waves": [[24, 1.0]]}]},
         [SPEC],
         {"n": 10, "features": []},
+        {"n": 10, "features": [{"slope": float("nan")}]},
+        {"n": 10, "features": [{"slope": float("-inf")}]},
+        {"n": 10, "features": [{"waves": [[24, float("inf"), 0.0]]}]},
+        {"n": 10, "features": [{"waves": [[24, 1.0, float("nan")]]}]},
+        {"n": 10, "features": [{"noise_std": -0.1}]},
+        {"n": 10, "features": [{"noise_std": float("nan")}]},
+        {"n": 10, "features": [{"noise_std": float("inf")}]},
     ],
-    ids=["no-features", "n-not-a-number", "short-wave", "top-level-list", "zero-features"],
+    ids=[
+        "no-features", "n-not-a-number", "short-wave", "top-level-list", "zero-features",
+        "nan-slope", "infinite-slope", "infinite-amplitude", "nan-phase",
+        "negative-noise", "nan-noise", "infinite-noise",
+    ],
 )
 def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
     bad = tmp_path / "bad.json"

@@ -370,21 +370,23 @@ def test_extract_features_targets_follow_window(rng):
     np.testing.assert_array_equal(Y[2], values[18:21].ravel())
 
 
-def test_extract_features_deterministic_and_chunk_invariant(rng):
+def test_extract_features_deterministic_and_chunk_invariant(rng, monkeypatch):
     model = tiny_model()
     values = rng.normal(size=(60, 2))
-    X1 = extract_features(model, values, 16, 4, chunk=64)
-    X2 = extract_features(model, values, 16, 4, chunk=5)
+    X1 = extract_features(model, values, 16, 4)
+    monkeypatch.setattr(evaluation, "_ENCODE_LOOKBACKS", 5)
+    X2 = extract_features(model, values, 16, 4)
     np.testing.assert_allclose(X1, X2, atol=1e-12)
 
 
-def test_extract_features_equals_per_window_stack(rng):
+def test_extract_features_equals_per_window_stack(rng, monkeypatch):
     # lookbacks come from a strided view; each chunk must reach the encoder
     # with the same bytes as stacking the windows one by one
     model = tiny_model()
     values = rng.normal(size=(100, 2))
     T, P, chunk = 16, 4, 32
-    X = extract_features(model, values, T, P, chunk=chunk)
+    monkeypatch.setattr(evaluation, "_ENCODE_LOOKBACKS", chunk)
+    X = extract_features(model, values, T, P)
     Y = probe_targets(values, T, P, 1)
     m = len(values) - T - P + 1
     assert X.tobytes() == per_window_features(model, values, T, P, chunk).tobytes()
@@ -414,8 +416,9 @@ def test_extract_features_segments_equal_per_window_stack(rng, monkeypatch, T, s
     assert model.config.backbone.receptive_field == 13
     values = rng.normal(size=(300, 2))
     P, chunk = 4, 5
+    monkeypatch.setattr(evaluation, "_ENCODE_LOOKBACKS", chunk)
     calls = record_encoder_calls(model, monkeypatch)
-    X = extract_features(model, values, T, P, chunk=chunk)
+    X = extract_features(model, values, T, P)
     calls = list(calls)  # before the reference below adds its own calls
     assert all(batch * rows <= chunk * T for batch, rows in calls)
     if segmented:
@@ -453,9 +456,9 @@ def test_evaluate_horizons_report(rng):
     spec = split(table)
     table = standardize(table, spec)
     model = tiny_model()
-    report = evaluate_horizons(
-        model, table, spec, T=16, horizons=[4, 8, 500], dataset_name="toy"
-    )
+    # a repeated horizon is scored, and a repeated misfit warned of, once
+    report = evaluate_horizons(model, table, spec, T=16, horizons=[4, 8, 4, 500, 500])
+    assert report.dataset == "unnamed" and report.config == {} and report.timestamp == ""
     assert [e["horizon"] for e in report.entries] == [4, 8]
     assert len(report.warnings) == 1 and "500" in report.warnings[0]
     assert abs(report.avg_mse - np.mean([e["mse"] for e in report.entries])) < 1e-12

@@ -12,9 +12,6 @@ from mffftnet.facm import (
     facm_apply,
     freq_contrastive_loss,
     make_facm_params,
-    mean_amplitude,
-    select_topk,
-    topk_count,
 )
 from mffftnet.fourier import as_complex, irfft, rfft
 from mffftnet.tensor import Tensor
@@ -49,46 +46,51 @@ def identity_style_params(K, T):
 # -- amplitude ranking -------------------------------------------------------
 
 
+def kept_bins(z, mask_ratio):
+    """The bins ``facm._topk_mask`` keeps of a (c, 2K) spectrum array."""
+    mask = facm._topk_mask(z, mask_ratio)
+    assert mask.shape == (*z.shape[:-1], 1) and set(np.unique(mask)) <= {0.0, 1.0}
+    return list(np.flatnonzero(mask))
+
+
 def test_mean_amplitude_zero_spectrum():
-    np.testing.assert_array_equal(
-        mean_amplitude(spectrum_of(np.zeros((3, 2)))), np.zeros(3)
-    )
+    # every bin ties at 0, so the lowest two are kept
+    assert kept_bins(spectrum_of(np.zeros((3, 2))).data, 2 / 3) == [0, 1]
 
 
 def test_mean_amplitude_single_channel():
-    s = spectrum_of(np.array([[3 + 4j], [0 + 0j]]))
-    np.testing.assert_allclose(mean_amplitude(s), [5.0, 0.0])
+    # |3 + 4i| = 5 outranks |0|, and a larger real part alone would not
+    s = spectrum_of(np.array([[3 + 4j], [4.5 + 0j]]))
+    assert kept_bins(s.data, 1 / 2) == [0]
 
 
 def test_mean_amplitude_oracle(rng):
     vals = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
-    np.testing.assert_allclose(
-        mean_amplitude(spectrum_of(vals)), np.abs(vals).mean(axis=1), atol=1e-12
-    )
+    expect = np.argsort(-np.abs(vals).mean(axis=1), kind="stable")[:3]
+    assert kept_bins(spectrum_of(vals).data, 1 / 3) == sorted(expect)
 
 
 def test_select_topk_full_retention():
-    assert list(select_topk(np.array([3.0, 1.0, 2.0]), 1.0)) == [0, 1, 2]
+    assert kept_bins(spectrum_of(np.array([[3.0], [1.0], [2.0]])).data, 1.0) == [0, 1, 2]
 
 
 def test_select_topk_argmax():
-    assert list(select_topk(np.array([0.1, 9.0, 0.2]), 1 / 3)) == [1]
+    assert kept_bins(spectrum_of(np.array([[0.1], [9.0], [0.2]])).data, 1 / 3) == [1]
 
 
 def test_select_topk_tie_prefers_lower_index():
-    assert list(select_topk(np.array([5.0, 5.0, 1.0]), 1 / 3)) == [0]
+    assert kept_bins(spectrum_of(np.array([[5.0], [5.0], [1.0]])).data, 1 / 3) == [0]
 
 
 def test_select_topk_sinusoid_period_16():
     t = np.arange(64)
     x = np.sin(2 * np.pi * t / 16)[:, None]
-    A = mean_amplitude(naive_dft(Tensor(x)))
-    assert list(select_topk(A, 1 / 33)) == [4]  # 64 / 16
+    assert kept_bins(naive_dft(Tensor(x)).data, 1 / 33) == [4]  # 64 / 16
 
 
 def test_topk_count_floor_and_clamp():
-    assert topk_count(33, 0.4) == 13
-    assert topk_count(5, 0.01) == 1
+    assert len(kept_bins(spectrum_of(np.ones((33, 1))).data, 0.4)) == 13
+    assert len(kept_bins(spectrum_of(np.ones((5, 1))).data, 0.01)) == 1
 
 
 # -- forward path ------------------------------------------------------------
@@ -123,7 +125,7 @@ def test_hard_masking_drops_masked_bins(rng):
     cfg = FacmConfig(mask_ratio=0.3, dropout_rate=0.0)
     r = rng.normal(size=(T, K))
     spec = rfft(Tensor(r))
-    keep = select_topk(mean_amplitude(spec), cfg.mask_ratio)
+    keep = kept_bins(spec.data, cfg.mask_ratio)
     # zero the masked input bins externally; output must be identical
     full = as_complex(spec.data)
     masked = np.zeros_like(full)
@@ -153,8 +155,10 @@ def test_reweighted_spectrum_is_the_complex_product(rng):
     cfg = FacmConfig(mask_ratio=0.4, dropout_rate=0.0)
     r = rng.normal(size=(B, T, K))
     spec = np.fft.rfft(r, axis=-2)
+    amp = np.abs(spec).mean(axis=-1)
     mask = np.zeros(spec.shape[:-1])
-    np.put_along_axis(mask, select_topk(np.abs(spec).mean(axis=-1), cfg.mask_ratio), 1.0, axis=-1)
+    k = int(np.floor((T // 2 + 1) * cfg.mask_ratio))
+    np.put_along_axis(mask, np.argsort(-amp, axis=-1, kind="stable")[:, :k], 1.0, axis=-1)
     w = params["facm.omega.re"].data + 1j * params["facm.omega.im"].data
     beta = params["facm.beta.re"].data + 1j * params["facm.beta.im"].data
     expect = (mask[..., None] * spec) @ w + beta
