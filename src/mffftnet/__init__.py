@@ -8,7 +8,7 @@ from .encoder import BackboneConfig
 from .facm import FacmConfig
 from .model import Model, ModelConfig
 from .tensor import Parameter, Tensor
-from .training import TrainConfig, fit, fine_tune, total_loss
+from .training import TrainConfig, fit, total_loss
 
 __all__ = [
     "AugmentConfig",
@@ -21,7 +21,6 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "augment_view",
-    "fine_tune",
     "fit",
     "series_stats",
     "total_loss",

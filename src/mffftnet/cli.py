@@ -219,9 +219,11 @@ def cmd_ablate(args) -> int:
 
 
 def _perturb_train_rows(table, pert: PerturbationSpec, train_end: int):
-    """``table`` with ``pert`` applied to the rows before ``train_end`` only."""
-    values = data_mod.inject(table, pert).values
-    values[train_end:] = table.values[train_end:]
+    """``table`` with ``pert`` applied to the rows before ``train_end`` only,
+    so that its ratio is a share of the train cells."""
+    rows = slice(None, train_end)
+    train = replace(table, timestamps=table.timestamps[rows], values=table.values[rows])
+    values = np.concatenate([data_mod.inject(train, pert).values, table.values[train_end:]])
     return replace(table, values=values)
 
 
@@ -282,9 +284,12 @@ def cmd_transfer(args) -> int:
         ft_epochs = int(cfg["train.epochs"]) // 2
     ft_cfg = cfg.override({"train.epochs": ft_epochs})
     ft_train_cfg = ft_cfg.train_config()
-    train_mod.check_input_transfer(
-        pre_std.num_features == ft_std.num_features, args.reinit_input
-    )
+    if pre_std.num_features != ft_std.num_features and not args.reinit_input:
+        raise ConfigurationError(
+            "checkpoint input layer was trained for a different feature "
+            "count; pass --reinit-input to re-initialize the input linear "
+            "layer and transfer the rest"
+        )
     pre_cfg = cfg
     if args.pretrain_epochs is not None:
         pre_cfg = cfg.override({"train.epochs": args.pretrain_epochs})
@@ -293,15 +298,16 @@ def cmd_transfer(args) -> int:
     ft_model = Model.build(
         ft_cfg.model_config(ft_std.num_features), init_seed=int(ft_cfg["seed"])
     )
-    train_mod.fine_tune(
-        model.state_arrays(),
-        steps,
-        ft_model,
-        _train_windows(ft_std, ft_spec, ft_cfg),
-        ft_train_cfg,
-        ft_cfg.augment_config(),
-        reinit_input=args.reinit_input,
-    )
+    state = model.state_arrays()
+    if args.reinit_input:
+        # the input linear layer keeps its fresh initialization
+        for name in ("backbone.lin.w", "backbone.lin.b"):
+            state[name] = ft_model.params[name].data
+    ft_model.load_state(state)
+    if ft_epochs:
+        # the augmentation and dropout draws carry on from the pretraining steps
+        wins = _train_windows(ft_std, ft_spec, ft_cfg)
+        train_mod.fit(wins, ft_model, ft_train_cfg, ft_cfg.augment_config(), start_step=steps)
     report = _evaluate(ft_model, ft_std, ft_spec, ft_cfg, Path(args.finetune_data).stem)
     _write(args.report, report.to_json())
     print(report.console_table())
@@ -355,7 +361,10 @@ def cmd_synth(args) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read synthetic spec {args.spec}: {exc}") from exc
     n, features, seed = _synthetic_spec(spec)
-    table = data_mod.gen_synthetic(n, features, seed=seed)
+    try:
+        table = data_mod.gen_synthetic(n, features, seed=seed)
+    except MemoryError:
+        raise ConfigurationError(f"{n} synthetic rows do not fit in memory") from None
     lines = ["date," + ",".join(table.feature_names)]
     for stamp, row in zip(table.timestamps, table.values):
         lines.append(stamp + "," + ",".join(repr(float(v)) for v in row))

@@ -344,7 +344,12 @@ def gen_synthetic(
     T_total: int, components: list[SyntheticFeature], seed: int = 0
 ) -> SeriesTable:
     """x_d[t] = sum_i amp*sin(2 pi t/period + phase) + slope*t + noise, one
-    column per component."""
+    column per component, stamped hourly from 2020-01-01. More rows than
+    those stamps can reach before ``datetime.max`` raise ParameterError."""
+    origin = datetime(2020, 1, 1)
+    max_rows = (datetime.max - origin) // timedelta(hours=1) + 1
+    if T_total > max_rows:
+        raise ParameterError(f"at most {max_rows} hourly rows fit, got {T_total}")
     D = len(components)
     rng = np.random.default_rng(seed)
     t = np.arange(T_total, dtype=np.float64)
@@ -358,7 +363,6 @@ def gen_synthetic(
         if comp.noise_std > 0:
             col = col + rng.normal(0.0, comp.noise_std, size=T_total)
         values[:, d] = col
-    origin = datetime(2020, 1, 1)
     stamps = [(origin + timedelta(hours=int(i))).isoformat(sep=" ") for i in range(T_total)]
     names = [f"f{d}" for d in range(D)]
     return SeriesTable(stamps, values, names)

@@ -1,5 +1,5 @@
 """Joint training: the weighted two-term loss, SGD with momentum and weight
-decay, the epoch loop, binary checkpoints, and the fine-tune path."""
+decay, the epoch loop and binary checkpoints."""
 
 from __future__ import annotations
 
@@ -259,45 +259,3 @@ def load_checkpoint(path) -> Checkpoint:
     if buf.tell() != len(raw):
         raise ConfigurationError(f"{path}: {len(raw) - buf.tell()} trailing bytes")
     return Checkpoint(params, exempt, config_text, epoch, step)
-
-
-def check_input_transfer(same_input: bool, reinit_input: bool) -> None:
-    """A pretrained input layer transfers only to the same feature count;
-    otherwise ``reinit_input`` must be set, or ConfigurationError is raised."""
-    if not same_input and not reinit_input:
-        raise ConfigurationError(
-            "checkpoint input layer was trained for a different feature "
-            "count; pass --reinit-input to re-initialize the input linear "
-            "layer and transfer the rest"
-        )
-
-
-def fine_tune(
-    params: dict[str, np.ndarray],
-    start_step: int,
-    model: Model,
-    train_windows: np.ndarray,
-    cfg: TrainConfig,
-    aug_cfg: AugmentConfig,
-    reinit_input: bool = False,
-) -> list[dict]:
-    """Load the pretrained arrays ``params`` into ``model`` and continue
-    fitting from step ``start_step``.
-
-    A feature-count mismatch only touches the input linear layer; with
-    ``reinit_input`` that layer keeps its fresh initialization and
-    everything else is restored.
-    """
-    state = dict(params)
-    lin_keys = ("backbone.lin.w", "backbone.lin.b")
-    mismatch = any(
-        k in state and state[k].shape != model.params[k].data.shape for k in lin_keys
-    )
-    check_input_transfer(not mismatch, reinit_input)
-    if mismatch:
-        for k in lin_keys:
-            state[k] = model.params[k].data.copy()
-    model.load_state(state)
-    if cfg.epochs == 0:
-        return []
-    return fit(train_windows, model, cfg, aug_cfg, start_step=start_step)

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -13,10 +14,10 @@ from mffftnet import cli
 from mffftnet import training as train_mod
 from mffftnet.cli import ABLATION_VARIANTS, main
 from mffftnet.config import DEFAULTS, RunConfig, _coerce
-from mffftnet.data import PerturbationSpec, load_csv, split
-from mffftnet.evaluation import ForecastReport
+from mffftnet.data import PerturbationSpec, load_csv, split, standardize, window_batch
+from mffftnet.evaluation import ForecastReport, evaluate_horizons
 from mffftnet.model import Model
-from mffftnet.training import load_checkpoint, save_checkpoint
+from mffftnet.training import fit, load_checkpoint, save_checkpoint
 from tests.test_data import MALFORMED, field_limit_100  # noqa: F401 (a fixture)
 from tests.test_training import tiny_model
 
@@ -89,11 +90,14 @@ def test_synth_bad_spec(tmp_path, capsys):
         {"n": 10, "features": [{"noise_std": -0.1}]},
         {"n": 10, "features": [{"noise_std": float("nan")}]},
         {"n": 10, "features": [{"noise_std": float("inf")}]},
+        {"n": 10**12, "features": [{}]},
+        {"n": 10**19, "features": [{}]},
     ],
     ids=[
         "no-features", "n-not-a-number", "short-wave", "top-level-list", "zero-features",
         "nan-slope", "infinite-slope", "infinite-amplitude", "nan-phase",
-        "negative-noise", "nan-noise", "infinite-noise",
+        "negative-noise", "nan-noise", "infinite-noise", "n-past-datetime-max",
+        "n-past-int64",
     ],
 )
 def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
@@ -102,6 +106,19 @@ def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
     assert main(["synth", str(bad), str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_synth_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.data_mod, "gen_synthetic", out_of_memory)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    assert main(["synth", str(spec), str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _one_line_error(err) and "memory" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -613,6 +630,20 @@ def test_robustness_missing_rows(tmp_path, corpus, kind):
     np.testing.assert_array_equal(perturbed.values[train_end:], table.values[train_end:])
 
 
+@pytest.mark.parametrize("kind", ["missing", "noise"])
+@pytest.mark.parametrize("ratio", [0.1, 0.35, 1.0])
+def test_robustness_ratio_is_a_share_of_the_train_cells(corpus, kind, ratio):
+    table = load_csv(corpus)
+    train_end = split(table).train_end
+    perturbed = cli._perturb_train_rows(
+        table, PerturbationSpec(kind=kind, ratio=ratio, seed=5), train_end
+    )
+    changed = perturbed.values != table.values
+    assert changed[:train_end].sum() == math.ceil(ratio * table.values[:train_end].size)
+    assert not changed[train_end:].any()
+    assert perturbed.timestamps == table.timestamps
+
+
 def test_robustness_bad_kind_exits_2(tmp_path, corpus):
     rc = main(
         [
@@ -727,6 +758,32 @@ def test_transfer_zero_finetune_matches_pretrained_eval(tmp_path, corpus, monkey
     assert d[8] == pytest.approx(t[8], abs=1e-12)
 
 
+def test_transfer_continues_the_pretraining_step_counter(tmp_path, corpus):
+    rep = tmp_path / "tr.json"
+    assert main(
+        ["transfer", str(corpus), str(corpus), "--pretrain-epochs", "1",
+         "--finetune-epochs", "1", "--report", str(rep), *FAST]
+    ) == 0
+    # the same protocol by hand: fine-tuning's augmentation and dropout draws
+    # carry on from the last pretraining step
+    cfg = cli._resolve_config(
+        cli.build_parser().parse_args(["train", str(corpus), "--out", "m.bin", *FAST])
+    )
+    table = load_csv(corpus)
+    spec = split(table)
+    std = standardize(table, spec)
+    wins = window_batch(std, spec.train_range, 32, int(cfg["window.stride"])).windows
+    train_cfg, aug_cfg = cfg.train_config(), cfg.augment_config()
+    pre = Model.build(cfg.model_config(2), init_seed=int(cfg["seed"]))
+    fit(wins, pre, train_cfg, aug_cfg)
+    ft = Model.build(cfg.model_config(2), init_seed=int(cfg["seed"]))
+    ft.load_state(pre.state_arrays())
+    fit(wins, ft, train_cfg, aug_cfg, start_step=len(wins) // train_cfg.batch_size)
+    alphas = tuple(cfg.float_list("eval.ridge_alphas"))
+    by_hand = evaluate_horizons(ft, std, spec, 32, [8], str(cfg["eval.mode"]), alphas)
+    assert ForecastReport.from_json(rep.read_text()).entries == by_hand.entries
+
+
 @pytest.fixture()
 def wide_corpus(tmp_path):
     spec = tmp_path / "spec3.json"
@@ -761,6 +818,45 @@ def test_transfer_bad_finetune_input_exits_2_before_training(
     assert rc == 2 and err.startswith("error: ") and _one_line_error(err)
     assert needle in err
     assert not rep.exists()
+
+
+@pytest.mark.parametrize(
+    "target, reinit",
+    [("corpus", True), ("wide_corpus", True), ("corpus", False)],
+)
+def test_transfer_reinit_input_keeps_a_fresh_input_layer(
+    tmp_path, monkeypatch, request, target, reinit
+):
+    corpus, finetune = request.getfixturevalue("corpus"), request.getfixturevalue(target)
+    models = {}
+    build_and_fit, evaluate = cli._build_and_fit, cli._evaluate
+
+    def pretrain(*args):
+        fitted = build_and_fit(*args)
+        models["pre"] = fitted[0]
+        return fitted
+
+    def capture(model, *args):
+        models["ft"] = model
+        return evaluate(model, *args)
+
+    monkeypatch.setattr(cli, "_build_and_fit", pretrain)
+    monkeypatch.setattr(cli, "_evaluate", capture)
+    flag = ["--reinit-input"] if reinit else []
+    rep = tmp_path / "tr.json"
+    assert main(
+        ["transfer", str(corpus), str(finetune), "--finetune-epochs", "0", "--seed", "2",
+         "--report", str(rep), *FAST, *flag]
+    ) == 0
+    pre, ft = models["pre"].params, models["ft"].params
+    fresh = Model.build(models["ft"].config, init_seed=2).params
+    lin = {"backbone.lin.w", "backbone.lin.b"}
+    assert set(ft) == set(pre)
+    for name in ft:
+        want = fresh[name] if reinit and name in lin else pre[name]
+        np.testing.assert_array_equal(ft[name].data, want.data, err_msg=name)
+    # pretraining moved the input layer, so the two sources differ
+    assert not np.array_equal(pre["backbone.lin.w"].data, fresh["backbone.lin.w"].data)
 
 
 # -- outputs -----------------------------------------------------------------

@@ -539,6 +539,12 @@ def test_synthetic_bad_period():
         D.gen_synthetic(10, [D.SyntheticFeature(waves=[(0.0, 1.0, 0.0)])])
 
 
+def test_synthetic_rows_stop_at_the_last_hourly_timestamp():
+    # 2020-01-01 plus 69 951 239 hours is the last whole hour before datetime.max
+    with pytest.raises(ParameterError, match="at most 69951240 hourly rows"):
+        D.gen_synthetic(69_951_241, [D.SyntheticFeature()])
+
+
 def test_bundled_two_sine_deterministic():
     a, b = two_sine(), two_sine()
     np.testing.assert_array_equal(a.values, b.values)

@@ -1,5 +1,5 @@
 """Joint loss composition, SGD with momentum and decay, the epoch loop,
-checkpoint round-trips, and fine-tuning."""
+and checkpoint round-trips."""
 
 import tracemalloc
 from dataclasses import replace
@@ -24,7 +24,6 @@ from mffftnet.tensor import Parameter, Tensor
 from mffftnet.training import (
     Checkpoint,
     TrainConfig,
-    fine_tune,
     fit,
     load_checkpoint,
     save_checkpoint,
@@ -487,72 +486,6 @@ def test_load_state_mismatch_raises_configuration_error():
     del state["backbone.lin.w"]
     with pytest.raises(ConfigurationError, match="missing"):
         model.load_state(state)
-
-
-# -- fine-tuning -------------------------------------------------------------
-
-
-def test_fine_tune_zero_epochs_restores_state(tmp_path, rng):
-    pre = tiny_model(seed=2)
-    path = tmp_path / "pre.bin"
-    save_checkpoint(path, pre, "t")
-    ck = load_checkpoint(path)
-    fresh = tiny_model(seed=8)
-    hist = fine_tune(
-        ck.params, ck.step, fresh, tiny_batch(rng, B=4), TrainConfig(epochs=0), AUG
-    )
-    assert hist == []
-    for name in pre.params:
-        np.testing.assert_array_equal(fresh.params[name].data, pre.params[name].data)
-
-
-def test_fine_tune_feature_mismatch_requires_reinit(tmp_path, rng):
-    pre = tiny_model(D=3, seed=2)
-    path = tmp_path / "pre.bin"
-    save_checkpoint(path, pre, "t")
-    ck = load_checkpoint(path)
-    target = tiny_model(D=2, seed=8)
-    with pytest.raises(ConfigurationError, match="reinit-input"):
-        fine_tune(
-            ck.params, ck.step, target, tiny_batch(rng, B=4, D=2), TrainConfig(epochs=0), AUG
-        )
-
-
-def test_fine_tune_reinit_input_keeps_fresh_lin(tmp_path, rng):
-    pre = tiny_model(D=3, seed=2)
-    path = tmp_path / "pre.bin"
-    save_checkpoint(path, pre, "t")
-    ck = load_checkpoint(path)
-    target = tiny_model(D=2, seed=8)
-    fresh_lin = target.params["backbone.lin.w"].data.copy()
-    fine_tune(
-        ck.params,
-        ck.step,
-        target,
-        tiny_batch(rng, B=4, D=2),
-        TrainConfig(epochs=0),
-        AUG,
-        reinit_input=True,
-    )
-    np.testing.assert_array_equal(target.params["backbone.lin.w"].data, fresh_lin)
-    np.testing.assert_array_equal(
-        target.params["backbone.proj.w"].data, pre.params["backbone.proj.w"].data
-    )
-
-
-def test_fine_tune_continues_step_counter(tmp_path, rng):
-    pre = tiny_model(seed=2)
-    path = tmp_path / "pre.bin"
-    save_checkpoint(path, pre, "t", epoch=3, step=11)
-    ck = load_checkpoint(path)
-    wins = tiny_batch(rng, B=4)
-    cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=1e-7)
-    target = tiny_model(seed=8)
-    hist = fine_tune(ck.params, ck.step, target, wins, cfg, AUG)
-    # the augmentation draws carry on from step 11, bit for bit
-    reference = tiny_model(seed=8)
-    reference.load_state(ck.params)
-    assert len(hist) == 1 and hist == fit(wins, reference, cfg, AUG, start_step=11)
 
 
 def test_config_rejects_negative_weights():
