@@ -286,9 +286,9 @@ def cmd_transfer(args) -> int:
     ft_train_cfg = ft_cfg.train_config()
     if pre_std.num_features != ft_std.num_features and not args.reinit_input:
         raise ConfigurationError(
-            "checkpoint input layer was trained for a different feature "
-            "count; pass --reinit-input to re-initialize the input linear "
-            "layer and transfer the rest"
+            f"{args.pretrain_data} has {pre_std.num_features} features but "
+            f"{args.finetune_data} has {ft_std.num_features}; pass --reinit-input "
+            "to re-initialize the input linear layer and transfer the rest"
         )
     pre_cfg = cfg
     if args.pretrain_epochs is not None:

@@ -164,22 +164,25 @@ def _smooth_length(n: int) -> int:
 _CORR_ROWS = 1024
 
 
-# Complex elements of one group's spectra in ``_lag_sums``: a feature
-# column takes (blocks + D) x bins of them (bins = F // 2 + 1), its block
-# spectra and its lag spectrum, and a group as many whole columns as fit,
-# at least one. Correlating 720 lags (2 cores, numpy 2.4, medians of 11
-# interleaved runs, traced peak in brackets): for 34 336 x 320 features
-# against 7 columns, 698 ms (20 MB) at 2^17 elements, 533 ms (22 MB) at
-# 2^18, 466 ms (26 MB) at 2^19, 484-509 ms (34-51 MB) at 2^20-2^21 and
-# 503 ms (198 MB) in one group; for 8553 x 32 against 7, 17 ms (5-7 MB) at
-# 2^17-2^18 and 16 ms (9.5 MB) from 2^19 on, where one group holds every
-# column. 2^19 is the smallest budget that costs no time on either.
-_GROUP_ELEMS = 2**19
+# Array elements one column of a group makes in ``_lag_sums``: its block
+# spectra (blocks x bins complex), its per-bin products (D x bins complex)
+# and its lag output (D x F real), with bins = F // 2 + 1. A group takes as
+# many whole columns as fit, at least one, so its arrays never hold more
+# than 16 bytes times this budget. The correlations of one ETTh1-shaped
+# probe (both splits and every horizon's tail rows; D=7, horizons 24-720;
+# 2 cores, numpy 2.4; medians of 41 interleaved runs at K=32 and 15 at
+# K=320, the largest traced excess over the output in brackets) took 23
+# and 238 ms at 2^15 (1.0 MB), 31 and 301 ms at 2^16 (1.2 MB), 24 and 230
+# ms at 2^17 (1.9 MB), 22.5 and 213 ms at 2^18 (3.0 MB), 25 and 223 ms at
+# 2^19 (5.3-5.4 MB) and 25 and 231 ms at 2^20 (7.7-10.7 MB). 2^18 is the
+# fastest at both widths.
+_GROUP_ELEMS = 2**18
 
 
-def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int) -> np.ndarray:
+def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int, less=None) -> np.ndarray:
     """K x lags x D: [k, p, d] = sum_i A[i, k] u[i + p, d], with u read as
-    zero past its last row.
+    zero past its last row; given a K x lags x D array ``less``, it is
+    returned less these sums, subtracted in place.
 
     An overlap-add correlation: block b of B rows, A[bB : bB + B], is
     correlated with the F values of u from row bB on. At the FFT length F
@@ -188,14 +191,17 @@ def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int) -> np.ndarray:
     irfft of length F gives them. F follows ``lags`` and ``_CORR_ROWS``, not
     len(A); at most B rows are one block.
 
-    The feature columns go through in groups of at most ``_GROUP_ELEMS``
-    spectrum elements: a group's block spectra, one GEMM per bin over all
-    blocks, and one irfft give its columns of the lag sums. Full blocks are
-    a reshaped view of A, and rfft's length argument pads the last, partial
-    one, so no buffer K columns wide grows with len(A); u and its block
-    spectra, D columns wide, are transformed once. Each lag sum is the same
-    sum over the blocks whatever the grouping, and the sums match a dense
-    sum within ~1e-15 relative."""
+    The feature columns go through in groups whose block spectra, per-bin
+    products and lag output take at most ``_GROUP_ELEMS`` elements: a
+    group's block spectra, one GEMM per bin over all blocks, written in the
+    layout the irfft reads, and one irfft give its columns of the lag sums.
+    Full blocks are a reshaped view of A, and rfft's length argument pads
+    the last, partial one, so no buffer K columns wide grows with len(A); u
+    and its block spectra, D columns wide, are transformed once. For D > 1
+    each lag sum is the same sum over the blocks whatever the grouping; for
+    D = 1 numpy hands the per-bin products to a BLAS matrix-vector kernel,
+    whose rounding follows the group's width. The sums match a dense sum
+    within ~1e-15 relative."""
     (m, K), D = A.shape, u.shape[1]
     fft_len = _smooth_length(min(_CORR_ROWS, m) + lags - 1)
     rows = min(fft_len - lags + 1, m)  # B, widened to fill F
@@ -203,10 +209,11 @@ def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int) -> np.ndarray:
     padded = np.zeros(((blocks - 1) * rows + fft_len, D))  # past it no lag reads u
     n = min(len(u), len(padded))
     padded[:n] = u[:n]
-    segments = sliding_window_view(padded, fft_len, axis=0)[::rows]  # blocks x D x F
-    fu = np.fft.rfft(segments, fft_len)
-    cols = min(K, max(1, _GROUP_ELEMS // ((blocks + D) * bins)))
-    sums = np.empty((K, lags, D))
+    # blocks x D x bins
+    fu = np.fft.rfft(sliding_window_view(padded, fft_len, axis=0)[::rows], fft_len)
+    del padded
+    cols = min(K, max(1, _GROUP_ELEMS // ((blocks + D) * bins + D * fft_len)))
+    sums = np.empty((K, lags, D)) if less is None else less
     for lo in range(0, K, cols):
         hi = min(lo + cols, K)
         fa = np.empty((blocks, bins, hi - lo), dtype=complex)
@@ -216,11 +223,16 @@ def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int) -> np.ndarray:
         if full < blocks:
             np.fft.rfft(A[full * rows :, lo:hi], fft_len, axis=0, out=fa[full])
         np.conj(fa, out=fa)
-        # bins x columns x D: the products of every block summed, one GEMM per bin
-        spectrum = np.matmul(fa.transpose(1, 2, 0), fu.transpose(2, 0, 1))
+        # columns x D x bins: the products of every block summed, one GEMM
+        # per bin, contiguous along the bins so the irfft copies nothing
+        spectrum = np.empty((hi - lo, D, bins), dtype=complex)
+        np.matmul(fa.transpose(1, 2, 0), fu.transpose(2, 0, 1), out=spectrum.transpose(2, 0, 1))
         del fa  # or the irfft's output is made beside it
-        lagged = np.fft.irfft(spectrum.transpose(1, 2, 0), fft_len)  # columns x D x F
-        sums[lo:hi] = lagged[..., :lags].transpose(0, 2, 1)
+        lagged = np.fft.irfft(spectrum, fft_len)  # columns x D x F
+        if less is None:
+            sums[lo:hi] = lagged[..., :lags].transpose(0, 2, 1)
+        else:
+            sums[lo:hi] -= lagged[..., :lags].transpose(0, 2, 1)
         del spectrum, lagged  # or they stay alive beside the next group's
     return sums
 
@@ -248,72 +260,86 @@ class _TargetSeries:
     Syy. The Gram works the same way: the Gram of all m0 rows about c,
     computed once, less the tail rows' Gram, plus the rank-one terms of the
     shift d = c - x0: with s the sum of the kept A rows,
-    sum_i (A_i + d)(A_i + d)^T = S + s d^T + d s^T + m d d^T."""
+    sum_i (A_i + d)(A_i + d)^T = S + s d^T + d s^T + m d d^T.
+
+    Once the lag sums and the Gram are made, the series keeps of A only
+    what the horizons read: the rows past the longest horizon's cut, which
+    hold every horizon's tail, and each horizon's s. An s summed over the
+    kept rows, not the total less the tail's sum, leaves the metrics' bits
+    as they were. Of the running sums it keeps the first and the last
+    longest-horizon rows. So once the caller drops X, no array the series
+    holds grows with the split."""
 
     def __init__(self, X: np.ndarray, u: np.ndarray, horizons):
         self.u = u
         self.means = {P: X[: len(u) - P + 1].mean(axis=0) for P in horizons}
         self.c = X.mean(axis=0)
         X -= self.c
-        self.A = X
-        self.lags = _lag_sums(self.A, u, max(horizons))
-        self.gram = self.A.T @ self.A
-        zero = np.zeros((1, u.shape[1]))
-        self.sums = np.concatenate([zero, np.cumsum(u, axis=0)])
-        self.squares = np.concatenate([zero, np.cumsum(u * u, axis=0)])
+        self.lags = _lag_sums(X, u, max(horizons))
+        self.gram = X.T @ X
+        self.cut = len(u) - max(horizons) + 1
+        self.tail = X[self.cut :].copy()
+        self.row_sums = {P: X[: len(u) - P + 1].sum(axis=0) for P in horizons}
+        # running sums of u and u^2; horizon P reads the first and the last P
+        running = np.zeros((len(u) + 1, 2, u.shape[1]))
+        np.cumsum(u, axis=0, out=running[1:, 0])
+        np.cumsum(u * u, axis=0, out=running[1:, 1])
+        self.head, self.last = running[: max(horizons)].copy(), running[-max(horizons) :].copy()
 
     def moments(self, P: int, centre: Moments | None = None) -> Moments:
         """Moments of the first ``n - P + 1`` feature rows against their
         horizon-P targets, about ``centre``'s (x0, y0) or, without one,
         about their own means."""
         m = len(self.u) - P + 1
-        ysum = self.sums[m : m + P] - self.sums[:P]  # P x D_out
-        ysq = (self.squares[m : m + P] - self.squares[:P]).ravel()
+        sums = self.last[-P:] - self.head[:P]
+        ysum, ysq = sums[:, 0], sums[:, 1].ravel()  # P x D_out each
         x0, y0 = (self.means[P], ysum.ravel() / m) if centre is None else (centre.x0, centre.y0)
         d = self.c - x0
-        tail = self.A[m:]
-        lags = self.lags[:, :P] + np.multiply.outer(d, ysum)
+        tail = self.tail[m - self.cut :]
+        lags = np.multiply.outer(d, ysum)  # K x P x D_out, then the lag sums
+        lags += self.lags[:, :P]
         if len(tail):
-            lags -= _lag_sums(tail, self.u[m:], P)
-        s = self.A[:m].sum(axis=0)
+            _lag_sums(tail, self.u[m:], P, less=lags)
+        s = self.row_sums[P]
         gram = self.gram - tail.T @ tail + np.outer(s, d) + np.outer(d, s) + m * np.outer(d, d)
-        cross = lags.reshape(len(x0), -1) - np.outer(s + m * d, y0)
+        cross = lags.reshape(len(x0), -1)
+        cross -= np.outer(s + m * d, y0)
         ysum = ysum.ravel()
         syy = float(np.sum(ysq - 2 * y0 * ysum + m * y0 * y0))
         return Moments(rows=m, x0=x0, y0=y0, gram=gram, cross=cross, syy=syy)
 
 
-def predict(probe: RidgeProbe, X: np.ndarray) -> np.ndarray:
-    out = X @ probe.weights
-    out += probe.intercept
-    return out
-
-
 # Errors per block in ``score``: a block takes as many rows as keep its
-# predictions within this many elements (4 MB), at least one. Scoring an
+# predictions within this many elements (4 MB), at least one, and the one
+# buffer every block is written into holds that many. Scoring an
 # ETTh1-shaped test split (K=32, D_out=7, horizons 24-720; 2 cores, medians
 # of 21 interleaved runs, three rounds) took 96-97 ms in blocks of 256 rows,
 # 106-107 ms at 2^17 elements, 109-114 ms at 2^18, 98-102 ms at 2^19 and
 # 90-92 ms at 2^20. 2^19 is the smallest budget within 5% of 256 rows,
-# whose block holds 10 MB of errors at P=720.
+# whose block holds 10 MB of errors at P=720. Written into one buffer, the
+# five horizons' scoring took 88 ms against 89 ms with a new array per
+# block (medians of 21 interleaved runs); either traces 4.2 MB at P=720.
 _SCORE_ELEMS = 2**19
 
 
 def score(probe: RidgeProbe, X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
     """(MSE, MAE) of the predictions for X; Y is M x (P*D_out) or the
     M x P x D_out target windows. The rows are scored in blocks of at most
-    ``_SCORE_ELEMS`` errors, accumulating the sums of err^2 and |err|, so
-    no array holds more than one block's errors."""
+    ``_SCORE_ELEMS`` errors, accumulating the sums of err^2 and |err|. Every
+    block's predictions are written into one buffer, straight from a view
+    of X's rows, so no array holds more than one block's errors."""
     rows = max(1, _SCORE_ELEMS // probe.weights.shape[1])
+    buf = np.empty((min(rows, len(X)), probe.weights.shape[1]))
     sq, ab = 0.0, 0.0
     for lo in range(0, len(X), rows):
         target = Y[lo : lo + rows]
-        err = predict(probe, X[lo : lo + rows]).reshape(target.shape)
-        err -= target
+        err = np.matmul(X[lo : lo + rows], probe.weights, out=buf[: len(target)])
+        err += probe.intercept
+        windows = err.reshape(target.shape)
+        windows -= target
         err = err.ravel()
         sq += float(err @ err)
         ab += float(np.abs(err, out=err).sum())
-        del err  # or the next block's predictions are made beside it
     return sq / Y.size, ab / Y.size
 
 
@@ -391,7 +417,8 @@ def fit_ridge(
         if sse < best_sse:
             best, best_sse = (alpha, d), sse
     alpha, d = best
-    W = Q @ (d[:, None] * ct)
+    ct *= d[:, None]
+    W = Q @ ct
     return RidgeProbe(weights=W, intercept=train.y0 - train.x0 @ W, ridge_alpha=alpha)
 
 
@@ -438,7 +465,8 @@ def evaluate_horizons(
     ranges = [split_spec.train_range, split_spec.valid_range, split_spec.test_range]
     splits = [table.values[a:b] for a, b in ranges]
     P0 = min(fitting)
-    # each series owns and centres its features, so none is named here
+    # each series centres its features in place and keeps only their tail
+    # rows, so none is named here and a split's are freed before the next
     train, valid = (
         _TargetSeries(
             extract_features(model, values, T, P0),
@@ -451,6 +479,7 @@ def evaluate_horizons(
     for P in fitting:
         fit = train.moments(P)
         probe = fit_ridge(fit, valid.moments(P, centre=fit), alpha_grid)
+        del fit  # its cross moments are as large as the weights
         m = _rows(len(splits[2]), T, P)
         mse, mae = score(
             probe,
@@ -460,6 +489,7 @@ def evaluate_horizons(
         report.entries.append(
             {"horizon": P, "mse": mse, "mae": mae, "ridge_alpha": probe.ridge_alpha}
         )
+        del probe  # or it stays alive beside the next horizon's moments
     report.finalize()
     return report
 

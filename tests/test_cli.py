@@ -817,6 +817,8 @@ def test_transfer_bad_finetune_input_exits_2_before_training(
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error: ") and _one_line_error(err)
     assert needle in err
+    if case == "feature-count":  # the two data files, by name, with their counts
+        assert f"{corpus} has 2 features but {finetune} has 3; pass --reinit-input" in err
     assert not rep.exists()
 
 

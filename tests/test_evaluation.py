@@ -16,6 +16,7 @@ from mffftnet.evaluation import (
     RidgeProbe,
     _after_lookback,
     _CORR_ROWS,
+    _lag_sums,
     _SCORE_ELEMS,
     _smooth_length,
     _target_windows,
@@ -23,7 +24,6 @@ from mffftnet.evaluation import (
     evaluate_horizons,
     extract_features,
     fit_ridge,
-    predict,
     score,
     train_mean_baseline,
 )
@@ -64,7 +64,7 @@ def test_score_blocks_match_dense(rng, rows):
     X = rng.normal(size=(rows, 4))
     values = rng.normal(size=(rows + 511, 4))
     Y = _target_windows(values, 0, 512, 0, "multivariate")  # rows x 512 x 4 view
-    err = predict(probe, X) - Y.reshape(rows, -1)
+    err = X @ probe.weights + probe.intercept - Y.reshape(rows, -1)
     mse, mae = score(probe, X, Y)
     assert abs(mse - np.mean(err**2)) <= 1e-12 * np.mean(err**2)
     assert abs(mae - np.mean(np.abs(err))) <= 1e-12 * np.mean(np.abs(err))
@@ -120,7 +120,8 @@ def test_ridge_huge_alpha_predicts_column_means(rng):
     X = rng.normal(size=(60, 3))
     Y = rng.normal(size=(60, 2))
     probe = _solve_ridge(X, Y, alpha=1e12)
-    np.testing.assert_allclose(predict(probe, X), np.tile(Y.mean(axis=0), (60, 1)), atol=1e-6)
+    predictions = X @ probe.weights + probe.intercept
+    np.testing.assert_allclose(predictions, np.tile(Y.mean(axis=0), (60, 1)), atol=1e-6)
 
 
 def test_fit_ridge_selects_validation_winner(rng):
@@ -289,10 +290,31 @@ def test_target_series_moments_span_blocks(rng, monkeypatch, mode, block, n_afte
         check_series_moments(rng, mode, n_after, P0, P_max)
 
 
+def test_lag_sums_group_stays_within_its_budget(rng, monkeypatch):
+    # one block of 300 rows at F = 400, and a budget of 8 columns counted
+    # by their block spectra and per-bin products alone: a group's arrays,
+    # its lag output too, must stay within 16 bytes an element of it
+    K, m, lags, D = 64, 300, 100, 7
+    fft_len = _smooth_length(m + lags - 1)
+    budget = 8 * (1 + D) * (fft_len // 2 + 1)
+    monkeypatch.setattr(evaluation, "_GROUP_ELEMS", budget)
+    A, u = rng.normal(size=(m, K)), rng.normal(size=(m + lags, D))
+    _lag_sums(A, u, lags)  # so the FFT plans are cached before the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sums = _lag_sums(A, u, lags)
+        peak = tracemalloc.get_traced_memory()[1] - base - sums.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * budget, f"{peak / (16 * budget):.2f}x the budget"
+
+
 def traced_series_and_score(rng, m0, K=64, D=7, horizons=(24, 48, 96, 192)):
     """The traced peak above its inputs of one split's ``_TargetSeries``,
-    every horizon's moments and then ``score`` at the longest horizon, and
-    the bytes the series keeps: features, lag sums and cumulative sums."""
+    every horizon's moments and then ``score`` at the longest horizon; the
+    bytes the series keeps: lag sums, tail rows and running sums; and the
+    bytes of the values it is handed."""
     feats = rng.normal(size=(m0, K))
     u = rng.normal(size=(m0 + min(horizons) - 1, D))
     P = max(horizons)
@@ -310,19 +332,22 @@ def traced_series_and_score(rng, m0, K=64, D=7, horizons=(24, 48, 96, 192)):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in (series.A, series.lags, series.sums, series.squares))
-    return peak, kept
+    kept = sum(a.nbytes for a in (series.lags, series.tail, series.head, series.last))
+    return peak, kept, u.nbytes
 
 
 def test_probe_working_memory_does_not_grow_with_the_split(rng):
-    # a split 4x longer, with the same K, D and horizons, may raise the
-    # peak by no more than it raises what the series keeps: the correlation
-    # and the scoring work in buffers of a fixed number of elements. At
-    # 8000 rows the 64 feature columns already take two groups.
-    peak, kept = traced_series_and_score(rng, 8_000)
-    peak4, kept4 = traced_series_and_score(rng, 32_000)
-    assert peak4 - peak <= kept4 - kept, (
-        f"peak grew {(peak4 - peak) / 1e6:.1f} MB, kept {(kept4 - kept) / 1e6:.1f} MB"
+    # a split 4x longer, with the same K, D and horizons, leaves what the
+    # series keeps as it was and may raise the peak by no more than the
+    # bytes of its D = 7 value columns: the correlation and the scoring work
+    # in buffers of a fixed number of elements, and no array K = 64 columns
+    # wide grows with the split. At 8000 rows the feature columns already
+    # take several groups.
+    peak, kept, values = traced_series_and_score(rng, 8_000)
+    peak4, kept4, values4 = traced_series_and_score(rng, 32_000)
+    assert kept4 == kept
+    assert peak4 - peak <= values4 - values, (
+        f"peak grew {(peak4 - peak) / 1e6:.2f} MB, values {(values4 - values) / 1e6:.2f} MB"
     )
 
 
