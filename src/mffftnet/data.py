@@ -244,11 +244,11 @@ def load_csv(path) -> SeriesTable:
     except OSError as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from exc
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")  # a check only: the text is not kept
     except UnicodeDecodeError:
         raise DataError(f"{path} is not valid UTF-8 text") from None
-    # decoded again in chunks: an io.StringIO of ``text`` would hold a copy
-    # of it at 4 bytes a character while loadtxt runs
+    # decoded in chunks as it is read, so no decoded copy of the file is
+    # alive while loadtxt runs; only the fault path decodes it whole again
     lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
     reader = csv.reader(lines)
     try:
@@ -269,7 +269,7 @@ def load_csv(path) -> SeriesTable:
         or any(c in raw for c in _LOADTXT_ONLY_SPACE)
         or not _rows_pass(timestamps, values, lengths)
     ):
-        fault = _fault(path, text, header, values)
+        fault = _fault(path, raw.decode("utf-8"), header, values)
         if fault is not None:
             raise fault
         if values is None:  # loadtxt rejects only rows that hold a fault

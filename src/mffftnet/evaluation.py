@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,9 +27,20 @@ DEFAULT_ALPHA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 @dataclass
 class RidgeProbe:
+    """Predictions x @ weights + intercept. ``coef`` stacks the weights over
+    the intercept, (K + 1) x (P * D_out), so that ``score`` multiplies [x, 1]
+    by it in one GEMM; ``weights`` and ``intercept`` are views of it. A
+    probe given the two apart stacks them once."""
+
     weights: np.ndarray  # K x (P * D_out)
     intercept: np.ndarray  # P * D_out
     ridge_alpha: float
+    coef: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.coef is None:
+            self.coef = np.vstack([self.weights, self.intercept])
+            self.weights, self.intercept = self.coef[:-1], self.coef[-1]
 
 
 @dataclass
@@ -164,22 +176,49 @@ def _smooth_length(n: int) -> int:
 _CORR_ROWS = 1024
 
 
-# Array elements one column of a group makes in ``_lag_sums``: its block
-# spectra (blocks x bins complex), its per-bin products (D x bins complex)
-# and its lag output (D x F real), with bins = F // 2 + 1. A group takes as
+# Array elements a group of columns makes in ``_lag_sums``. A column takes
+# its block spectra (blocks x bins complex), its per-bin products (D x bins
+# complex) and its lag output (D x F real), with bins = F // 2 + 1. u's
+# block spectra (blocks x D x bins) are made once, outside the groups, when
+# they take at most half of this; past that, each group makes them a chunk
+# of blocks at a time, the chunk and a second D x bins product per column
+# are counted too, and a group sums its chunks' products. A group takes as
 # many whole columns as fit, at least one, so its arrays never hold more
-# than 16 bytes times this budget. The correlations of one ETTh1-shaped
-# probe (both splits and every horizon's tail rows; D=7, horizons 24-720;
-# 2 cores, numpy 2.4; medians of 41 interleaved runs at K=32 and 15 at
-# K=320, the largest traced excess over the output in brackets) took 23
-# and 238 ms at 2^15 (1.0 MB), 31 and 301 ms at 2^16 (1.2 MB), 24 and 230
-# ms at 2^17 (1.9 MB), 22.5 and 213 ms at 2^18 (3.0 MB), 25 and 223 ms at
-# 2^19 (5.3-5.4 MB) and 25 and 231 ms at 2^20 (7.7-10.7 MB). 2^18 is the
-# fastest at both widths.
+# than 16 bytes times this budget. One ETTh1-shaped probe's correlations
+# (both splits' series and every horizon's moments; D=7, horizons 24-720,
+# random features; 2 cores, numpy 2.4; medians of 21 interleaved runs at
+# K=32 and 7 at K=320, the tails at the same budget; in brackets the
+# traced excess of the train split's correlation over its output) took 94
+# and 850 ms at 2^16 (0.7 MB), where u's spectra take more than half the
+# budget and are made in every group, 62 and 606 ms at 2^17 (1.9 MB), 57
+# and 523 ms at 2^18 (3.0 MB) and 60 and 483 ms at 2^19 (5.1 MB). 2^18
+# is the fastest at the benchmark's width, K=32, and the smallest within
+# 10% of the fastest at K=320. The tail rows' correlations in ``moments``
+# run at the probe's peak, beside two cross moments, so they take half of
+# it: one desk probe on the ETTh1-shaped corpus then traces 8.2 MB,
+# against 9.5 MB at the full budget, and takes 139 against 134 ms; the
+# K=320 series, moments and fits took 487 against 503 ms (medians of 15
+# alternating runs, each within the other's quartiles).
 _GROUP_ELEMS = 2**18
 
 
-def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int, less=None) -> np.ndarray:
+def _block_spectra(u: np.ndarray, first: int, stop: int, rows: int, fft_len: int) -> np.ndarray:
+    """(stop - first) x D x bins: for each block b from ``first`` to
+    ``stop``, the rfft of the F values of u from row b * rows on, read as
+    zero past u's last row. Blocks that lie inside u are windows of a view;
+    each other block is one transform that pads, so no padded copy of u is
+    made."""
+    out = np.empty((stop - first, u.shape[1], fft_len // 2 + 1), dtype=complex)
+    inside = min(stop, max(first, (len(u) - fft_len) // rows + 1))
+    if inside > first:
+        windows = sliding_window_view(u[first * rows :], fft_len, axis=0)[::rows][: inside - first]
+        np.fft.rfft(windows, fft_len, out=out[: inside - first])
+    for b in range(inside, stop):
+        np.fft.rfft(u[b * rows : b * rows + fft_len], fft_len, axis=0, out=out[b - first].T)
+    return out
+
+
+def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int, less=None, elems=None) -> np.ndarray:
     """K x lags x D: [k, p, d] = sum_i A[i, k] u[i + p, d], with u read as
     zero past its last row; given a K x lags x D array ``less``, it is
     returned less these sums, subtracted in place.
@@ -191,43 +230,69 @@ def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int, less=None) -> np.ndarray:
     irfft of length F gives them. F follows ``lags`` and ``_CORR_ROWS``, not
     len(A); at most B rows are one block.
 
-    The feature columns go through in groups whose block spectra, per-bin
-    products and lag output take at most ``_GROUP_ELEMS`` elements: a
-    group's block spectra, one GEMM per bin over all blocks, written in the
-    layout the irfft reads, and one irfft give its columns of the lag sums.
-    Full blocks are a reshaped view of A, and rfft's length argument pads
-    the last, partial one, so no buffer K columns wide grows with len(A); u
-    and its block spectra, D columns wide, are transformed once. For D > 1
-    each lag sum is the same sum over the blocks whatever the grouping; for
-    D = 1 numpy hands the per-bin products to a BLAS matrix-vector kernel,
-    whose rounding follows the group's width. The sums match a dense sum
-    within ~1e-15 relative."""
+    The feature columns go through in groups whose arrays take at most
+    ``elems`` elements (``_GROUP_ELEMS`` unless given): a group's block
+    spectra, one product per bin over all blocks, written in the layout the
+    irfft reads, and one irfft give its columns of the lag sums. Full
+    blocks are a reshaped view of A, and rfft's length argument pads the
+    last, partial one; u's block spectra come from a view of u too
+    (``_block_spectra``). On a split of one chunk of blocks (see
+    ``_GROUP_ELEMS``) they are made once; on a longer one each group makes
+    them a chunk at a time. So no array grows with len(A).
+
+    For D > 1 numpy's own matmul loop sums each bin's products over the
+    blocks in order, the same for any group of two or more columns (a
+    one-column group takes its matrix-vector path). For D = 1 numpy would
+    hand every group to BLAS's matrix-vector kernel, whose rounding follows
+    the group's width, and its complex multiply rounds by the layout too;
+    so there the products are taken in real arithmetic and added up a block
+    at a time, and univariate lag sums are the same bits for any grouping.
+    The sums match a dense sum within ~1e-15 relative."""
     (m, K), D = A.shape, u.shape[1]
+    elems = _GROUP_ELEMS if elems is None else elems
     fft_len = _smooth_length(min(_CORR_ROWS, m) + lags - 1)
     rows = min(fft_len - lags + 1, m)  # B, widened to fill F
     blocks, bins, full = -(-m // rows), fft_len // 2 + 1, m // rows
-    padded = np.zeros(((blocks - 1) * rows + fft_len, D))  # past it no lag reads u
-    n = min(len(u), len(padded))
-    padded[:n] = u[:n]
-    # blocks x D x bins
-    fu = np.fft.rfft(sliding_window_view(padded, fft_len, axis=0)[::rows], fft_len)
-    del padded
-    cols = min(K, max(1, _GROUP_ELEMS // ((blocks + D) * bins + D * fft_len)))
+    chunk = min(blocks, max(1, elems // (2 * D * bins)))
+    if chunk == blocks:
+        fu = _block_spectra(u, 0, blocks, rows, fft_len)
+        cols = elems // ((blocks + D) * bins + D * fft_len)
+    else:
+        fu = None
+        cols = (elems - D * chunk * bins) // ((chunk + 2 * D) * bins + D * fft_len)
+    cols = min(K, max(1, cols))
     sums = np.empty((K, lags, D)) if less is None else less
     for lo in range(0, K, cols):
         hi = min(lo + cols, K)
-        fa = np.empty((blocks, bins, hi - lo), dtype=complex)
-        if full:
-            blocked = A[: full * rows].reshape(full, rows, K)[..., lo:hi]
-            np.fft.rfft(blocked, fft_len, axis=1, out=fa[:full])
-        if full < blocks:
-            np.fft.rfft(A[full * rows :, lo:hi], fft_len, axis=0, out=fa[full])
-        np.conj(fa, out=fa)
-        # columns x D x bins: the products of every block summed, one GEMM
-        # per bin, contiguous along the bins so the irfft copies nothing
-        spectrum = np.empty((hi - lo, D, bins), dtype=complex)
-        np.matmul(fa.transpose(1, 2, 0), fu.transpose(2, 0, 1), out=spectrum.transpose(2, 0, 1))
-        del fa  # or the irfft's output is made beside it
+        spectrum = np.empty((hi - lo, D, bins), dtype=complex)  # columns x D x bins
+        for first in range(0, blocks, chunk):
+            stop = min(first + chunk, blocks)
+            fa = np.empty((stop - first, bins, hi - lo), dtype=complex)
+            whole = min(stop, full) - first  # full blocks of A in this chunk
+            if whole > 0:
+                blocked = A[first * rows : (first + whole) * rows].reshape(whole, rows, K)
+                np.fft.rfft(blocked[..., lo:hi], fft_len, axis=1, out=fa[:whole])
+            if stop > full:
+                np.fft.rfft(A[full * rows :, lo:hi], fft_len, axis=0, out=fa[full - first])
+            np.conj(fa, out=fa)
+            fub = _block_spectra(u, first, stop, rows, fft_len) if fu is None else fu
+            # the products of every block in the chunk summed, per bin,
+            # contiguous along the bins so the irfft copies nothing
+            part = spectrum if first == 0 else np.empty_like(spectrum)
+            if D == 1:  # real arithmetic, a block at a time
+                ur, ui = fub[:, 0, :, None].real, fub[:, 0, :, None].imag
+                re, im = np.zeros((bins, hi - lo)), np.zeros((bins, hi - lo))
+                for b, block in enumerate(fa):
+                    re += block.real * ur[b] - block.imag * ui[b]
+                    im += block.real * ui[b] + block.imag * ur[b]
+                part[:, 0].real, part[:, 0].imag = re.T, im.T
+            else:
+                out = part.transpose(2, 0, 1)
+                np.matmul(fa.transpose(1, 2, 0), fub.transpose(2, 0, 1), out=out)
+            del fa, fub  # or the next chunk's, or the irfft's output, is made beside them
+            if first:
+                spectrum += part
+            del part
         lagged = np.fft.irfft(spectrum, fft_len)  # columns x D x F
         if less is None:
             sums[lo:hi] = lagged[..., :lags].transpose(0, 2, 1)
@@ -235,6 +300,40 @@ def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int, less=None) -> np.ndarray:
             sums[lo:hi] -= lagged[..., :lags].transpose(0, 2, 1)
         del spectrum, lagged  # or they stay alive beside the next group's
     return sums
+
+
+def _running_ends(u: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last ``keep`` rows of the running sums of u and
+    u^2, (n + 1) x 2 x D with a leading row of zeros. They are made
+    ``_CORR_ROWS`` rows at a time: each chunk's cumsum starts from the last
+    row of the one before, which adds the same numbers in the same order as
+    one cumsum over all of u, so the rows are the same bits."""
+    n, D = u.shape
+    first = n + 1 - keep  # the running row ``last`` starts at
+    head, last = np.zeros((keep, 2, D)), np.empty((keep, 2, D))
+    run = np.zeros((min(_CORR_ROWS, n) + 1, 2, D))  # run[j] is running row lo + j
+    for lo in range(0, n, _CORR_ROWS):
+        block = u[lo : lo + _CORR_ROWS]
+        hi = lo + len(block)
+        run[1 : len(block) + 1, 0] = block
+        np.multiply(block, block, out=run[1 : len(block) + 1, 1])
+        seeded = run[1 if lo == 0 else 0 : len(block) + 1]  # no zero row to add first
+        np.cumsum(seeded, axis=0, out=seeded)
+        top = min(hi, keep - 1)
+        if top > lo:
+            head[lo + 1 : top + 1] = run[1 : top - lo + 1]
+        if hi >= first:
+            start = max(lo, first)
+            last[start - first : hi + 1 - first] = run[start - lo : len(block) + 1]
+        run[0] = run[len(block)]
+    return head, last
+
+
+class Centre(NamedTuple):
+    """The point (x0, y0) that moments are taken about."""
+
+    x0: np.ndarray  # K
+    y0: np.ndarray  # P * D_out
 
 
 class _TargetSeries:
@@ -267,8 +366,9 @@ class _TargetSeries:
     hold every horizon's tail, and each horizon's s. An s summed over the
     kept rows, not the total less the tail's sum, leaves the metrics' bits
     as they were. Of the running sums it keeps the first and the last
-    longest-horizon rows. So once the caller drops X, no array the series
-    holds grows with the split."""
+    longest-horizon rows, made in row chunks (``_running_ends``). So once
+    the caller drops X, no array the series holds or makes grows with the
+    split."""
 
     def __init__(self, X: np.ndarray, u: np.ndarray, horizons):
         self.u = u
@@ -280,63 +380,95 @@ class _TargetSeries:
         self.cut = len(u) - max(horizons) + 1
         self.tail = X[self.cut :].copy()
         self.row_sums = {P: X[: len(u) - P + 1].sum(axis=0) for P in horizons}
-        # running sums of u and u^2; horizon P reads the first and the last P
-        running = np.zeros((len(u) + 1, 2, u.shape[1]))
-        np.cumsum(u, axis=0, out=running[1:, 0])
-        np.cumsum(u * u, axis=0, out=running[1:, 1])
-        self.head, self.last = running[: max(horizons)].copy(), running[-max(horizons) :].copy()
+        # horizon P reads the first and the last P rows of the running sums
+        self.head, self.last = _running_ends(u, max(horizons))
 
-    def moments(self, P: int, centre: Moments | None = None) -> Moments:
+    def _target_sums(self, P: int) -> np.ndarray:
+        """P x 2 x D_out: the sums of the horizon-P targets and their squares."""
+        return self.last[-P:] - self.head[:P]
+
+    def centre(self, P: int) -> Centre:
+        """The means of the first ``n - P + 1`` feature rows and of their
+        horizon-P targets: the centre ``moments(P)`` takes by default."""
+        return Centre(self.means[P], self._target_sums(P)[:, 0].ravel() / (len(self.u) - P + 1))
+
+    def moments(self, P: int, centre: Moments | Centre | None = None) -> Moments:
         """Moments of the first ``n - P + 1`` feature rows against their
         horizon-P targets, about ``centre``'s (x0, y0) or, without one,
-        about their own means."""
+        about their own means. The only K x P * D_out array it makes is the
+        cross moment it returns."""
         m = len(self.u) - P + 1
-        sums = self.last[-P:] - self.head[:P]
+        sums = self._target_sums(P)
         ysum, ysq = sums[:, 0], sums[:, 1].ravel()  # P x D_out each
-        x0, y0 = (self.means[P], ysum.ravel() / m) if centre is None else (centre.x0, centre.y0)
+        x0, y0 = self.centre(P) if centre is None else (centre.x0, centre.y0)
         d = self.c - x0
         tail = self.tail[m - self.cut :]
         lags = np.multiply.outer(d, ysum)  # K x P x D_out, then the lag sums
         lags += self.lags[:, :P]
-        if len(tail):
-            _lag_sums(tail, self.u[m:], P, less=lags)
+        if len(tail):  # at the probe's peak, beside two cross moments: half the budget
+            _lag_sums(tail, self.u[m:], P, less=lags, elems=_GROUP_ELEMS // 2)
         s = self.row_sums[P]
         gram = self.gram - tail.T @ tail + np.outer(s, d) + np.outer(d, s) + m * np.outer(d, d)
         cross = lags.reshape(len(x0), -1)
-        cross -= np.outer(s + m * d, y0)
+        shift = s + m * d  # cross -= outer(shift, y0), a block of rows at a time
+        step = max(1, _SCORE_ELEMS // cross.shape[1])
+        for lo in range(0, len(shift), step):
+            cross[lo : lo + step] -= np.outer(shift[lo : lo + step], y0)
         ysum = ysum.ravel()
         syy = float(np.sum(ysq - 2 * y0 * ysum + m * y0 * y0))
         return Moments(rows=m, x0=x0, y0=y0, gram=gram, cross=cross, syy=syy)
 
 
-# Errors per block in ``score``: a block takes as many rows as keep its
-# predictions within this many elements (4 MB), at least one, and the one
-# buffer every block is written into holds that many. Scoring an
-# ETTh1-shaped test split (K=32, D_out=7, horizons 24-720; 2 cores, medians
-# of 21 interleaved runs, three rounds) took 96-97 ms in blocks of 256 rows,
-# 106-107 ms at 2^17 elements, 109-114 ms at 2^18, 98-102 ms at 2^19 and
-# 90-92 ms at 2^20. 2^19 is the smallest budget within 5% of 256 rows,
-# whose block holds 10 MB of errors at P=720. Written into one buffer, the
-# five horizons' scoring took 88 ms against 89 ms with a new array per
-# block (medians of 21 interleaved runs); either traces 4.2 MB at P=720.
-_SCORE_ELEMS = 2**19
+# Errors per block in ``score``, and rows x columns per block of the
+# moments' rank-one update: 2^17 elements (1 MB). A score block takes whole
+# steps, a multiple of 16 of them and at most ``_SCORE_COLS`` columns (at
+# least one step), and as many rows as keep both its errors and its copy
+# of the feature rows within the budget: at D_out = 7 and P past 144, 130
+# rows of 1008 columns. Blocks whose columns start at multiples of 16
+# give the same predictions, bit for bit, as one GEMM over the whole split
+# does with OpenBLAS (1022-column blocks did not). Scoring an ETTh1-shaped
+# test split (horizons 24-720, D_out=7; 2 cores; medians of 21 interleaved
+# runs at K=32 and 9 at K=320) took 83 and 235 ms in these blocks, 80 and
+# 260 ms in full-width blocks of 2^17 errors, and 83 and 203 ms in the
+# full-width blocks of 2^19 errors (4 MB) scored before, with the intercept
+# added in a pass of its own. Each GEMM repacks the weights it reads: at
+# K=320 and P=720, 26-row full-width blocks repack all of them 76 times,
+# 130-row blocks 16 times. At P=720 scoring traces 1.2 MB above its inputs
+# at K=32 and 1.5 MB at K=320, against 4.2 MB before.
+_SCORE_ELEMS = 2**17
+_SCORE_COLS = 2**10
+
+
+def _error_blocks(probe: RidgeProbe, X: np.ndarray, Y: np.ndarray):
+    """Yield the errors of the predictions for X against the M x P x D_out
+    targets Y, a block at a time, as (row, step, errors): errors[i, j * D_out
+    + d] is the error of row ``row + i`` at step ``step + j``, value d. A
+    block's rows are copied once beside a ones column, so one GEMM against
+    ``probe.coef`` adds the intercept too, and every block is written into
+    one buffer: a caller that keeps a block must copy it."""
+    (M, P, D), K = Y.shape, X.shape[1]
+    steps = min(P, max(1, _SCORE_COLS // D // 16 * 16))
+    rows = min(M, max(1, _SCORE_ELEMS // max(steps * D, K + 1)))
+    xb, buf = np.ones((rows, K + 1)), np.empty(rows * steps * D)
+    for lo in range(0, M, rows):
+        hi = min(lo + rows, M)
+        xb[: hi - lo, :K] = X[lo:hi]
+        for p in range(0, P, steps):
+            q = min(p + steps, P)
+            err = buf[: (hi - lo) * (q - p) * D].reshape(hi - lo, (q - p) * D)
+            np.matmul(xb[: hi - lo], probe.coef[:, p * D : q * D], out=err)
+            windows = err.reshape(hi - lo, q - p, D)
+            windows -= Y[lo:hi, p:q]
+            yield lo, p, err
 
 
 def score(probe: RidgeProbe, X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
     """(MSE, MAE) of the predictions for X; Y is M x (P*D_out) or the
-    M x P x D_out target windows. The rows are scored in blocks of at most
-    ``_SCORE_ELEMS`` errors, accumulating the sums of err^2 and |err|. Every
-    block's predictions are written into one buffer, straight from a view
-    of X's rows, so no array holds more than one block's errors."""
-    rows = max(1, _SCORE_ELEMS // probe.weights.shape[1])
-    buf = np.empty((min(rows, len(X)), probe.weights.shape[1]))
+    M x P x D_out target windows. The errors come in blocks of at most
+    ``_SCORE_ELEMS`` (``_error_blocks``), and the sums of err^2 and |err|
+    accumulate over them, so no array holds more than one block's errors."""
     sq, ab = 0.0, 0.0
-    for lo in range(0, len(X), rows):
-        target = Y[lo : lo + rows]
-        err = np.matmul(X[lo : lo + rows], probe.weights, out=buf[: len(target)])
-        err += probe.intercept
-        windows = err.reshape(target.shape)
-        windows -= target
+    for _, _, err in _error_blocks(probe, X, Y if Y.ndim == 3 else Y[..., None]):
         err = err.ravel()
         sq += float(err @ err)
         ab += float(np.abs(err, out=err).sum())
@@ -401,25 +533,41 @@ def fit_ridge(
     O(K^2) per alpha, and W is formed for the winner only. G is positive
     semi-definite, so its eigenvalues are clipped at 0 and lam + alpha > 0
     for every alpha the grid may hold. On a well-conditioned Gram W matches
-    ``np.linalg.solve(G + alpha I, C)`` within 1e-10 relative."""
+    ``np.linalg.solve(G + alpha I, C)`` within 1e-10 relative.
+
+    The weights and the intercept are written into one (K + 1) x (P * D_out)
+    array, the probe's ``coef``. Neither argument is changed, but each is
+    let go once its cross moment has been read, so when the caller keeps no
+    reference to the moments (``evaluate_horizons`` keeps none) at most
+    three K x (P * D_out) arrays are alive at once: the train cross moment,
+    the validation one and Ct, then the validation one, Ct and Q^T C_v,
+    then Ct and ``coef``. This needs CPython 3.11 or later: before, a call
+    keeps its caller's reference to each argument until it returns."""
     _check_alphas(alpha_grid)
     if train.rows < 2:
         raise ConfigurationError("ridge probe needs at least 2 training rows")
     lam, Q = np.linalg.eigh(train.gram)
     lam = np.maximum(lam, 0.0)
     ct = Q.T @ train.cross
+    x0, y0 = train.x0, train.y0
+    del train
     S = (Q.T @ valid.gram @ Q) * (ct @ ct.T)
     t = np.einsum("ij,ij->i", Q.T @ valid.cross, ct)
+    syy = valid.syy
+    del valid
     best, best_sse = None, np.inf
     for alpha in alpha_grid:
         d = 1.0 / (lam + alpha)
-        sse = d @ S @ d - 2 * d @ t + valid.syy
+        sse = d @ S @ d - 2 * d @ t + syy
         if sse < best_sse:
             best, best_sse = (alpha, d), sse
     alpha, d = best
     ct *= d[:, None]
-    W = Q @ ct
-    return RidgeProbe(weights=W, intercept=train.y0 - train.x0 @ W, ridge_alpha=alpha)
+    coef = np.empty((len(ct) + 1, ct.shape[1]))
+    W = np.matmul(Q, ct, out=coef[:-1])
+    del ct
+    np.subtract(y0, x0 @ W, out=coef[-1])
+    return RidgeProbe(weights=W, intercept=coef[-1], ridge_alpha=alpha, coef=coef)
 
 
 def evaluate_horizons(
@@ -477,9 +625,9 @@ def evaluate_horizons(
     )
     test = extract_features(model, splits[2], T, P0)
     for P in fitting:
-        fit = train.moments(P)
-        probe = fit_ridge(fit, valid.moments(P, centre=fit), alpha_grid)
-        del fit  # its cross moments are as large as the weights
+        # no name holds the moments, so fit_ridge frees each split's once
+        # it has read its cross moment
+        probe = fit_ridge(train.moments(P), valid.moments(P, train.centre(P)), alpha_grid)
         m = _rows(len(splits[2]), T, P)
         mse, mae = score(
             probe,

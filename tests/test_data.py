@@ -5,6 +5,7 @@ import ast
 import csv
 import json
 import sys
+import tracemalloc
 import unicodedata
 from pathlib import Path
 
@@ -252,6 +253,23 @@ def test_load_csv_matches_oracle_on_benchmark_corpora(tmp_path, make, seed):
     new, old = D.load_csv(path), oracles.load_csv(path)
     assert new.values.tobytes() == old.values.tobytes() and new.values.flags.c_contiguous
     assert new.timestamps == old.timestamps and new.feature_names == old.feature_names
+
+
+def test_load_csv_keeps_no_decoded_copy_while_parsing(tmp_path):
+    # the ETTh1-shaped corpus (2.7 MB): its bytes, the parse's arrays and
+    # the parsed table, but no decoded text of the whole file beside them
+    path = tmp_path / "corpus.csv"
+    etth1_like_csv(path, 1)
+    D.load_csv(path)  # so one-time imports and caches are not traced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        D.load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak <= 2.5 * size, f"{peak / size:.2f}x the file's bytes"
 
 
 _INF = f"{np.float64('inf')!r}"

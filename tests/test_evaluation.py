@@ -1,6 +1,7 @@
 """Ridge forecasting probe: closed-form solve, alpha selection, feature
 extraction geometry, and report serialization."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,9 @@ from mffftnet.evaluation import (
     RidgeProbe,
     _after_lookback,
     _CORR_ROWS,
+    _error_blocks,
     _lag_sums,
+    _running_ends,
     _SCORE_ELEMS,
     _smooth_length,
     _target_windows,
@@ -68,6 +71,26 @@ def test_score_blocks_match_dense(rng, rows):
     mse, mae = score(probe, X, Y)
     assert abs(mse - np.mean(err**2)) <= 1e-12 * np.mean(err**2)
     assert abs(mae - np.mean(np.abs(err))) <= 1e-12 * np.mean(np.abs(err))
+
+
+@pytest.mark.parametrize("K, rtol", [(32, 0.0), (320, 1e-14)])
+def test_score_predictions_equal_x_w_plus_b(rng, K, rtol):
+    # blocks of rows x steps, the intercept added by the GEMM through a ones
+    # column: against zero targets each block's errors are its predictions
+    rows, P, D = 300, 192, 7  # 1344 columns: two column blocks, three row blocks
+    probe = RidgeProbe(
+        weights=rng.normal(size=(K, P * D)), intercept=rng.normal(size=P * D), ridge_alpha=1.0
+    )
+    X = rng.normal(size=(rows, K))
+    want = (X @ probe.weights + probe.intercept).reshape(rows, P, D)
+    got = np.full((rows, P, D), np.nan)
+    for lo, p, err in _error_blocks(probe, X, np.zeros((rows, P, D))):
+        got[lo : lo + len(err), p : p + err.shape[1] // D] = err.reshape(len(err), -1, D)
+        assert err.size <= _SCORE_ELEMS
+    if rtol == 0.0:
+        assert got.tobytes() == want.tobytes()
+    else:  # every block is filled: a NaN left in ``got`` fails this too
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 # -- ridge solver ------------------------------------------------------------
@@ -308,6 +331,89 @@ def test_lag_sums_group_stays_within_its_budget(rng, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * budget, f"{peak / (16 * budget):.2f}x the budget"
+
+
+def test_univariate_lag_sums_do_not_depend_on_the_group_width(rng, monkeypatch):
+    # D = 1 over 30 blocks (B = 16 -> F = 90 -> B = 67): the per-bin
+    # products summed over the blocks give the same bits in groups of 1, 5
+    # and all K columns
+    monkeypatch.setattr(evaluation, "_CORR_ROWS", 16)
+    K, m, lags = 12, 2000, 24
+    fft_len = _smooth_length(16 + lags - 1)
+    blocks, bins = -(-m // (fft_len - lags + 1)), fft_len // 2 + 1
+    A, u = rng.normal(size=(m, K)), rng.normal(size=(m + lags, 1))
+    irfft, groups = np.fft.irfft, []
+
+    def counted(a, *args, **kw):  # one call per group, a row per column
+        groups.append(len(a))
+        return irfft(a, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    sums = []
+    for cols in (1, 5, K):
+        # at least twice u's block spectra, so that they are made once
+        budget = max(cols * ((blocks + 1) * bins + fft_len), 2 * blocks * bins)
+        monkeypatch.setattr(evaluation, "_GROUP_ELEMS", budget)
+        groups.clear()
+        sums.append(_lag_sums(A, u, lags))
+        assert max(groups) == cols
+    assert sums[0].tobytes() == sums[1].tobytes() == sums[2].tobytes()
+
+
+def test_running_sums_in_chunks_equal_one_cumsum(rng):
+    # 5000 rows take five chunks; the kept rows straddle chunk borders
+    n, keep = 5000, 1500
+    u = rng.normal(size=(n, 3))
+    running = np.zeros((n + 1, 2, 3))
+    np.cumsum(u, axis=0, out=running[1:, 0])
+    np.cumsum(u * u, axis=0, out=running[1:, 1])
+    assert n > 4 * _CORR_ROWS
+    head, last = _running_ends(u, keep)
+    assert head.tobytes() == running[:keep].tobytes()
+    assert last.tobytes() == running[-keep:].tobytes()
+
+
+def test_ridge_half_at_the_paper_width_stays_within_its_stage_budgets(rng):
+    # K = 320 random features at the ETTh1 split shapes (T = 201, horizons
+    # 24-720, D = 7), run as evaluate_horizons runs them. Above the two
+    # series (30 MiB), each horizon's moments take at most the two cross
+    # moments and the correlation's buffers, fit_ridge at most three K x
+    # P * D arrays and score the probe and its blocks: 12.3 MiB each at P =
+    # 720. Before CPython 3.11 a call keeps its caller's reference to each
+    # argument, so fit_ridge cannot let the train cross moment go early.
+    K, D, T, horizons = 320, 7, 201, [24, 48, 168, 336, 720]
+    values = [rng.normal(size=(n, D)) for n in (8640, 2880, 2880)]
+    test_x = rng.normal(size=(2880 - T - 23, K))
+    budget = {"moments": 30, "fit": 41 if sys.version_info >= (3, 11) else 54, "score": 14}
+    peaks = dict.fromkeys(budget, 0)
+    tracemalloc.start()
+    try:
+        train, valid = (
+            _TargetSeries(rng.normal(size=(len(v) - T - 23, K)), v[T:], horizons)
+            for v in values[:2]
+        )
+        base = tracemalloc.get_traced_memory()[0]
+
+        def stage(name):
+            peak = tracemalloc.get_traced_memory()[1] - base
+            peaks[name] = max(peaks[name], peak / 2**20)
+            tracemalloc.reset_peak()
+
+        for P in horizons:
+            tracemalloc.reset_peak()
+            fit, held = train.moments(P), valid.moments(P, train.centre(P))
+            stage("moments")
+            del fit, held
+            tracemalloc.reset_peak()
+            probe = fit_ridge(train.moments(P), valid.moments(P, train.centre(P)))
+            stage("fit")
+            Y = _target_windows(values[2], T, P, 0, "multivariate")
+            score(probe, test_x[: len(Y)], Y)
+            stage("score")
+            del probe
+    finally:
+        tracemalloc.stop()
+    assert all(peaks[k] <= budget[k] for k in budget), {k: round(v, 2) for k, v in peaks.items()}
 
 
 def traced_series_and_score(rng, m0, K=64, D=7, horizons=(24, 48, 96, 192)):
