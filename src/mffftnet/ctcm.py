@@ -24,10 +24,8 @@ re-parameterization, Ding et al., arXiv 2101.03697) and never builds the
 stack: ``composite_conv`` composes K x H taps from the weights alone,
 runs them on r with the convolutions' shared tap core, takes the scale
 biases' rows from ``tensor.conv2d`` and corrects the last output row,
-where MSFF reads zeros past the stack. The unfused pair,
-``multiscale_conv`` then ``msff``, stays as the reference that the tests
-compare against and that the benchmark tracer wraps by name; the model
-does not run it.
+where MSFF reads zeros past the stack. The unfused pair that builds the
+stack, the tests' reference, is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -81,35 +79,6 @@ def make_ctcm_params(
     return init.params
 
 
-def multiscale_conv(
-    r: Tensor, params: dict[str, Parameter], kernels: tuple[int, ...]
-) -> Tensor:
-    """Stack causal depth-preserving convolutions: (..., T, K) -> (..., n, T, K).
-
-    The unfused reference for ``composite_conv``, which the model runs
-    instead: the tests use it as the oracle, and the benchmark tracer
-    (``perfbench/tracing.py``) wraps it by name. Each scale is one
-    ``tn.causal_conv1d`` plus its bias; one concat stacks them.
-    """
-    T, K = r.shape[-2:]
-    _check_kernels(kernels, T)
-    scales = []
-    for kj in kernels:
-        y = tn.causal_conv1d(r, params[f"ctcm.scale{kj}.w"]) + params[f"ctcm.scale{kj}.b"]
-        scales.append(tn.reshape(y, y.shape[:-2] + (1, T, K)))
-    return tn.concat(scales, axis=-3)
-
-
-def msff(h_d: Tensor, params: dict[str, Parameter]) -> Tensor:
-    """(..., n, T, K) -> (..., T, K/2) via 3x3 conv / SiLU / scale mean / linear.
-
-    The unfused reference, with ``multiscale_conv`` before it, for the
-    model's ``composite_conv`` and ``_msff_tail``: the tests use it as the
-    oracle, and the benchmark tracer wraps it by name."""
-    z = tn.conv2d(h_d, params["ctcm.msff.conv1.w"]) + params["ctcm.msff.conv1.b"]
-    return _msff_tail(z, params)
-
-
 def _msff_tail(z: Tensor, params: dict[str, Parameter]) -> Tensor:
     """MSFF after its 3x3 conv: (..., n, T, H) -> (..., T, K/2)."""
     z = tn.tmean(tn.silu(z), axis=-3)
@@ -127,7 +96,8 @@ def composite_conv(
 ) -> Tensor:
     """MSFF's conv1 pre-activation straight from r: (..., T, K) -> (..., n, T, H).
 
-    Equal to ``tn.conv2d(multiscale_conv(r), w1) + b1`` up to rounding.
+    Equal up to rounding to ``tn.conv2d(h_d, w1) + b1``, where h_d stacks
+    the scales' causal convolutions of r, (..., n, T, K).
     Scale j' reads r[t-s] through W_j'[k-1-s], and MSFF tap (a, b) reads
     stack cell (j+a-1, t+b-1), so output scale j reads r[t-u] through the
     composite matrix
@@ -282,3 +252,7 @@ def time_contrastive_loss(r: Tensor, h: Tensor) -> Tensor:
     """Per-timestep InfoNCE between the backbone representation and the
     fused representation; summed over time, averaged over the batch."""
     return tn.tmean(tn.tsum(tn.info_nce(r, h), axis=-1))
+
+
+# The benchmark tracer still wraps these names; see ``tensor._removed``.
+multiscale_conv, msff = map(tn._removed, ("multiscale_conv", "msff"))

@@ -183,8 +183,9 @@ _CORR_ROWS = 1024
 # they take at most half of this; past that, each group makes them a chunk
 # of blocks at a time, the chunk and a second D x bins product per column
 # are counted too, and a group sums its chunks' products. A group takes as
-# many whole columns as fit, at least one, so its arrays never hold more
-# than 16 bytes times this budget. One ETTh1-shaped probe's correlations
+# many whole columns as fit, so its arrays never hold more than 16 bytes
+# times this budget, but at least one (two for D > 1, where a last single
+# column joins the group before it). One ETTh1-shaped probe's correlations
 # (both splits' series and every horizon's moments; D=7, horizons 24-720,
 # random features; 2 cores, numpy 2.4; medians of 21 interleaved runs at
 # K=32 and 7 at K=320, the tails at the same budget; in brackets the
@@ -241,8 +242,9 @@ def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int, less=None, elems=None) ->
     them a chunk at a time. So no array grows with len(A).
 
     For D > 1 numpy's own matmul loop sums each bin's products over the
-    blocks in order, the same for any group of two or more columns (a
-    one-column group takes its matrix-vector path). For D = 1 numpy would
+    blocks in order, the same for any group of two or more columns; a
+    one-column group would take its matrix-vector path, so no group holds
+    one. For D = 1 numpy would
     hand every group to BLAS's matrix-vector kernel, whose rounding follows
     the group's width, and its complex multiply rounds by the layout too;
     so there the products are taken in real arithmetic and added up a block
@@ -260,10 +262,12 @@ def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int, less=None, elems=None) ->
     else:
         fu = None
         cols = (elems - D * chunk * bins) // ((chunk + 2 * D) * bins + D * fft_len)
-    cols = min(K, max(1, cols))
+    cols = min(K, max(1 if D == 1 else 2, cols))
+    bounds = [*range(0, K, cols), K]
+    if D > 1 and len(bounds) > 2 and K - bounds[-2] == 1:
+        del bounds[-2]  # a last single column joins the group before it
     sums = np.empty((K, lags, D)) if less is None else less
-    for lo in range(0, K, cols):
-        hi = min(lo + cols, K)
+    for lo, hi in zip(bounds, bounds[1:]):
         spectrum = np.empty((hi - lo, D, bins), dtype=complex)  # columns x D x bins
         for first in range(0, blocks, chunk):
             stop = min(first + chunk, blocks)
@@ -466,12 +470,13 @@ def score(probe: RidgeProbe, X: np.ndarray, Y: np.ndarray) -> tuple[float, float
     """(MSE, MAE) of the predictions for X; Y is M x (P*D_out) or the
     M x P x D_out target windows. The errors come in blocks of at most
     ``_SCORE_ELEMS`` (``_error_blocks``), and the sums of err^2 and |err|
-    accumulate over them, so no array holds more than one block's errors."""
+    accumulate over them, so no array holds more than one block's errors.
+    Both are numpy's own sums: a BLAS dot product splits by thread count."""
     sq, ab = 0.0, 0.0
     for _, _, err in _error_blocks(probe, X, Y if Y.ndim == 3 else Y[..., None]):
         err = err.ravel()
-        sq += float(err @ err)
         ab += float(np.abs(err, out=err).sum())
+        sq += float(np.square(err, out=err).sum())
     return sq / Y.size, ab / Y.size
 
 

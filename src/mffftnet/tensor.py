@@ -342,16 +342,6 @@ def tmean(a: Tensor, axis=None) -> Tensor:
     return tsum(a, axis=axis) * (1.0 / n)
 
 
-def texp(a: Tensor) -> Tensor:
-    na, out_data = a._node, np.exp(a.data)
-    return _make(out_data, (a,), lambda g: _accum(na, g * out_data))
-
-
-def tlog(a: Tensor) -> Tensor:
-    na, x = a._node, a.data
-    return _make(np.log(x), (a,), lambda g: _accum(na, g / x))
-
-
 def tsqrt(a: Tensor) -> Tensor:
     na, out_data = a._node, np.sqrt(a.data)
 
@@ -362,21 +352,11 @@ def tsqrt(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def ttanh(a: Tensor) -> Tensor:
-    na, out_data = a._node, np.tanh(a.data)
-    return _make(out_data, (a,), lambda g: _accum(na, g * (1.0 - out_data**2)))
-
-
 def _logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) without overflow: e^-x is capped at e^709, just under
     the float64 limit, so x < -709 gives a tiny positive value instead of an
     overflow warning, and every x >= -709 gets exactly the uncapped value."""
     return 1.0 / (1.0 + np.exp(np.minimum(-x, 709.0)))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    na, s = a._node, _logistic(a.data)
-    return _make(s, (a,), lambda g: _accum(na, g * s * (1.0 - s)))
 
 
 def silu(a: Tensor) -> Tensor:
@@ -422,33 +402,12 @@ def atan2(y: Tensor, x: Tensor) -> Tensor:
     return _make(np.arctan2(y.data, x.data), (y, x), bw)
 
 
-def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
-    na = a._node
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out_data = np.squeeze(m + np.log(s), axis=axis)
-
-    def bw(g):
-        _accum(na, np.expand_dims(g, axis) * (e / s), owned=True)
-
-    return _make(out_data, (a,), bw)
-
-
 # -- shape ops -------------------------------------------------------------
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     na, shape = a._node, tuple(shape)
     return _make(
         a.data.reshape(shape), (a,), lambda g: _accum(na, g.reshape(na.shape))
-    )
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    na, axes = a._node, tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _make(
-        a.data.transpose(axes), (a,), lambda g: _accum(na, g.transpose(inv))
     )
 
 
@@ -482,22 +441,6 @@ def unstack(a: Tensor, axis: int = 0) -> list[Tensor]:
     return [piece(i) for i in range(a.shape[axis])]
 
 
-def diagonal(a: Tensor) -> Tensor:
-    """Diagonal of the last two axes."""
-    if a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"diagonal needs a square trailing block, got {a.shape}")
-
-    na = a._node
-
-    def bw(g):
-        gg = np.zeros(na.shape)
-        idx = np.arange(na.shape[-1])
-        gg[..., idx, idx] = g
-        _accum(na, gg, owned=True)
-
-    return _make(np.diagonal(a.data, axis1=-2, axis2=-1).copy(), (a,), bw)
-
-
 def info_nce(a: Tensor, b: Tensor) -> Tensor:
     """Per-row InfoNCE (arXiv 1807.03748) of two (..., rows, dim) tensors:
     logsumexp(a @ bᵀ) - diag(a @ bᵀ), shape (..., rows); row i's positive
@@ -505,8 +448,8 @@ def info_nce(a: Tensor, b: Tensor) -> Tensor:
 
     One tape node that keeps a, b and each row's max and exp-sum; backward
     recomputes the logits and the softmax from them with the forward's
-    expressions, so the gradients equal those of the ``matmul``,
-    ``logsumexp`` and ``diagonal`` composition bit for bit."""
+    expressions, so the gradients equal those of the composition of tape
+    nodes in ``tests/oracles.py`` bit for bit."""
     if a.shape != b.shape:
         raise ContractError(f"InfoNCE operand shapes differ: {a.shape} vs {b.shape}")
     na, nb, ad, bd = a._node, b._node, a.data, b.data
@@ -702,27 +645,6 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     return _tap_conv(x, w, taps, "conv2d")
 
 
-def avg_pool2d(x: Tensor, window: tuple[int, int]) -> Tensor:
-    """Non-overlapping window means over the trailing H, W axes."""
-    ph, pw = window
-    H, W = x.shape[-2], x.shape[-1]
-    if ph < 1 or pw < 1 or ph > H or pw > W:
-        raise ParameterError(f"pool window {window} invalid for input {H}x{W}")
-    Ho, Wo = H // ph, W // pw
-    nx, lead = x._node, x.shape[:-2]
-    trimmed = x.data[..., : Ho * ph, : Wo * pw]
-    blocks = trimmed.reshape(lead + (Ho, ph, Wo, pw))
-    out_data = blocks.mean(axis=(-3, -1))
-
-    def bw(g):
-        gx = np.zeros(nx.shape)
-        expanded = np.repeat(np.repeat(g, ph, axis=-2), pw, axis=-1) / (ph * pw)
-        gx[..., : Ho * ph, : Wo * pw] = expanded
-        _accum(nx, gx)
-
-    return _make(out_data, (x,), bw)
-
-
 def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-rate). The mask is drawn
     from ``np.random.default_rng(rng_seed)``, ``rng_seed`` an int or a
@@ -739,3 +661,22 @@ def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
         return (np.random.default_rng(seed).random(nx.shape) >= rate) / (1.0 - rate)
 
     return _make(x.data * mask(), (x,), lambda g: _accum(nx, g * mask(), owned=True))
+
+
+# -- removed names -----------------------------------------------------------
+
+def _removed(name: str) -> Callable:
+    """A stub that raises when called. The benchmark tracer still wraps the
+    removed names by identity, so each gets its own until ROADMAP item 3
+    drops them from its lists."""
+
+    def stub(*args, **kwargs):
+        raise NotImplementedError(
+            f"{name} was removed; ROADMAP item 3 drops it from the benchmark tracer")
+
+    stub.__name__ = stub.__qualname__ = name
+    return stub
+
+
+texp, tlog, ttanh, sigmoid, logsumexp, transpose, diagonal, avg_pool2d = map(
+    _removed, "texp tlog ttanh sigmoid logsumexp transpose diagonal avg_pool2d".split())

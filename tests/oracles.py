@@ -12,7 +12,11 @@
   forms of the ops whose backward rules in ``mffftnet.tensor`` recompute
   what these save (the logistic, the tanh, the mask, the logits and
   softmax as ``matmul``/``transpose``/``logsumexp``/``diagonal`` nodes).
-  Outputs and gradients must agree with them bit for bit.
+  Outputs and gradients must agree with them bit for bit. ``transpose``,
+  ``logsumexp`` and ``diagonal`` are tape ops of their own, kept here for
+  ``info_nce`` alone.
+- ``multiscale_conv`` and ``msff``: the unfused CTCM pair, the scale stack
+  and MSFF, that ``mffftnet.ctcm.composite_conv`` and ``_msff_tail`` fold.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from typing import Callable
 import numpy as np
 
 from mffftnet import tensor as tn
+from mffftnet.ctcm import _check_kernels, _msff_tail
 from mffftnet.data import SeriesTable
-from mffftnet.errors import ContractError, DataError, ParameterError
-from mffftnet.tensor import Tensor, no_grad
+from mffftnet.errors import ContractError, DataError, DimensionError, ParameterError
+from mffftnet.tensor import Parameter, Tensor, no_grad
 
 
 def _parse_timestamp(text: str, row: int) -> datetime:
@@ -169,10 +174,68 @@ def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
     return tn._make(x.data * mask, (x,), lambda g: tn._accum(nx, g * mask, owned=True))
 
 
+def transpose(a: Tensor, axes) -> Tensor:
+    na, axes = a._node, tuple(axes)
+    inv = tuple(np.argsort(axes))
+    return tn._make(
+        a.data.transpose(axes), (a,), lambda g: tn._accum(na, g.transpose(inv))
+    )
+
+
+def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
+    na = a._node
+    m = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    s = e.sum(axis=axis, keepdims=True)
+    out_data = np.squeeze(m + np.log(s), axis=axis)
+
+    def bw(g):
+        tn._accum(na, np.expand_dims(g, axis) * (e / s), owned=True)
+
+    return tn._make(out_data, (a,), bw)
+
+
+def diagonal(a: Tensor) -> Tensor:
+    """Diagonal of the last two axes."""
+    if a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"diagonal needs a square trailing block, got {a.shape}")
+
+    na = a._node
+
+    def bw(g):
+        gg = np.zeros(na.shape)
+        idx = np.arange(na.shape[-1])
+        gg[..., idx, idx] = g
+        tn._accum(na, gg, owned=True)
+
+    return tn._make(np.diagonal(a.data, axis1=-2, axis2=-1).copy(), (a,), bw)
+
+
 def info_nce(a: Tensor, b: Tensor) -> Tensor:
     """Per-row InfoNCE built from tape primitives, which keep the logits'
     softmax on the tape."""
     if a.shape != b.shape:
         raise ContractError(f"InfoNCE operand shapes differ: {a.shape} vs {b.shape}")
-    logits = tn.matmul(a, tn.transpose(b, (*range(b.ndim - 2), b.ndim - 1, b.ndim - 2)))
-    return tn.logsumexp(logits, axis=-1) - tn.diagonal(logits)
+    logits = tn.matmul(a, transpose(b, (*range(b.ndim - 2), b.ndim - 1, b.ndim - 2)))
+    return logsumexp(logits, axis=-1) - diagonal(logits)
+
+
+def multiscale_conv(
+    r: Tensor, params: dict[str, Parameter], kernels: tuple[int, ...]
+) -> Tensor:
+    """Stack causal depth-preserving convolutions: (..., T, K) -> (..., n, T, K).
+    Each scale is one ``tn.causal_conv1d`` plus its bias; one concat stacks
+    them."""
+    T, K = r.shape[-2:]
+    _check_kernels(kernels, T)
+    scales = []
+    for kj in kernels:
+        y = tn.causal_conv1d(r, params[f"ctcm.scale{kj}.w"]) + params[f"ctcm.scale{kj}.b"]
+        scales.append(tn.reshape(y, y.shape[:-2] + (1, T, K)))
+    return tn.concat(scales, axis=-3)
+
+
+def msff(h_d: Tensor, params: dict[str, Parameter]) -> Tensor:
+    """(..., n, T, K) -> (..., T, K/2) via 3x3 conv / SiLU / scale mean / linear."""
+    z = tn.conv2d(h_d, params["ctcm.msff.conv1.w"]) + params["ctcm.msff.conv1.b"]
+    return _msff_tail(z, params)

@@ -16,15 +16,13 @@ from mffftnet.ctcm import (
     ctcm_forward,
     fuse,
     make_ctcm_params,
-    msff,
-    multiscale_conv,
     time_contrastive_loss,
 )
 from mffftnet.errors import ConfigurationError, ContractError, ParameterError
 from mffftnet.model import Model
 from mffftnet.tensor import Tensor
 from mffftnet.training import total_loss
-from tests.oracles import finite_diff_check
+from tests.oracles import finite_diff_check, msff, multiscale_conv
 
 
 def small_setup(K=8, kernels=(1, 2, 4), msff_hidden=4, seed=0):

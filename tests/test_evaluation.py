@@ -302,7 +302,7 @@ def test_target_series_moments_span_blocks(rng, monkeypatch, mode, block, n_afte
     # splits much longer than the longest horizon: the correlation runs
     # over several row blocks, the last one partial. It takes the feature
     # columns one per group, two per group with a last group of one, and
-    # all in one group.
+    # all in one group (multivariate: two, two then three, and all).
     monkeypatch.setattr(evaluation, "_CORR_ROWS", block)
     m0, D = n_after - P0 + 1, 3 if mode == "multivariate" else 1
     fft_len = _smooth_length(min(block, m0) + P_max - 1)
@@ -358,6 +358,21 @@ def test_univariate_lag_sums_do_not_depend_on_the_group_width(rng, monkeypatch):
         sums.append(_lag_sums(A, u, lags))
         assert max(groups) == cols
     assert sums[0].tobytes() == sums[1].tobytes() == sums[2].tobytes()
+
+
+@pytest.mark.parametrize("D", [2, 3, 7])
+def test_multivariate_lag_sums_do_not_depend_on_the_budget(rng, monkeypatch, D):
+    # K = 6 columns over 4 blocks (B = 16 -> F = 40 -> B = 17): a budget of
+    # 5 columns a group, with u's block spectra made once, would leave the
+    # groups (5, 1), and numpy takes a single column's per-bin products
+    # through its matrix-vector path; the lag sums must not follow it
+    monkeypatch.setattr(evaluation, "_CORR_ROWS", 16)
+    K, m, lags = 6, 60, 24
+    fft_len = _smooth_length(16 + lags - 1)
+    blocks, bins = -(-m // (fft_len - lags + 1)), fft_len // 2 + 1
+    A, u = rng.normal(size=(m, K)), rng.normal(size=(m + lags, D))
+    elems = 5 * ((blocks + D) * bins + D * fft_len)
+    assert _lag_sums(A, u, lags, elems=elems).tobytes() == _lag_sums(A, u, lags).tobytes()
 
 
 def test_running_sums_in_chunks_equal_one_cumsum(rng):
