@@ -166,57 +166,24 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-# Rows per block in ``_lag_sums``. With L lags a block is transformed at F =
-# the smallest 2-3-5-smooth length >= B + L - 1, and B then grows to F - L +
-# 1. On the ETTh1-shaped probe (K=32, D_out=7, L=720; 8553 train and 2793
-# validation rows; 2 cores, numpy 2.4 pocketfft) the two splits took, as
-# medians of 25 interleaved runs, 28 ms at B=256, 24 ms at 512, 22-23 ms at
-# 768-1024, 25-26 ms at 1329-1536, 30 ms at 2048 and 48 ms at 4096, against
-# 71 ms for one full-length correlation per split.
+# Rows per block in ``_lag_sums``: a block is transformed at F, the smallest
+# 2-3-5-smooth length >= B + lags - 1, and B then grows to F - lags + 1; the
+# fastest B at the ETTh1 shape (timings in README).
 _CORR_ROWS = 1024
 
 
-# Array elements a group of columns makes in ``_lag_sums``. A column takes
-# its block spectra (blocks x bins complex), its per-bin products (D x bins
-# complex) and its lag output (D x F real), with bins = F // 2 + 1. u's
-# block spectra (blocks x D x bins) are made once, outside the groups, when
-# they take at most half of this; past that, each group makes them a chunk
-# of blocks at a time, the chunk and a second D x bins product per column
-# are counted too, and a group sums its chunks' products. A group takes as
-# many whole columns as fit, so its arrays never hold more than 16 bytes
-# times this budget, but at least one (two for D > 1, where a last single
-# column joins the group before it). One ETTh1-shaped probe's correlations
-# (both splits' series and every horizon's moments; D=7, horizons 24-720,
-# random features; 2 cores, numpy 2.4; medians of 21 interleaved runs at
-# K=32 and 7 at K=320, the tails at the same budget; in brackets the
-# traced excess of the train split's correlation over its output) took 94
-# and 850 ms at 2^16 (0.7 MB), where u's spectra take more than half the
-# budget and are made in every group, 62 and 606 ms at 2^17 (1.9 MB), 57
-# and 523 ms at 2^18 (3.0 MB) and 60 and 483 ms at 2^19 (5.1 MB). 2^18
-# is the fastest at the benchmark's width, K=32, and the smallest within
-# 10% of the fastest at K=320. The tail rows' correlations in ``moments``
-# run at the probe's peak, beside two cross moments, so they take half of
-# it: one desk probe on the ETTh1-shaped corpus then traces 8.2 MB,
-# against 9.5 MB at the full budget, and takes 139 against 134 ms; the
-# K=320 series, moments and fits took 487 against 503 ms (medians of 15
-# alternating runs, each within the other's quartiles).
+# Elements, 16 bytes each, that a group of columns makes in ``_lag_sums``;
+# a chunk of u's block spectra takes at most half of it. The fastest budget at
+# K = 32 and within 10% of the fastest at K = 320 (timings in README).
 _GROUP_ELEMS = 2**18
 
 
-def _block_spectra(u: np.ndarray, first: int, stop: int, rows: int, fft_len: int) -> np.ndarray:
-    """(stop - first) x D x bins: for each block b from ``first`` to
-    ``stop``, the rfft of the F values of u from row b * rows on, read as
-    zero past u's last row. Blocks that lie inside u are windows of a view;
-    each other block is one transform that pads, so no padded copy of u is
-    made."""
-    out = np.empty((stop - first, u.shape[1], fft_len // 2 + 1), dtype=complex)
-    inside = min(stop, max(first, (len(u) - fft_len) // rows + 1))
-    if inside > first:
-        windows = sliding_window_view(u[first * rows :], fft_len, axis=0)[::rows][: inside - first]
-        np.fft.rfft(windows, fft_len, out=out[: inside - first])
-    for b in range(inside, stop):
-        np.fft.rfft(u[b * rows : b * rows + fft_len], fft_len, axis=0, out=out[b - first].T)
-    return out
+def _block_spectra(x: np.ndarray, first: int, stop: int, rows: int, width: int, fft_len: int, out):
+    """Into out[b - first], for each block b from ``first`` to ``stop``, the
+    rfft of the ``width`` rows of x from row b * rows on, zero-padded to F:
+    one transform per block, so no padded copy of x is made."""
+    for b in range(first, stop):
+        np.fft.rfft(x[b * rows : b * rows + width], fft_len, axis=0, out=out[b - first])
 
 
 def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int, less=None, elems=None) -> np.ndarray:
@@ -231,73 +198,62 @@ def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int, less=None, elems=None) ->
     irfft of length F gives them. F follows ``lags`` and ``_CORR_ROWS``, not
     len(A); at most B rows are one block.
 
-    The feature columns go through in groups whose arrays take at most
-    ``elems`` elements (``_GROUP_ELEMS`` unless given): a group's block
-    spectra, one product per bin over all blocks, written in the layout the
-    irfft reads, and one irfft give its columns of the lag sums. Full
-    blocks are a reshaped view of A, and rfft's length argument pads the
-    last, partial one; u's block spectra come from a view of u too
-    (``_block_spectra``). On a split of one chunk of blocks (see
-    ``_GROUP_ELEMS``) they are made once; on a longer one each group makes
-    them a chunk at a time. So no array grows with len(A).
+    The feature columns go through in groups of at least two whose arrays
+    take at most ``elems`` elements (``_GROUP_ELEMS`` unless given): a
+    group's block spectra, one product per bin over the blocks, written in
+    the layout the irfft reads, and one irfft give its columns of the lag
+    sums. Every block of A and of u is one transform (``_block_spectra``).
+    u's block spectra come in chunks sized by ``_GROUP_ELEMS`` and the
+    shapes alone: a split of one chunk makes them once, a longer one makes
+    them a chunk at a time in each group and adds up the chunks' products.
+    So no array grows with len(A).
 
-    For D > 1 numpy's own matmul loop sums each bin's products over the
-    blocks in order, the same for any group of two or more columns; a
-    one-column group would take its matrix-vector path, so no group holds
-    one. For D = 1 numpy would
-    hand every group to BLAS's matrix-vector kernel, whose rounding follows
-    the group's width, and its complex multiply rounds by the layout too;
-    so there the products are taken in real arithmetic and added up a block
-    at a time, and univariate lag sums are the same bits for any grouping.
-    The sums match a dense sum within ~1e-15 relative."""
+    A univariate u gets a zero second column, so every D takes the one
+    matmul, on numpy's own loop: it sums each bin's products over a chunk's
+    blocks in order, the same for any group of two or more columns. Only
+    the real columns reach the irfft. So the sums depend on (A, u, lags)
+    alone, not on ``elems``, and match a dense sum within ~1e-15 relative."""
     (m, K), D = A.shape, u.shape[1]
+    width = max(D, 2)  # a univariate u gets a zero second column
     elems = _GROUP_ELEMS if elems is None else elems
     fft_len = _smooth_length(min(_CORR_ROWS, m) + lags - 1)
     rows = min(fft_len - lags + 1, m)  # B, widened to fill F
-    blocks, bins, full = -(-m // rows), fft_len // 2 + 1, m // rows
-    chunk = min(blocks, max(1, elems // (2 * D * bins)))
+    blocks, bins = -(-m // rows), fft_len // 2 + 1
+    chunk = min(blocks, max(1, _GROUP_ELEMS // (2 * width * bins)))
+
+    def u_spectra(first, stop):  # chunk x width x bins
+        fu = np.zeros((stop - first, width, bins), dtype=complex)
+        _block_spectra(u, first, stop, rows, fft_len, fft_len, fu[:, :D].transpose(0, 2, 1))
+        return fu
+
     if chunk == blocks:
-        fu = _block_spectra(u, 0, blocks, rows, fft_len)
-        cols = elems // ((blocks + D) * bins + D * fft_len)
+        fu = u_spectra(0, blocks)
+        cols = elems // ((blocks + width) * bins + D * fft_len)
     else:
         fu = None
-        cols = (elems - D * chunk * bins) // ((chunk + 2 * D) * bins + D * fft_len)
-    cols = min(K, max(1 if D == 1 else 2, cols))
+        cols = (elems - width * chunk * bins) // ((chunk + 2 * width) * bins + D * fft_len)
+    cols = min(K, max(2, cols))
     bounds = [*range(0, K, cols), K]
-    if D > 1 and len(bounds) > 2 and K - bounds[-2] == 1:
+    if len(bounds) > 2 and K - bounds[-2] == 1:
         del bounds[-2]  # a last single column joins the group before it
     sums = np.empty((K, lags, D)) if less is None else less
     for lo, hi in zip(bounds, bounds[1:]):
-        spectrum = np.empty((hi - lo, D, bins), dtype=complex)  # columns x D x bins
+        spectrum = np.empty((hi - lo, width, bins), dtype=complex)  # columns x width x bins
         for first in range(0, blocks, chunk):
             stop = min(first + chunk, blocks)
             fa = np.empty((stop - first, bins, hi - lo), dtype=complex)
-            whole = min(stop, full) - first  # full blocks of A in this chunk
-            if whole > 0:
-                blocked = A[first * rows : (first + whole) * rows].reshape(whole, rows, K)
-                np.fft.rfft(blocked[..., lo:hi], fft_len, axis=1, out=fa[:whole])
-            if stop > full:
-                np.fft.rfft(A[full * rows :, lo:hi], fft_len, axis=0, out=fa[full - first])
+            _block_spectra(A[:, lo:hi], first, stop, rows, rows, fft_len, fa)
             np.conj(fa, out=fa)
-            fub = _block_spectra(u, first, stop, rows, fft_len) if fu is None else fu
+            fub = u_spectra(first, stop) if fu is None else fu
             # the products of every block in the chunk summed, per bin,
             # contiguous along the bins so the irfft copies nothing
             part = spectrum if first == 0 else np.empty_like(spectrum)
-            if D == 1:  # real arithmetic, a block at a time
-                ur, ui = fub[:, 0, :, None].real, fub[:, 0, :, None].imag
-                re, im = np.zeros((bins, hi - lo)), np.zeros((bins, hi - lo))
-                for b, block in enumerate(fa):
-                    re += block.real * ur[b] - block.imag * ui[b]
-                    im += block.real * ui[b] + block.imag * ur[b]
-                part[:, 0].real, part[:, 0].imag = re.T, im.T
-            else:
-                out = part.transpose(2, 0, 1)
-                np.matmul(fa.transpose(1, 2, 0), fub.transpose(2, 0, 1), out=out)
+            np.matmul(fa.transpose(1, 2, 0), fub.transpose(2, 0, 1), out=part.transpose(2, 0, 1))
             del fa, fub  # or the next chunk's, or the irfft's output, is made beside them
             if first:
                 spectrum += part
             del part
-        lagged = np.fft.irfft(spectrum, fft_len)  # columns x D x F
+        lagged = np.fft.irfft(spectrum[:, :D], fft_len)  # columns x D x F
         if less is None:
             sums[lo:hi] = lagged[..., :lags].transpose(0, 2, 1)
         else:
@@ -423,22 +379,9 @@ class _TargetSeries:
         return Moments(rows=m, x0=x0, y0=y0, gram=gram, cross=cross, syy=syy)
 
 
-# Errors per block in ``score``, and rows x columns per block of the
-# moments' rank-one update: 2^17 elements (1 MB). A score block takes whole
-# steps, a multiple of 16 of them and at most ``_SCORE_COLS`` columns (at
-# least one step), and as many rows as keep both its errors and its copy
-# of the feature rows within the budget: at D_out = 7 and P past 144, 130
-# rows of 1008 columns. Blocks whose columns start at multiples of 16
-# give the same predictions, bit for bit, as one GEMM over the whole split
-# does with OpenBLAS (1022-column blocks did not). Scoring an ETTh1-shaped
-# test split (horizons 24-720, D_out=7; 2 cores; medians of 21 interleaved
-# runs at K=32 and 9 at K=320) took 83 and 235 ms in these blocks, 80 and
-# 260 ms in full-width blocks of 2^17 errors, and 83 and 203 ms in the
-# full-width blocks of 2^19 errors (4 MB) scored before, with the intercept
-# added in a pass of its own. Each GEMM repacks the weights it reads: at
-# K=320 and P=720, 26-row full-width blocks repack all of them 76 times,
-# 130-row blocks 16 times. At P=720 scoring traces 1.2 MB above its inputs
-# at K=32 and 1.5 MB at K=320, against 4.2 MB before.
+# Errors per ``score`` block, and rows x columns per block of the moments'
+# rank-one update (1 MB). Score blocks start their columns at multiples of 16
+# steps, which OpenBLAS scores bit for bit as one GEMM (timings in README).
 _SCORE_ELEMS = 2**17
 _SCORE_COLS = 2**10
 

@@ -487,9 +487,10 @@ def info_nce(a: Tensor, b: Tensor) -> Tensor:
 # ``causal_conv1d`` and ``conv2d`` differ only in their taps.
 
 # Columns of the largest gradient block: with Cout output channels a block
-# holds _BLOCK_COLS // Cout taps (at least one). Without a bound the paper
-# stack's 255 taps at 320 channels would make one N x 81 600 block (2.1 GB at
-# B=8). The value is measured in CHANGES.md.
+# holds _BLOCK_COLS // Cout taps (at least one). Without a bound the widest
+# tap list, the paper composite convolution's 398 taps at H = 96, would make
+# one 38 208-column block: 61 MB of gQ per 201-row window, and 98 MB each for
+# W_block and its gradient at K = 320. The value is measured in CHANGES.md.
 _BLOCK_COLS = 1024
 
 # Elements of one gradient chunk: a block's rows are taken a chunk of whole

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -252,7 +253,8 @@ def test_eval_without_probe_flags_scores_the_checkpoint_horizons(tmp_path):
 def test_eval_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     # the same `mff eval` in two processes, under one and two BLAS threads:
     # a score block of the desk probe holds ~10^5 errors, past the length
-    # at which a BLAS dot product splits its sum across threads
+    # at which a BLAS dot product splits its sum across threads, and the
+    # lag sums of either mode go through one complex matmul
     data = tmp_path / "two_sine.csv"
     spec = Path(__file__).resolve().parents[1] / "scripts" / "specs" / "two_sine.json"
     assert main(["synth", str(spec), str(data)]) == 0
@@ -261,18 +263,18 @@ def test_eval_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert main(train) == 0
     src = str(Path(cli.__file__).resolve().parents[1])
     reports = []
-    for threads in ("1", "2"):
-        rep = tmp_path / f"rep{threads}.json"
+    for mode, threads in itertools.product(("multivariate", "univariate"), ("1", "2")):
+        rep = tmp_path / f"rep_{mode}_{threads}.json"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "MFF_TIMESTAMP": "2020-01-01T00:00:00+00:00",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run(
             [sys.executable, "-m", "mffftnet.cli", "eval", str(ck), str(data),
-             "--report", str(rep), "--eval.horizons", "24,48"],
+             "--report", str(rep), "--eval.horizons", "24,48", "--eval.mode", mode],
             env=env, check=True, capture_output=True,
         )
         reports.append(rep.read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] and reports[2] == reports[3]
 
 
 def test_eval_oversized_horizon_warns_but_succeeds(tmp_path, corpus, capsys):

@@ -300,16 +300,16 @@ def test_target_series_moments_match_dense(rng, mode, n_after):
 )
 def test_target_series_moments_span_blocks(rng, monkeypatch, mode, block, n_after, P0, P_max):
     # splits much longer than the longest horizon: the correlation runs
-    # over several row blocks, the last one partial. It takes the feature
-    # columns one per group, two per group with a last group of one, and
-    # all in one group (multivariate: two, two then three, and all).
+    # over several row blocks, the last one partial. It makes u's block
+    # spectra a block at a time for groups of two and three columns, and
+    # once for two groups of columns (multivariate) or for one.
     monkeypatch.setattr(evaluation, "_CORR_ROWS", block)
-    m0, D = n_after - P0 + 1, 3 if mode == "multivariate" else 1
+    m0 = n_after - P0 + 1
     fft_len = _smooth_length(min(block, m0) + P_max - 1)
     blocks = -(-m0 // min(fft_len - P_max + 1, m0))
     assert blocks >= 3
-    for cols in (1, 2, SERIES_K):
-        monkeypatch.setattr(evaluation, "_GROUP_ELEMS", cols * (blocks + D) * (fft_len // 2 + 1))
+    for budget in (1, 6 * blocks * (fft_len // 2 + 1), 2**20):
+        monkeypatch.setattr(evaluation, "_GROUP_ELEMS", budget)
         check_series_moments(rng, mode, n_after, P0, P_max)
 
 
@@ -333,15 +333,24 @@ def test_lag_sums_group_stays_within_its_budget(rng, monkeypatch):
     assert peak <= 16 * budget, f"{peak / (16 * budget):.2f}x the budget"
 
 
-def test_univariate_lag_sums_do_not_depend_on_the_group_width(rng, monkeypatch):
-    # D = 1 over 30 blocks (B = 16 -> F = 90 -> B = 67): the per-bin
-    # products summed over the blocks give the same bits in groups of 1, 5
-    # and all K columns
+@pytest.mark.parametrize("D", [1, 2, 3, 7])
+def test_lag_sums_do_not_depend_on_the_budget(rng, monkeypatch, D):
+    # K = 7 columns over 65 blocks (B = 16 -> F = 40 -> B = 17), with u's
+    # block spectra in several chunks: the default budget, budgets that
+    # leave groups of (3, 4) and of (2, 2, 3), a budget that takes all seven
+    # columns in one group, and a call through ``less`` give the same bytes
     monkeypatch.setattr(evaluation, "_CORR_ROWS", 16)
-    K, m, lags = 12, 2000, 24
+    monkeypatch.setattr(evaluation, "_GROUP_ELEMS", 2**11)
+    K, m, lags = 7, 1100, 24
     fft_len = _smooth_length(16 + lags - 1)
-    blocks, bins = -(-m // (fft_len - lags + 1)), fft_len // 2 + 1
-    A, u = rng.normal(size=(m, K)), rng.normal(size=(m + lags, 1))
+    blocks, bins, width = -(-m // (fft_len - lags + 1)), fft_len // 2 + 1, max(D, 2)
+    chunk = 2**11 // (2 * width * bins)
+    assert 1 <= chunk < blocks
+
+    def budget(cols):  # a chunk of u's block spectra, then each column's arrays
+        return width * chunk * bins + cols * ((chunk + 2 * width) * bins + D * fft_len)
+
+    A, u = rng.normal(size=(m, K)), rng.normal(size=(m + lags - 1, D))
     irfft, groups = np.fft.irfft, []
 
     def counted(a, *args, **kw):  # one call per group, a row per column
@@ -349,30 +358,17 @@ def test_univariate_lag_sums_do_not_depend_on_the_group_width(rng, monkeypatch):
         return irfft(a, *args, **kw)
 
     monkeypatch.setattr(np.fft, "irfft", counted)
-    sums = []
-    for cols in (1, 5, K):
-        # at least twice u's block spectra, so that they are made once
-        budget = max(cols * ((blocks + 1) * bins + fft_len), 2 * blocks * bins)
-        monkeypatch.setattr(evaluation, "_GROUP_ELEMS", budget)
+    sums, grouped = [], []
+    for elems in (None, budget(3), 1, budget(K)):
         groups.clear()
-        sums.append(_lag_sums(A, u, lags))
-        assert max(groups) == cols
-    assert sums[0].tobytes() == sums[1].tobytes() == sums[2].tobytes()
-
-
-@pytest.mark.parametrize("D", [2, 3, 7])
-def test_multivariate_lag_sums_do_not_depend_on_the_budget(rng, monkeypatch, D):
-    # K = 6 columns over 4 blocks (B = 16 -> F = 40 -> B = 17): a budget of
-    # 5 columns a group, with u's block spectra made once, would leave the
-    # groups (5, 1), and numpy takes a single column's per-bin products
-    # through its matrix-vector path; the lag sums must not follow it
-    monkeypatch.setattr(evaluation, "_CORR_ROWS", 16)
-    K, m, lags = 6, 60, 24
-    fft_len = _smooth_length(16 + lags - 1)
-    blocks, bins = -(-m // (fft_len - lags + 1)), fft_len // 2 + 1
-    A, u = rng.normal(size=(m, K)), rng.normal(size=(m + lags, D))
-    elems = 5 * ((blocks + D) * bins + D * fft_len)
-    assert _lag_sums(A, u, lags, elems=elems).tobytes() == _lag_sums(A, u, lags).tobytes()
+        sums.append(_lag_sums(A, u, lags, elems=elems).tobytes())
+        grouped.append(tuple(groups))
+    assert len(set(sums)) == 1
+    assert grouped[1:] == [(3, 4), (2, 2, 3), (K,)]
+    base = rng.normal(size=(K, lags, D))
+    less = base.copy()
+    _lag_sums(A, u, lags, less=less, elems=budget(3))
+    assert less.tobytes() == (base - np.frombuffer(sums[0]).reshape(K, lags, D)).tobytes()
 
 
 def test_running_sums_in_chunks_equal_one_cumsum(rng):

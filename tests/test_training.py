@@ -1,6 +1,7 @@
 """Joint loss composition, SGD with momentum and decay, the epoch loop,
 and checkpoint round-trips."""
 
+import struct
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -476,6 +477,18 @@ def test_checkpoint_fuzz_raises_only_configuration_error(tmp_path, cut, flips, t
         load_checkpoint(path)
     except ConfigurationError:
         pass
+
+
+def test_checkpoint_rank_past_numpy_limit_raises_configuration_error(tmp_path):
+    # one parameter of 65 unit axes: its 8-byte blob is all there, but numpy
+    # makes no array of that rank, so the reshape's ValueError is reachable
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, tiny_model(seed=4), "cfg-text")
+    header = path.read_bytes()[: 8 + 4 + 4 + len("cfg-text") + 16]
+    record = struct.pack("<H1sB65IB", 1, b"w", 65, *[1] * 65, 0) + bytes(8)
+    path.write_bytes(header + struct.pack("<I", 1) + record)
+    with pytest.raises(ConfigurationError, match="corrupt shape"):
+        load_checkpoint(path)
 
 
 def test_load_state_mismatch_raises_configuration_error():
