@@ -87,51 +87,64 @@ def _resolve_config(args, checkpoint_text: str | None = None) -> RunConfig:
     return cfg
 
 
-def _prepare(path):
+def _prepare(path, cfg: RunConfig | None = None):
+    """The table at ``path``, its split and its standardized table. Given
+    ``cfg``, raise ``ConfigurationError`` unless some probe horizon fits
+    every split: from the split lengths, before any model trains."""
     if not Path(path).exists():
         raise ConfigurationError(f"data file not found: {path}")
     table = data_mod.load_csv(path)
     spec = data_mod.split(table)
-    std = data_mod.standardize(table, spec)
-    return table, spec, std
+    if cfg is not None:
+        eval_mod.fitting_horizons(spec, int(cfg["window.length"]), cfg.int_list("eval.horizons"))
+    return table, spec, data_mod.standardize(table, spec)
 
 
-def _check_horizons(spec, cfg: RunConfig) -> None:
-    """Raise ``ConfigurationError`` unless some probe horizon fits every
-    split of ``spec``: from the split lengths, before any model trains."""
-    eval_mod.fitting_horizons(spec, int(cfg["window.length"]), cfg.int_list("eval.horizons"))
-
-
-def _train_windows(std, spec, cfg: RunConfig) -> np.ndarray:
-    T = int(cfg["window.length"])
-    stride = int(cfg["window.stride"])
-    return data_mod.window_batch(std, spec.train_range, T, stride).windows
+def _fit(model, std, spec, cfg: RunConfig, start_step: int = 0):
+    """Train ``model`` on the train windows of ``std``: its loss history and
+    the step that training after it starts at."""
+    train_cfg = cfg.train_config()
+    T, stride = int(cfg["window.length"]), int(cfg["window.stride"])
+    wins = data_mod.window_batch(std, spec.train_range, T, stride).windows
+    history = train_mod.fit(wins, model, train_cfg, cfg.augment_config(), start_step)
+    return history, start_step + train_cfg.epochs * (len(wins) // train_cfg.batch_size)
 
 
 def _build_and_fit(std, spec, cfg: RunConfig, drop: tuple[str, ...] = ()):
-    """Build the model without the ``drop`` branches and train it."""
+    """Build the model without the ``drop`` branches and train it: the
+    model, its loss history and the next step."""
     model_cfg = replace(cfg.model_config(std.num_features), **dict.fromkeys(drop))
     model = Model.build(model_cfg, init_seed=int(cfg["seed"]))
-    train_cfg = cfg.train_config()
-    aug_cfg = cfg.augment_config()
-    wins = _train_windows(std, spec, cfg)
-    history = train_mod.fit(wins, model, train_cfg, aug_cfg)
-    steps = train_cfg.epochs * (len(wins) // train_cfg.batch_size)
-    return model, history, steps
+    return (model, *_fit(model, std, spec, cfg))
 
 
 def _evaluate(model, std, spec, cfg: RunConfig, name: str):
+    T, alphas = int(cfg["window.length"]), tuple(cfg.float_list("eval.ridge_alphas"))
     report = eval_mod.evaluate_horizons(
-        model,
-        std,
-        spec,
-        T=int(cfg["window.length"]),
-        horizons=cfg.int_list("eval.horizons"),
-        mode=str(cfg["eval.mode"]),
-        alpha_grid=tuple(cfg.float_list("eval.ridge_alphas")),
+        model, std, spec, T, cfg.int_list("eval.horizons"), str(cfg["eval.mode"]), alphas
     )
     report.dataset, report.config, report.timestamp = name, cfg.snapshot(), _timestamp()
     return report
+
+
+def _report(model, std, spec, cfg: RunConfig, data, out) -> int:
+    """Score ``model`` on the ``data`` corpus, write the report to ``out``
+    and print its table."""
+    report = _evaluate(model, std, spec, cfg, Path(data).stem)
+    _write(out, report.to_json())
+    print(report.console_table())
+    return 0
+
+
+def _write_rows(args, cfg: RunConfig, rows, key: str, width: int, fmt: str = "", **fields):
+    """Write an ablate or robustness sweep's ``rows`` to ``args.out`` as
+    JSON and print them as a table led by the ``key`` column."""
+    payload = {"dataset": Path(args.data).stem, "rows": rows, "config": cfg.snapshot(), **fields}
+    _write(args.out, json.dumps(payload, sort_keys=True, indent=2))
+    print(f"{key:>{width}} {'MSE':>10} {'MAE':>10}")
+    for row in rows:
+        print(f"{row[key]:>{width}{fmt}} {row['avg_mse']:>10.4f} {row['avg_mae']:>10.4f}")
+    return 0
 
 
 def _write(path, text: str) -> None:
@@ -176,10 +189,7 @@ def cmd_eval(args) -> int:
     _, spec, std = _prepare(args.data)
     model = Model.build(cfg.model_config(std.num_features), init_seed=int(cfg["seed"]))
     model.load_state(ckpt.params)
-    report = _evaluate(model, std, spec, cfg, Path(args.data).stem)
-    _write(args.report, report.to_json())
-    print(report.console_table())
-    return 0
+    return _report(model, std, spec, cfg, args.data, args.report)
 
 
 def cmd_ablate(args) -> int:
@@ -193,111 +203,62 @@ def cmd_ablate(args) -> int:
         raise ConfigurationError(
             f"unknown variants {unknown}; choose from {sorted(ABLATION_VARIANTS)}"
         )
-    _, spec, std = _prepare(args.data)
-    _check_horizons(spec, cfg)
-    name = Path(args.data).stem
+    _, spec, std = _prepare(args.data, cfg)
     rows = []
     for variant in variants:
         drop, overrides = ABLATION_VARIANTS[variant]
         vcfg = cfg.override(overrides)
         model, history, _ = _build_and_fit(std, spec, vcfg, drop)
-        report = _evaluate(model, std, spec, vcfg, name)
-        rows.append(
-            {
-                "variant": variant,
-                "avg_mse": report.avg_mse,
-                "avg_mae": report.avg_mae,
-                "final_loss": history[-1]["loss_total"] if history else None,
-            }
-        )
-    payload = {"dataset": name, "rows": rows, "config": cfg.snapshot()}
-    _write(args.out, json.dumps(payload, sort_keys=True, indent=2))
-    print(f"{'variant':>10} {'MSE':>10} {'MAE':>10}")
-    for row in rows:
-        print(f"{row['variant']:>10} {row['avg_mse']:>10.4f} {row['avg_mae']:>10.4f}")
-    return 0
-
-
-def _perturb_train_rows(table, pert: PerturbationSpec, train_end: int):
-    """``table`` with ``pert`` applied to the rows before ``train_end`` only,
-    so that its ratio is a share of the train cells."""
-    rows = slice(None, train_end)
-    train = replace(table, timestamps=table.timestamps[rows], values=table.values[rows])
-    values = np.concatenate([data_mod.inject(train, pert).values, table.values[train_end:]])
-    return replace(table, values=values)
+        report = _evaluate(model, std, spec, vcfg, Path(args.data).stem)
+        final_loss = history[-1]["loss_total"] if history else None
+        rows.append({"variant": variant, "avg_mse": report.avg_mse,
+                     "avg_mae": report.avg_mae, "final_loss": final_loss})
+    return _write_rows(args, cfg, rows, "variant", 10)
 
 
 def cmd_robustness(args) -> int:
     cfg = _resolve_config(args)
-    # every spec is checked here, before the first model trains
-    perts = [
-        PerturbationSpec(
-            kind=args.kind,
-            ratio=ratio,
-            noise_mean=args.noise_mean,
-            noise_std=args.noise_std,
-            seed=int(cfg["seed"]),
-        )
-        # each distinct ratio once, the unperturbed baseline first
-        for ratio in dict.fromkeys([0.0, *number_list(args.ratios, float, "--ratios")])
-    ]
-    table, spec, std = _prepare(args.data)
-    _check_horizons(spec, cfg)
-    name = Path(args.data).stem
+    # each distinct ratio once, the unperturbed baseline first; every spec is
+    # checked here, before the first model trains
+    ratios = dict.fromkeys([0.0, *number_list(args.ratios, float, "--ratios")])
+    seed = int(cfg["seed"])
+    perts = [PerturbationSpec(args.kind, r, args.noise_mean, args.noise_std, seed) for r in ratios]
+    table, spec, std = _prepare(args.data, cfg)
     rows = []
     for pert in perts:
         if args.kind == "noise":
             # Noise hits the raw train rows; normalization statistics are
             # then recomputed so they reflect the corrupted train split.
-            noisy = _perturb_train_rows(table, pert, spec.train_end)
+            noisy = data_mod.inject(table, pert, spec.train_end)
             perturbed = data_mod.standardize(noisy, data_mod.split(noisy))
         else:
             # Missing cells are zeroed after standardization (train-mean
             # imputation), restricted to the train split.
-            perturbed = _perturb_train_rows(std, pert, spec.train_end)
+            perturbed = data_mod.inject(std, pert, spec.train_end)
         model, _, _ = _build_and_fit(perturbed, spec, cfg)
-        report = _evaluate(model, std, spec, cfg, name)
-        rows.append(
-            {"ratio": pert.ratio, "avg_mse": report.avg_mse, "avg_mae": report.avg_mae}
-        )
-    payload = {
-        "dataset": name,
-        "kind": args.kind,
-        "rows": rows,
-        "config": cfg.snapshot(),
-    }
-    _write(args.out, json.dumps(payload, sort_keys=True, indent=2))
-    print(f"{'ratio':>8} {'MSE':>10} {'MAE':>10}")
-    for row in rows:
-        print(f"{row['ratio']:>8.2f} {row['avg_mse']:>10.4f} {row['avg_mae']:>10.4f}")
-    return 0
+        report = _evaluate(model, std, spec, cfg, Path(args.data).stem)
+        rows.append({"ratio": pert.ratio, "avg_mse": report.avg_mse, "avg_mae": report.avg_mae})
+    return _write_rows(args, cfg, rows, "ratio", 8, ".2f", kind=args.kind)
 
 
 def cmd_transfer(args) -> int:
     cfg = _resolve_config(args)
     _, pre_spec, pre_std = _prepare(args.pretrain_data)
     # the fine-tune inputs fail here, before any pretraining
-    _, ft_spec, ft_std = _prepare(args.finetune_data)
-    _check_horizons(ft_spec, cfg)
+    _, ft_spec, ft_std = _prepare(args.finetune_data, cfg)
     ft_epochs = args.finetune_epochs
     if ft_epochs is None:
         ft_epochs = int(cfg["train.epochs"]) // 2
     ft_cfg = cfg.override({"train.epochs": ft_epochs})
-    ft_train_cfg = ft_cfg.train_config()
+    ft_cfg.train_config()  # a negative epoch count fails here
     if pre_std.num_features != ft_std.num_features and not args.reinit_input:
         raise ConfigurationError(
             f"{args.pretrain_data} has {pre_std.num_features} features but "
             f"{args.finetune_data} has {ft_std.num_features}; pass --reinit-input "
             "to re-initialize the input linear layer and transfer the rest"
         )
-    pre_cfg = cfg
-    if args.pretrain_epochs is not None:
-        pre_cfg = cfg.override({"train.epochs": args.pretrain_epochs})
-    model, _, steps = _build_and_fit(pre_std, pre_spec, pre_cfg)
-
-    ft_model = Model.build(
-        ft_cfg.model_config(ft_std.num_features), init_seed=int(ft_cfg["seed"])
-    )
+    model, _, steps = _build_and_fit(pre_std, pre_spec, cfg)
+    ft_model = Model.build(ft_cfg.model_config(ft_std.num_features), init_seed=int(cfg["seed"]))
     state = model.state_arrays()
     if args.reinit_input:
         # the input linear layer keeps its fresh initialization
@@ -306,19 +267,16 @@ def cmd_transfer(args) -> int:
     ft_model.load_state(state)
     if ft_epochs:
         # the augmentation and dropout draws carry on from the pretraining steps
-        wins = _train_windows(ft_std, ft_spec, ft_cfg)
-        train_mod.fit(wins, ft_model, ft_train_cfg, ft_cfg.augment_config(), start_step=steps)
-    report = _evaluate(ft_model, ft_std, ft_spec, ft_cfg, Path(args.finetune_data).stem)
-    _write(args.report, report.to_json())
-    print(report.console_table())
-    return 0
+        _fit(ft_model, ft_std, ft_spec, ft_cfg, steps)
+    return _report(ft_model, ft_std, ft_spec, ft_cfg, args.finetune_data, args.report)
 
 
 def _synthetic_spec(spec) -> tuple[int, list[SyntheticFeature], int]:
     """Row count, features and seed of a decoded synth spec: an object with
     ``n``, ``features`` (objects with ``waves`` of [period, amplitude,
-    phase], ``slope`` and ``noise_std``) and ``seed``. A malformed spec
-    raises ConfigurationError."""
+    phase], ``slope`` and ``noise_std``) and ``seed``. A spec that does not
+    decode raises ConfigurationError; ``SyntheticFeature`` and
+    ``gen_synthetic`` check the values."""
     if not isinstance(spec, dict):
         raise ConfigurationError(
             f"synthetic spec must be a JSON object, got {type(spec).__name__}"
@@ -337,21 +295,6 @@ def _synthetic_spec(spec) -> tuple[int, list[SyntheticFeature], int]:
         raise ConfigurationError(f"synthetic spec has no {exc} field") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad synthetic spec: {exc}") from None
-    if n < 1 or not features:
-        raise ConfigurationError(
-            f"synthetic spec needs n >= 1 and a feature, got n={n} and {len(features)} features"
-        )
-    for f in features:
-        for w in f.waves:
-            if len(w) != 3:
-                raise ConfigurationError(
-                    f"a synthetic wave is [period, amplitude, phase], got {list(w)}"
-                )
-        if not np.isfinite([f.slope, f.noise_std, *np.ravel(f.waves)]).all() or f.noise_std < 0:
-            raise ConfigurationError(
-                "a synthetic feature needs finite waves and slope and a finite"
-                f" noise_std >= 0, got {f}"
-            )
     return n, features, seed
 
 
@@ -361,10 +304,7 @@ def cmd_synth(args) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read synthetic spec {args.spec}: {exc}") from exc
     n, features, seed = _synthetic_spec(spec)
-    try:
-        table = data_mod.gen_synthetic(n, features, seed=seed)
-    except MemoryError:
-        raise ConfigurationError(f"{n} synthetic rows do not fit in memory") from None
+    table = data_mod.gen_synthetic(n, features, seed=seed)
     lines = ["date," + ",".join(table.feature_names)]
     for stamp, row in zip(table.timestamps, table.values):
         lines.append(stamp + "," + ",".join(repr(float(v)) for v in row))
@@ -421,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer", help="pretrain on one dataset, fine-tune on another")
     p.add_argument("pretrain_data")
     p.add_argument("finetune_data")
-    p.add_argument("--pretrain-epochs", type=int, default=None)
     p.add_argument("--finetune-epochs", type=int, default=None)
     p.add_argument("--reinit-input", action="store_true")
     p.add_argument("--report", required=True)
@@ -452,6 +391,9 @@ def main(argv=None) -> int:
         return 4
     except MffError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

@@ -333,23 +333,50 @@ def window_batch(table, split_range, T, stride: int = 1) -> WindowBatch:
 
 @dataclass
 class SyntheticFeature:
-    """One generated column: a sum of sinusoids plus trend and noise."""
+    """One generated column: a sum of sinusoids plus trend and noise. A wave
+    is (period, amplitude, phase), all finite and the period positive; the
+    slope is finite and ``noise_std`` finite and >= 0. A feature that breaks
+    a rule raises ParameterError."""
 
     waves: list[tuple[float, float, float]] = field(default_factory=list)
     slope: float = 0.0
     noise_std: float = 0.0
+
+    def __post_init__(self):
+        for w in self.waves:
+            if len(w) != 3:
+                raise ParameterError(
+                    f"a synthetic wave is [period, amplitude, phase], got {list(w)}"
+                )
+        values = [self.slope, self.noise_std, *np.ravel(self.waves)]
+        if not np.isfinite(values).all() or self.noise_std < 0:
+            raise ParameterError(
+                "a synthetic feature needs finite waves and slope and a finite"
+                f" noise_std >= 0, got {self}"
+            )
+        for period, _, _ in self.waves:
+            if period <= 0:
+                raise ParameterError(f"sinusoid period must be positive, got {period}")
 
 
 def gen_synthetic(
     T_total: int, components: list[SyntheticFeature], seed: int = 0
 ) -> SeriesTable:
     """x_d[t] = sum_i amp*sin(2 pi t/period + phase) + slope*t + noise, one
-    column per component, stamped hourly from 2020-01-01. More rows than
-    those stamps can reach before ``datetime.max`` raise ParameterError."""
+    column per component, stamped hourly from 2020-01-01. No row or no
+    component, a negative seed, or more rows than those stamps can reach
+    before ``datetime.max`` raise ParameterError."""
     origin = datetime(2020, 1, 1)
     max_rows = (datetime.max - origin) // timedelta(hours=1) + 1
+    if T_total < 1 or not components:
+        raise ParameterError(
+            f"synthetic spec needs n >= 1 and a feature, got n={T_total} and "
+            f"{len(components)} features"
+        )
     if T_total > max_rows:
         raise ParameterError(f"at most {max_rows} hourly rows fit, got {T_total}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     D = len(components)
     rng = np.random.default_rng(seed)
     t = np.arange(T_total, dtype=np.float64)
@@ -357,8 +384,6 @@ def gen_synthetic(
     for d, comp in enumerate(components):
         col = comp.slope * t
         for period, amplitude, phase in comp.waves:
-            if period <= 0:
-                raise ParameterError(f"sinusoid period must be positive, got {period}")
             col = col + amplitude * np.sin(2 * np.pi * t / period + phase)
         if comp.noise_std > 0:
             col = col + rng.normal(0.0, comp.noise_std, size=T_total)
@@ -368,24 +393,23 @@ def gen_synthetic(
     return SeriesTable(stamps, values, names)
 
 
-def inject(table: SeriesTable, spec: PerturbationSpec) -> SeriesTable:
-    """Perturb exactly ceil(ratio*N*D) cells, chosen uniformly without
-    replacement under the spec seed.
+def inject(table: SeriesTable, spec: PerturbationSpec, rows: int | None = None) -> SeriesTable:
+    """Perturb exactly ceil(ratio*rows*D) cells of the first ``rows`` rows
+    (every row when None), chosen uniformly without replacement under the
+    spec seed; the other rows stay as they are.
 
     noise: add Normal(noise_mean, noise_std^2) draws to the chosen cells.
     missing: zero the chosen cells (train-mean imputation on standardized
     data).
     """
-    n_cells = table.values.size
-    k = math.ceil(spec.ratio * n_cells)
     values = table.values.copy()
-    if k == 0:
-        return replace(table, values=values)
-    rng = np.random.default_rng(spec.seed)
-    flat_idx = rng.choice(n_cells, size=k, replace=False)
-    coords = np.unravel_index(flat_idx, table.values.shape)
-    if spec.kind == "noise":
-        values[coords] += rng.normal(spec.noise_mean, spec.noise_std, size=k)
-    else:
-        values[coords] = 0.0
+    head = values[:rows]  # a view: its C-order flat indices are the sub-table's
+    k = math.ceil(spec.ratio * head.size)
+    if k:
+        rng = np.random.default_rng(spec.seed)
+        coords = np.unravel_index(rng.choice(head.size, size=k, replace=False), head.shape)
+        if spec.kind == "noise":
+            head[coords] += rng.normal(spec.noise_mean, spec.noise_std, size=k)
+        else:
+            head[coords] = 0.0
     return replace(table, values=values)

@@ -306,29 +306,20 @@ class _TargetSeries:
 
     Target row i of horizon P is u[i : i + P] flattened, so the cross
     moment sum_i a_i y_i^T is, per lag p < P, the cross-correlation of the
-    feature columns with u at lag p. Each horizon's own feature mean is
-    taken first; then the features are centred on the mean c of all m0
-    rows, A = X - c, and one block-wise FFT correlation (``_lag_sums``)
-    gives the lag sums over all m0 rows for every lag below the longest
-    horizon.
-
+    feature columns with u at lag p: one ``_lag_sums`` of the features
+    centred on the mean c of all m0 rows, A = X - c, serves every horizon.
     Horizon P keeps the first m = n - P + 1 rows: it subtracts the lag sums
-    of the P - P0 tail rows A[m:m0], one more correlation of P lags, and
-    moves the centre from c to its x0 exactly, through (c - x0) times the
-    target sums. The running sums of u and u^2 give the target sums and
-    Syy. The Gram works the same way: the Gram of all m0 rows about c,
-    computed once, less the tail rows' Gram, plus the rank-one terms of the
-    shift d = c - x0: with s the sum of the kept A rows,
-    sum_i (A_i + d)(A_i + d)^T = S + s d^T + d s^T + m d d^T.
+    and the Gram of the tail rows A[m:m0] and moves the centre from c to
+    its x0 exactly; with s the sum of the kept A rows and d = c - x0,
+    sum_i (A_i + d)(A_i + d)^T = S + s d^T + d s^T + m d d^T. The running
+    sums of u and u^2 give the target sums and Syy.
 
-    Once the lag sums and the Gram are made, the series keeps of A only
-    what the horizons read: the rows past the longest horizon's cut, which
-    hold every horizon's tail, and each horizon's s. An s summed over the
-    kept rows, not the total less the tail's sum, leaves the metrics' bits
-    as they were. Of the running sums it keeps the first and the last
-    longest-horizon rows, made in row chunks (``_running_ends``). So once
-    the caller drops X, no array the series holds or makes grows with the
-    split."""
+    The series keeps of A only the rows past the longest horizon's cut and
+    each horizon's s, and of the running sums only their ends. An s summed
+    over the kept rows, not the total less the tail's sum, leaves the
+    metrics' bits as they were. So once the caller drops X, no array the
+    series holds or makes grows with the split; README's probe paragraph
+    gives the budgets."""
 
     def __init__(self, X: np.ndarray, u: np.ndarray, horizons):
         self.u = u
@@ -487,10 +478,8 @@ def fit_ridge(
     array, the probe's ``coef``. Neither argument is changed, but each is
     let go once its cross moment has been read, so when the caller keeps no
     reference to the moments (``evaluate_horizons`` keeps none) at most
-    three K x (P * D_out) arrays are alive at once: the train cross moment,
-    the validation one and Ct, then the validation one, Ct and Q^T C_v,
-    then Ct and ``coef``. This needs CPython 3.11 or later: before, a call
-    keeps its caller's reference to each argument until it returns."""
+    three K x (P * D_out) arrays are alive at once on CPython 3.11 and
+    later (README's probe paragraph)."""
     _check_alphas(alpha_grid)
     if train.rows < 2:
         raise ConfigurationError("ridge probe needs at least 2 training rows")
@@ -539,16 +528,11 @@ def evaluate_horizons(
     receptive field fits in T, long causal segments that each yield many
     rows; so the rows equal a per-horizon extraction bit for bit.
 
-    No target matrix is formed. The ridge fit and the alpha choice read
-    the train and validation splits through their moments: each of the two
-    splits runs one block-wise FFT cross-correlation of its features with
-    its values, at a length set by the longest horizon, and every horizon
-    reads its moments from it (``_TargetSeries``). ``fit_ridge`` ranks the
-    whole alpha grid from one eigendecomposition of the train Gram per
-    horizon. The test split is scored in row blocks against a strided view
-    of its values, since MAE needs every error. Against dense target
-    matrices and one solve per alpha the metrics agree within 1e-10
-    relative.
+    No target matrix is formed: the train and validation splits reach the
+    fit through their moments (``_TargetSeries``, ``fit_ridge``), and the
+    test split is scored in row blocks (``score``); README's probe
+    paragraph gives how and at what memory. Against dense target matrices
+    and one solve per alpha the metrics agree within 1e-10 relative.
 
     An empty horizon list, a horizon below 1, a bad alpha grid (empty,
     non-finite or not positive) or a mode other than multivariate or

@@ -25,8 +25,8 @@ class TrainConfig:
     learning_rate: float = 1e-3
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    epochs: int = 50
-    batch_size: int = 8
+    epochs: int = 600
+    batch_size: int = 128
     seed: int = 0
 
     def __post_init__(self):

@@ -18,7 +18,7 @@ from mffftnet import cli
 from mffftnet import training as train_mod
 from mffftnet.cli import ABLATION_VARIANTS, main
 from mffftnet.config import DEFAULTS, RunConfig, _coerce
-from mffftnet.data import PerturbationSpec, load_csv, split, standardize, window_batch
+from mffftnet.data import PerturbationSpec, inject, load_csv, split, standardize, window_batch
 from mffftnet.evaluation import ForecastReport, evaluate_horizons
 from mffftnet.model import Model
 from mffftnet.training import fit, load_checkpoint, save_checkpoint
@@ -96,12 +96,13 @@ def test_synth_bad_spec(tmp_path, capsys):
         {"n": 10, "features": [{"noise_std": float("inf")}]},
         {"n": 10**12, "features": [{}]},
         {"n": 10**19, "features": [{}]},
+        {"n": 10, "seed": -1, "features": [{}]},
     ],
     ids=[
         "no-features", "n-not-a-number", "short-wave", "top-level-list", "zero-features",
         "nan-slope", "infinite-slope", "infinite-amplitude", "nan-phase",
         "negative-noise", "nan-noise", "infinite-noise", "n-past-datetime-max",
-        "n-past-int64",
+        "n-past-int64", "negative-seed",
     ],
 )
 def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
@@ -124,6 +125,18 @@ def test_synth_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and _one_line_error(err) and "memory" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_train_out_of_memory_exits_2(tmp_path, corpus, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(train_mod, "fit", out_of_memory)
+    out = tmp_path / "m.bin"
+    assert main(["train", str(corpus), "--out", str(out), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+    assert not out.exists()
 
 
 # -- configuration flags -----------------------------------------------------
@@ -654,9 +667,7 @@ def test_robustness_missing_rows(tmp_path, corpus, kind):
     # only the train rows are perturbed; validation and test rows stay as read
     table = load_csv(corpus)
     train_end = split(table).train_end
-    perturbed = cli._perturb_train_rows(
-        table, PerturbationSpec(kind=kind, ratio=0.5), train_end
-    )
+    perturbed = inject(table, PerturbationSpec(kind=kind, ratio=0.5), train_end)
     assert not np.array_equal(perturbed.values[:train_end], table.values[:train_end])
     np.testing.assert_array_equal(perturbed.values[train_end:], table.values[train_end:])
 
@@ -666,9 +677,7 @@ def test_robustness_missing_rows(tmp_path, corpus, kind):
 def test_robustness_ratio_is_a_share_of_the_train_cells(corpus, kind, ratio):
     table = load_csv(corpus)
     train_end = split(table).train_end
-    perturbed = cli._perturb_train_rows(
-        table, PerturbationSpec(kind=kind, ratio=ratio, seed=5), train_end
-    )
+    perturbed = inject(table, PerturbationSpec(kind=kind, ratio=ratio, seed=5), train_end)
     changed = perturbed.values != table.values
     assert changed[:train_end].sum() == math.ceil(ratio * table.values[:train_end].size)
     assert not changed[train_end:].any()
@@ -735,8 +744,6 @@ def test_transfer_report(tmp_path, corpus):
             "transfer",
             str(corpus),
             str(corpus),
-            "--pretrain-epochs",
-            "1",
             "--finetune-epochs",
             "1",
             "--report",
@@ -792,8 +799,8 @@ def test_transfer_zero_finetune_matches_pretrained_eval(tmp_path, corpus, monkey
 def test_transfer_continues_the_pretraining_step_counter(tmp_path, corpus):
     rep = tmp_path / "tr.json"
     assert main(
-        ["transfer", str(corpus), str(corpus), "--pretrain-epochs", "1",
-         "--finetune-epochs", "1", "--report", str(rep), *FAST]
+        ["transfer", str(corpus), str(corpus), "--finetune-epochs", "1",
+         "--report", str(rep), *FAST]
     ) == 0
     # the same protocol by hand: fine-tuning's augmentation and dropout draws
     # carry on from the last pretraining step

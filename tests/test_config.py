@@ -4,8 +4,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mffftnet.augment import AugmentConfig
 from mffftnet.config import DEFAULTS, PROFILES, RunConfig, parse_config_file
+from mffftnet.ctcm import CtcmConfig
+from mffftnet.encoder import BackboneConfig
 from mffftnet.errors import ConfigurationError
+from mffftnet.facm import FacmConfig
+from mffftnet.training import TrainConfig
 
 
 def test_defaults_resolve():
@@ -14,6 +19,17 @@ def test_defaults_resolve():
     assert cfg["train.epochs"] == 600
     assert cfg["train.batch_size"] == 128
     assert cfg["profile"] == "paper"
+
+
+def test_dataclass_defaults_are_the_configuration_defaults():
+    # each config dataclass built from DEFAULTS alone is its default construction
+    cfg = RunConfig(dict(DEFAULTS))
+    model = cfg.model_config(input_dim=7)
+    assert model.backbone == BackboneConfig(input_dim=7)
+    assert model.facm == FacmConfig()
+    assert model.ctcm == CtcmConfig()
+    assert cfg.train_config() == TrainConfig()
+    assert cfg.augment_config() == AugmentConfig()
 
 
 def test_profile_overrides_defaults():

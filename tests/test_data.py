@@ -563,6 +563,22 @@ def test_synthetic_rows_stop_at_the_last_hourly_timestamp():
         D.gen_synthetic(69_951_241, [D.SyntheticFeature()])
 
 
+def test_synthetic_negative_seed():
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        D.gen_synthetic(10, [D.SyntheticFeature()], seed=-1)
+
+
+@pytest.mark.parametrize(
+    "feature",
+    [{"waves": [(24.0, 1.0)]}, {"slope": float("nan")}, {"noise_std": -0.1},
+     {"waves": [(-1.0, 1.0, 0.0)]}],
+    ids=["short-wave", "nan-slope", "negative-noise", "negative-period"],
+)
+def test_synthetic_feature_rejects_a_bad_value(feature):
+    with pytest.raises(ParameterError):
+        D.SyntheticFeature(**feature)
+
+
 def test_bundled_two_sine_deterministic():
     a, b = two_sine(), two_sine()
     np.testing.assert_array_equal(a.values, b.values)
@@ -602,6 +618,16 @@ def test_inject_missing_zeroes_only_the_chosen_cells():
     changed = out.values != table.values
     assert changed.sum() == 20  # ceil(0.1 * 100 * 2)
     assert np.all(out.values[changed] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["noise", "missing"])
+def test_inject_rows_perturbs_the_leading_rows_as_their_own_table(kind):
+    table = _mini_table(60)
+    spec = D.PerturbationSpec(kind=kind, ratio=0.3, seed=4)
+    head = D.SeriesTable(table.timestamps[:25], table.values[:25], table.feature_names)
+    out = D.inject(table, spec, rows=25)
+    np.testing.assert_array_equal(out.values[:25], D.inject(head, spec).values)
+    np.testing.assert_array_equal(out.values[25:], table.values[25:])
 
 
 def test_inject_deterministic():
