@@ -70,8 +70,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys=tuple(DEFAULTS)) -> 
 def _resolve_config(args, checkpoint_text: str | None = None) -> RunConfig:
     """The profile and config file named in ``args`` or, given
     ``checkpoint_text``, the configuration a checkpoint was written with,
-    under the config flags in ``args``. A bad probe grid fails here, before
-    any training or encoding, not at the probe after it."""
+    under the config flags in ``args``; a bad value fails here."""
     if checkpoint_text is None:
         profile = args.profile
         overrides = parse_config_file(args.config) if args.config else {}
@@ -80,11 +79,7 @@ def _resolve_config(args, checkpoint_text: str | None = None) -> RunConfig:
         profile = overrides.pop("profile", None)
     given = vars(args)
     flags = {key: given[key] for key in DEFAULTS if given.get(key) is not None}
-    cfg = RunConfig.resolve(profile, overrides, flags)
-    eval_mod.check_probe_grid(
-        cfg.int_list("eval.horizons"), cfg.float_list("eval.ridge_alphas"), cfg["eval.mode"]
-    )
-    return cfg
+    return RunConfig.resolve(profile, overrides, flags)
 
 
 def _prepare(path, cfg: RunConfig | None = None):
@@ -250,7 +245,12 @@ def cmd_transfer(args) -> int:
     if ft_epochs is None:
         ft_epochs = int(cfg["train.epochs"]) // 2
     ft_cfg = cfg.override({"train.epochs": ft_epochs})
-    ft_cfg.train_config()  # a negative epoch count fails here
+    if ft_epochs:
+        # too few fine-tune windows for one batch fail before pretraining too;
+        # window_batch takes every stride-th start that leaves T rows
+        (start, end), T = ft_spec.train_range, int(cfg["window.length"])
+        n_windows = len(range(start, end - T + 1, int(cfg["window.stride"])))
+        train_mod.check_batch(n_windows, int(cfg["train.batch_size"]))
     if pre_std.num_features != ft_std.num_features and not args.reinit_input:
         raise ConfigurationError(
             f"{args.pretrain_data} has {pre_std.num_features} features but "

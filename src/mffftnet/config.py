@@ -10,38 +10,47 @@ from .augment import AugmentConfig
 from .ctcm import CtcmConfig
 from .encoder import BackboneConfig
 from .errors import ConfigurationError
+from .evaluation import check_probe_grid
 from .facm import FacmConfig
 from .model import ModelConfig
 from .training import TrainConfig
+
+# key -> (config dataclass, field): the dataclass holds the key's default
+# and the rules for its value
+_FIELDS = {
+    "augment.alpha": (AugmentConfig, "alpha"),
+    "augment.beta": (AugmentConfig, "beta"),
+    "backbone.hidden_dim": (BackboneConfig, "hidden_dim"),
+    "backbone.output_dim": (BackboneConfig, "output_dim"),
+    "backbone.num_blocks": (BackboneConfig, "num_blocks"),
+    "backbone.kernel_size": (BackboneConfig, "kernel_size"),
+    "backbone.dropout": (BackboneConfig, "dropout_rate"),
+    "backbone.activation": (BackboneConfig, "activation"),
+    "facm.mask_ratio": (FacmConfig, "mask_ratio"),
+    "facm.lambda": (FacmConfig, "lam"),
+    "facm.dropout": (FacmConfig, "dropout_rate"),
+    "ctcm.kernels": (CtcmConfig, "kernels"),
+    "ctcm.msff_hidden": (CtcmConfig, "msff_hidden"),
+    "train.gamma1": (TrainConfig, "gamma1"),
+    "train.gamma2": (TrainConfig, "gamma2"),
+    "train.learning_rate": (TrainConfig, "learning_rate"),
+    "train.momentum": (TrainConfig, "momentum"),
+    "train.weight_decay": (TrainConfig, "weight_decay"),
+    "train.epochs": (TrainConfig, "epochs"),
+    "train.batch_size": (TrainConfig, "batch_size"),
+}
 
 DEFAULTS: dict[str, object] = {
     "seed": 0,
     "window.length": 201,
     "window.stride": 1,
-    "augment.alpha": 0.5,
-    "augment.beta": 0.1,
-    "backbone.hidden_dim": 32,
-    "backbone.output_dim": 320,
-    "backbone.num_blocks": 8,
-    "backbone.kernel_size": 3,
-    "backbone.dropout": 0.0,
-    "backbone.activation": "silu",
-    "facm.mask_ratio": 0.4,
-    "facm.lambda": 0.5,
-    "facm.dropout": 0.1,
-    "ctcm.kernels": "1,2,4,8,16,32,64,128",
-    "ctcm.msff_hidden": 96,
-    "train.gamma1": 1.0,
-    "train.gamma2": 1.0,
-    "train.learning_rate": 1e-3,
-    "train.momentum": 0.9,
-    "train.weight_decay": 1e-4,
-    "train.epochs": 600,
-    "train.batch_size": 128,
+    **{key: getattr(cls, name) for key, (cls, name) in _FIELDS.items()},
     "eval.horizons": "24,48,168,336,720",
     "eval.mode": "multivariate",
     "eval.ridge_alphas": "0.01,0.1,1,10,100",
 }
+# a key holds the kernel sizes as comma-separated text
+DEFAULTS["ctcm.kernels"] = ",".join(map(str, CtcmConfig.kernels))
 
 PROFILES: dict[str, dict[str, object]] = {
     # Small dimensions and short windows: every structural contract holds
@@ -96,9 +105,8 @@ _TYPES = {key: type(value) for key, value in DEFAULTS.items()}
 
 
 def _coerce(key: str, raw) -> object:
-    """``raw`` as ``key``'s type; a float key must be finite, the seed
-    non-negative, a dropout rate and the momentum in [0, 1), the learning
-    rate positive and the weight decay non-negative."""
+    """``raw`` as ``key``'s type; a float key must be finite and the seed
+    non-negative. The dataclass a key sets holds the key's other rules."""
     if key not in _TYPES:
         raise ConfigurationError(f"unknown configuration key {key!r}")
     want = _TYPES[key]
@@ -110,14 +118,6 @@ def _coerce(key: str, raw) -> object:
         raise ConfigurationError(f"non-finite value {raw!r} for key {key!r}")
     if key == "seed" and value < 0:
         raise ConfigurationError(f"seed must be >= 0, got {value}")
-    if key in ("backbone.dropout", "facm.dropout") and not 0.0 <= value < 1.0:
-        raise ConfigurationError(f"{key}: dropout rate must be in [0, 1), got {value}")
-    if key == "train.learning_rate" and not value > 0.0:
-        raise ConfigurationError(f"{key} must be > 0, got {value}")
-    if key == "train.momentum" and not 0.0 <= value < 1.0:
-        raise ConfigurationError(f"{key} must be in [0, 1), got {value}")
-    if key == "train.weight_decay" and value < 0.0:
-        raise ConfigurationError(f"{key} must be >= 0, got {value}")
     return value
 
 
@@ -178,11 +178,19 @@ class RunConfig:
 
     def override(self, overrides: dict[str, object]) -> "RunConfig":
         """A copy with each of ``overrides`` coerced to its key's type and
-        set; an unknown key or a bad value raises ConfigurationError."""
+        set; an unknown key, a bad value, or a config that the model,
+        training, augmentation or probe rejects raises ConfigurationError."""
         values = dict(self.values)
         for key, raw in overrides.items():
             values[key] = _coerce(key, raw)
-        return RunConfig(values)
+        cfg = RunConfig(values)
+        cfg.model_config(input_dim=1)  # the data sets input_dim, which has no rule
+        cfg.train_config()
+        cfg.augment_config()
+        check_probe_grid(
+            cfg.int_list("eval.horizons"), cfg.float_list("eval.ridge_alphas"), cfg["eval.mode"]
+        )
+        return cfg
 
     def __getitem__(self, key):
         return self.values[key]
@@ -201,47 +209,21 @@ class RunConfig:
         return dict(sorted(self.values.items()))
 
     # -- builders ----------------------------------------------------------
+    def _build(self, cls, **given):
+        """``cls`` from the values of the keys that set its fields, and ``given``."""
+        fields = {name: self[key] for key, (owner, name) in _FIELDS.items() if owner is cls}
+        return cls(**{**fields, **given})
+
     def model_config(self, input_dim: int) -> ModelConfig:
-        backbone = BackboneConfig(
-            input_dim=input_dim,
-            hidden_dim=int(self["backbone.hidden_dim"]),
-            output_dim=int(self["backbone.output_dim"]),
-            num_blocks=int(self["backbone.num_blocks"]),
-            kernel_size=int(self["backbone.kernel_size"]),
-            dropout_rate=float(self["backbone.dropout"]),
-            activation=str(self["backbone.activation"]),
-        )
-        facm = FacmConfig(
-            mask_ratio=float(self["facm.mask_ratio"]),
-            lam=float(self["facm.lambda"]),
-            dropout_rate=float(self["facm.dropout"]),
-        )
-        ctcm = CtcmConfig(
-            kernels=tuple(self.int_list("ctcm.kernels")),
-            msff_hidden=int(self["ctcm.msff_hidden"]),
-        )
         return ModelConfig(
-            window_length=int(self["window.length"]),
-            backbone=backbone,
-            facm=facm,
-            ctcm=ctcm,
+            window_length=self["window.length"],
+            backbone=self._build(BackboneConfig, input_dim=input_dim),
+            facm=self._build(FacmConfig),
+            ctcm=self._build(CtcmConfig, kernels=self.int_list("ctcm.kernels")),
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            gamma1=float(self["train.gamma1"]),
-            gamma2=float(self["train.gamma2"]),
-            learning_rate=float(self["train.learning_rate"]),
-            momentum=float(self["train.momentum"]),
-            weight_decay=float(self["train.weight_decay"]),
-            epochs=int(self["train.epochs"]),
-            batch_size=int(self["train.batch_size"]),
-            seed=int(self["seed"]),
-        )
+        return self._build(TrainConfig, seed=self["seed"])
 
     def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(
-            alpha=float(self["augment.alpha"]),
-            beta=float(self["augment.beta"]),
-            seed=int(self["seed"]),
-        )
+        return self._build(AugmentConfig, seed=self["seed"])

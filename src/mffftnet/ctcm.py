@@ -39,12 +39,10 @@ from .errors import ConfigurationError, ContractError, ParameterError
 from . import tensor as tn
 from .tensor import Parameter, ParameterInit, Tensor
 
-DEFAULT_KERNELS = (1, 2, 4, 8, 16, 32, 64, 128)
-
 
 @dataclass
 class CtcmConfig:
-    kernels: tuple[int, ...] = DEFAULT_KERNELS
+    kernels: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
     msff_hidden: int = 96
 
     def __post_init__(self):

@@ -41,6 +41,10 @@ class BackboneConfig:
             raise ConfigurationError("backbone output dimension must be even")
         if self.num_blocks < 1 or self.kernel_size < 1:
             raise ConfigurationError("num_blocks and kernel_size must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigurationError(
+                f"backbone.dropout: dropout rate must be in [0, 1), got {self.dropout_rate}"
+            )
         if self.activation not in ("silu", "gelu"):
             raise ConfigurationError(f"unknown activation {self.activation!r}")
 

@@ -35,6 +35,10 @@ class FacmConfig:
             raise ConfigurationError(f"mask_ratio must be in (0,1], got {self.mask_ratio}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigurationError(f"lambda must be in [0,1], got {self.lam}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigurationError(
+                f"facm.dropout: dropout rate must be in [0, 1), got {self.dropout_rate}"
+            )
 
 
 def make_facm_params(

@@ -32,6 +32,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise ConfigurationError("loss weights must be non-negative")
+        if not self.learning_rate > 0.0:
+            raise ConfigurationError(f"train.learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigurationError(f"train.momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0.0:
+            raise ConfigurationError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -101,6 +107,14 @@ def sgd_step(
         p.data -= lr * v
 
 
+def check_batch(n_windows: int, batch_size: int) -> None:
+    """Raise ``ConfigurationError`` unless ``n_windows`` training windows fill one batch."""
+    if n_windows < batch_size:
+        raise ConfigurationError(
+            f"need at least batch_size={batch_size} training windows, got {n_windows}"
+        )
+
+
 def fit(
     train_windows: np.ndarray,
     model: Model,
@@ -109,11 +123,7 @@ def fit(
     start_step: int = 0,
 ) -> list[dict]:
     """Epoch loop over shuffled mini-batches; returns per-epoch loss history."""
-    if len(train_windows) < cfg.batch_size:
-        raise ConfigurationError(
-            f"need at least batch_size={cfg.batch_size} training windows, "
-            f"got {len(train_windows)}"
-        )
+    check_batch(len(train_windows), cfg.batch_size)
     velocities: dict[str, np.ndarray] = {}
     history: list[dict] = []
     step = start_step

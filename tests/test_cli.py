@@ -146,8 +146,11 @@ CONFIG_KEYS = {*DEFAULTS, "profile"}
 # a valid value other than the desk profile's for each string key, and for
 # each number key that default + 1 would put out of range
 FLAG_VALUES = {
+    "backbone.output_dim": 64,
     "backbone.activation": "gelu",
     "backbone.dropout": 0.25,
+    "facm.mask_ratio": 0.5,
+    "facm.lambda": 0.25,
     "facm.dropout": 0.3,
     "ctcm.kernels": "1,2",
     "train.momentum": 0.5,
@@ -836,7 +839,8 @@ def wide_corpus(tmp_path):
     [("negative-epochs", "epochs must be >= 0"),
      ("feature-count", "--reinit-input"),
      ("missing-file", "data file not found"),
-     ("short-file", "none of the horizons fits every split")],
+     ("short-file", "none of the horizons fits every split"),
+     ("small-batch", "need at least batch_size=30 training windows, got 23")],
 )
 def test_transfer_bad_finetune_input_exits_2_before_training(
     tmp_path, corpus, wide_corpus, capsys, no_training, case, needle
@@ -844,11 +848,15 @@ def test_transfer_bad_finetune_input_exits_2_before_training(
     # 80 rows: the pretrain splits fit lookback 32 + horizon 8, its test split does not
     short = tmp_path / "short.csv"
     short.write_text("\n".join(corpus.read_text().splitlines()[:81]) + "\n")
+    # 200 rows: 23 train windows of 32 at stride 4, against 38 in the pretrain corpus
+    small = tmp_path / "small.csv"
+    small.write_text("\n".join(corpus.read_text().splitlines()[:201]) + "\n")
     finetune, extra = {
         "negative-epochs": (corpus, ["--finetune-epochs", "-1"]),
         "feature-count": (wide_corpus, []),
         "missing-file": (tmp_path / "absent.csv", []),
         "short-file": (short, []),
+        "small-batch": (small, ["--train.batch-size", "30", "--finetune-epochs", "1"]),
     }[case]
     rep = tmp_path / "tr.json"
     rc = main(["transfer", str(corpus), str(finetune), "--report", str(rep), *FAST, *extra])

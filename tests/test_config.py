@@ -1,12 +1,13 @@
 """Layered configuration resolution and the canonical text form."""
 
+import hashlib
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mffftnet.augment import AugmentConfig
 from mffftnet.config import DEFAULTS, PROFILES, RunConfig, parse_config_file
-from mffftnet.ctcm import CtcmConfig
 from mffftnet.encoder import BackboneConfig
 from mffftnet.errors import ConfigurationError
 from mffftnet.facm import FacmConfig
@@ -21,15 +22,40 @@ def test_defaults_resolve():
     assert cfg["profile"] == "paper"
 
 
-def test_dataclass_defaults_are_the_configuration_defaults():
-    # each config dataclass built from DEFAULTS alone is its default construction
-    cfg = RunConfig(dict(DEFAULTS))
-    model = cfg.model_config(input_dim=7)
-    assert model.backbone == BackboneConfig(input_dim=7)
-    assert model.facm == FacmConfig()
-    assert model.ctcm == CtcmConfig()
-    assert cfg.train_config() == TrainConfig()
-    assert cfg.augment_config() == AugmentConfig()
+# sha256 of each profile's canonical text, which every checkpoint and
+# report carries
+PROFILE_DIGESTS = {
+    "desk": "d0b0665530d3c2a4466fd6fe0ebfb01f0f0028a8d13b2e05d920543679898155",
+    "paper-ett-multivariate": "7dcc963d530134aac6127cd0126c38d72448a2b6e6f249a4d6f4cdd5a1433431",
+    "paper-ett-univariate": "53041a00fec8191c59350c6f6f9ba9a040ec5171e8f72379a419637a5c2f37a4",
+    "paper-wth-multivariate": "a293fa4a4b446020c992afe0bfbecfd7f4e8af7e67593e39959bfb9aad3614b3",
+    "paper-wth-univariate": "4f8a7b9ba0153546388f08b0322274d04b96c32ad9a2809eec746beb59f90431",
+    "paper": "f662b127c34b6f4b1a681bf492f4433d6b0d2bbb3280838ba55f753ccc9b2cfa",
+}
+
+
+@pytest.mark.parametrize("profile", list(PROFILES))
+def test_profile_canonical_text_is_pinned(profile):
+    text = RunConfig.resolve(profile).to_canonical_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PROFILE_DIGESTS[profile]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TrainConfig(learning_rate=0), "train.learning_rate must be > 0, got 0"),
+        (lambda: TrainConfig(momentum=1.5), "train.momentum must be in [0, 1), got 1.5"),
+        (lambda: TrainConfig(weight_decay=-1), "train.weight_decay must be >= 0, got -1"),
+        (lambda: FacmConfig(dropout_rate=1.5),
+         "facm.dropout: dropout rate must be in [0, 1), got 1.5"),
+        (lambda: BackboneConfig(input_dim=2, dropout_rate=2.0),
+         "backbone.dropout: dropout rate must be in [0, 1), got 2.0"),
+    ],
+)
+def test_config_dataclass_rejects_a_bad_value(build, message):
+    # each rule lives in the dataclass whose field it checks
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        build()
 
 
 def test_profile_overrides_defaults():
@@ -116,6 +142,28 @@ def test_fuzz_parse_config_file_raises_only_configuration_error(tmp_path, raw):
         parse_config_file(f)
     except ConfigurationError:
         pass
+
+
+# a flag value: any text, or one that the key's type parses
+FLAG_TEXT = (
+    st.text(max_size=20)
+    | st.integers(-3, 400).map(str)
+    | st.floats(-2.0, 3.0).map(str)
+    | st.lists(st.integers(-2, 40), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(list(DEFAULTS)), text=FLAG_TEXT)
+def test_property_a_resolved_config_builds(key, text):
+    # every value rule fires when the configuration resolves, not at build
+    try:
+        cfg = RunConfig.resolve("desk", flag_overrides={key: text})
+    except ConfigurationError:
+        return
+    cfg.model_config(input_dim=3)
+    cfg.train_config()
+    cfg.augment_config()
 
 
 def test_canonical_text_sorted_and_stable():
