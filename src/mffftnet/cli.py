@@ -33,7 +33,7 @@ from .config import (
     parse_config_file,
     parse_config_text,
 )
-from .data import PerturbationSpec, SyntheticFeature
+from .data import PerturbationSpec, SyntheticSpec
 from .errors import ConfigurationError, DataError, MffError, NumericError
 from .model import Model
 
@@ -271,40 +271,14 @@ def cmd_transfer(args) -> int:
     return _report(ft_model, ft_std, ft_spec, ft_cfg, args.finetune_data, args.report)
 
 
-def _synthetic_spec(spec) -> tuple[int, list[SyntheticFeature], int]:
-    """Row count, features and seed of a decoded synth spec: an object with
-    ``n``, ``features`` (objects with ``waves`` of [period, amplitude,
-    phase], ``slope`` and ``noise_std``) and ``seed``. A spec that does not
-    decode raises ConfigurationError; ``SyntheticFeature`` and
-    ``gen_synthetic`` check the values."""
-    if not isinstance(spec, dict):
-        raise ConfigurationError(
-            f"synthetic spec must be a JSON object, got {type(spec).__name__}"
-        )
-    try:
-        n, seed = int(spec["n"]), int(spec.get("seed", 0))
-        features = [
-            SyntheticFeature(
-                waves=[tuple(float(v) for v in w) for w in f.get("waves", [])],
-                slope=float(f.get("slope", 0.0)),
-                noise_std=float(f.get("noise_std", 0.0)),
-            )
-            for f in spec["features"]
-        ]
-    except KeyError as exc:
-        raise ConfigurationError(f"synthetic spec has no {exc} field") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad synthetic spec: {exc}") from None
-    return n, features, seed
-
-
 def cmd_synth(args) -> int:
     try:
-        spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        spec = SyntheticSpec(**json.loads(Path(args.spec).read_text(encoding="utf-8")))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read synthetic spec {args.spec}: {exc}") from exc
-    n, features, seed = _synthetic_spec(spec)
-    table = data_mod.gen_synthetic(n, features, seed=seed)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad synthetic spec: {exc}") from None
+    table = data_mod.gen_synthetic(spec.n, spec.features, seed=spec.seed)
     lines = ["date," + ",".join(table.feature_names)]
     for stamp, row in zip(table.timestamps, table.values):
         lines.append(stamp + "," + ",".join(repr(float(v)) for v in row))

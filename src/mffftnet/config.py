@@ -102,11 +102,14 @@ PROFILES: dict[str, dict[str, object]] = {
 PROFILES["paper"] = PROFILES["paper-ett-multivariate"]
 
 _TYPES = {key: type(value) for key, value in DEFAULTS.items()}
+# the least value of a key that no dataclass field holds the rules of
+_LEAST = {"seed": 0, "window.stride": 1}
 
 
 def _coerce(key: str, raw) -> object:
-    """``raw`` as ``key``'s type; a float key must be finite and the seed
-    non-negative. The dataclass a key sets holds the key's other rules."""
+    """``raw`` as ``key``'s type; a float key must be finite, and the seed
+    and the stride at least their ``_LEAST``. The dataclass a key sets
+    holds the key's other rules."""
     if key not in _TYPES:
         raise ConfigurationError(f"unknown configuration key {key!r}")
     want = _TYPES[key]
@@ -116,8 +119,8 @@ def _coerce(key: str, raw) -> object:
         raise ConfigurationError(f"bad value {raw!r} for key {key!r}") from None
     if want is float and not math.isfinite(value):
         raise ConfigurationError(f"non-finite value {raw!r} for key {key!r}")
-    if key == "seed" and value < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {value}")
+    if key in _LEAST and value < _LEAST[key]:
+        raise ConfigurationError(f"{key} must be >= {_LEAST[key]}, got {value}")
     return value
 
 

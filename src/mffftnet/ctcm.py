@@ -21,8 +21,8 @@ rounding (computed gradients of at most 1.5e-13 on a desk step).
 The scale convolutions and MSFF's 3x3 convolution are both linear, so
 the model folds them into one convolution from r (RepVGG's structural
 re-parameterization, Ding et al., arXiv 2101.03697) and never builds the
-stack: ``composite_conv`` composes K x H taps from the weights alone,
-runs them on r with the convolutions' shared tap core, takes the scale
+stack: ``composite_conv`` composes K x H taps from the weights alone and
+runs them on r, both on the convolutions' shared tap core, takes the scale
 biases' rows from ``tensor.conv2d`` and corrects the last output row,
 where MSFF reads zeros past the stack. The unfused pair that builds the
 stack, the tests' reference, is in ``tests/oracles.py``.
@@ -179,50 +179,49 @@ def composite_conv(
     return tn._make(y, (out, rows, r, *ws, w1), bw)
 
 
-# Elements of one block of composite products, (taps x K x 9H): 16 MB. A
-# whole paper-shaped scale (128 x 320 x 864) would be 283 MB.
+# Elements of one composition block, rows x K x 9H, and so of its gradient
+# block in ``tn._kn2row``: 16 MB. ``_kn2row`` chunks only whole windows and a
+# weight block is one, so a whole paper-shaped scale (128 x 320 x 864) would
+# need 283 MB.
 _COMPOSE_ELEMS = 1 << 21
 
 
 def _compose(ws: list[Parameter], w1: Parameter, kernels: tuple[int, ...], top) -> Tensor:
     """The composite taps V, V_j[u] at row top[j] - u, as one tape node whose
     parents are the scale weights and w1 only: V reads no batch data. It
-    runs in blocks of ``_COMPOSE_ELEMS`` products, which go straight into V."""
+    runs on the convolutions' tap core: w1[a, b] is tap 3a + b over a block
+    of at most ``_COMPOSE_ELEMS`` products, rows [i0, i1) of one source
+    scale's w, and the backward pass is ``tn._kn2row`` on each block."""
     n, (K, H) = len(ws), w1.shape[-2:]
     wds, nws, nw1 = [w.data for w in ws], [w._node for w in ws], w1._node
-    # column (a, b, h) of w1cat is w1[a, b, :, h]
-    w1cat = w1.data.transpose(2, 0, 1, 3).reshape(K, 9 * H)
+    W1 = w1.data.reshape(9, K, H)
     per = max(1, _COMPOSE_ELEMS // (9 * K * H))
 
     def blocks(jj):
-        """Row blocks [i0, i1) of source scale jj's w, and for each (a, b)
-        whose output scale j exists, the V index of row 0: u = k-i-b."""
-        k = kernels[jj]
-        at = [(a, b, top[jj + 1 - a] - k + b) for a in range(3)
+        """Row blocks [i0, i1) of source scale jj's w and their taps: for
+        each (a, b) whose output scale j exists, row i lands on V_j[k-i-b]."""
+        k, whole = kernels[jj], (slice(None),) * 2
+        at = [(3 * a + b, top[jj + 1 - a] - k + b) for a in range(3)
               if 0 <= jj + 1 - a < n for b in range(3)]
         for i0 in range(0, k, per):
-            yield i0, min(k, i0 + per), at
+            i1 = min(k, i0 + per)
+            yield i0, i1, [(i, (..., *whole), (..., slice(v + i0, v + i1), *whole)) for i, v in at]
 
     V = np.zeros((top[-1] + 2, K, H))
     for jj, wd in enumerate(wds):
-        for i0, i1, at in blocks(jj):
-            p = (wd[i0:i1].reshape(-1, K) @ w1cat).reshape(i1 - i0, K, 3, 3, H)
-            for a, b, v in at:
-                V[v + i0:v + i1] += p[:, :, a, b]
+        for i0, i1, taps in blocks(jj):
+            for i, _, dst in taps:
+                V[dst] += wd[i0:i1] @ W1[i]
 
     def bw(gV):
-        gw1 = np.zeros((K, 3, 3, H))
-        gw1cat = gw1.reshape(K, 9 * H)
+        gW1, gW = np.zeros(W1.shape), np.zeros(W1.shape)
         for jj, (wd, nw) in enumerate(zip(wds, nws)):
             gw = tn._grad_buffer(nw)
-            for i0, i1, at in blocks(jj):
-                gp = np.zeros((i1 - i0, K, 3, 3, H))
-                for a, b, v in at:
-                    gp[:, :, a, b] = gV[v + i0:v + i1]
-                gp = gp.reshape(-1, 9 * H)
-                gw[i0:i1] += (gp @ w1cat.T).reshape(i1 - i0, K, K)
-                gw1cat += wd[i0:i1].reshape(-1, K).T @ gp
-        tn._accum(nw1, gw1.transpose(1, 2, 0, 3).copy(), owned=True)
+            for i0, i1, taps in blocks(jj):
+                tn._kn2row(wd[i0:i1], gV, W1, gW, taps, gw[i0:i1])
+                for i, _, _ in taps:
+                    gW1[i] += gW[i]
+        tn._accum(nw1, gW1.reshape(nw1.shape), owned=True)
 
     return tn._make(V, (*ws, w1), bw)
 

@@ -336,13 +336,16 @@ class SyntheticFeature:
     """One generated column: a sum of sinusoids plus trend and noise. A wave
     is (period, amplitude, phase), all finite and the period positive; the
     slope is finite and ``noise_std`` finite and >= 0. A feature that breaks
-    a rule raises ParameterError."""
+    a rule raises ParameterError. The numbers are taken as floats, so a
+    spec's feature object decodes as ``SyntheticFeature(**feature)``."""
 
     waves: list[tuple[float, float, float]] = field(default_factory=list)
     slope: float = 0.0
     noise_std: float = 0.0
 
     def __post_init__(self):
+        self.waves = [tuple(map(float, w)) for w in self.waves]
+        self.slope, self.noise_std = float(self.slope), float(self.noise_std)
         for w in self.waves:
             if len(w) != 3:
                 raise ParameterError(
@@ -357,6 +360,22 @@ class SyntheticFeature:
         for period, _, _ in self.waves:
             if period <= 0:
                 raise ParameterError(f"sinusoid period must be positive, got {period}")
+
+
+@dataclass
+class SyntheticSpec:
+    """The JSON object ``mff synth`` reads, decoded as ``SyntheticSpec(**spec)``:
+    ``n`` rows of ``features``, objects of ``SyntheticFeature``'s fields,
+    with their noise drawn from ``seed``. A key that no field reads raises
+    TypeError; ``gen_synthetic`` checks the values."""
+
+    n: int
+    features: list[SyntheticFeature]
+    seed: int = 0
+
+    def __post_init__(self):
+        self.n, self.seed = int(self.n), int(self.seed)
+        self.features = [SyntheticFeature(**feature) for feature in self.features]
 
 
 def gen_synthetic(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,18 +28,18 @@ DEFAULT_ALPHA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 class RidgeProbe:
     """Predictions x @ weights + intercept. ``coef`` stacks the weights over
     the intercept, (K + 1) x (P * D_out), so that ``score`` multiplies [x, 1]
-    by it in one GEMM; ``weights`` and ``intercept`` are views of it. A
-    probe given the two apart stacks them once."""
+    by it in one GEMM; ``weights`` and ``intercept`` are views of it."""
 
-    weights: np.ndarray  # K x (P * D_out)
-    intercept: np.ndarray  # P * D_out
+    coef: np.ndarray
     ridge_alpha: float
-    coef: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.coef is None:
-            self.coef = np.vstack([self.weights, self.intercept])
-            self.weights, self.intercept = self.coef[:-1], self.coef[-1]
+    @property
+    def weights(self) -> np.ndarray:  # K x (P * D_out)
+        return self.coef[:-1]
+
+    @property
+    def intercept(self) -> np.ndarray:  # P * D_out
+        return self.coef[-1]
 
 
 @dataclass
@@ -289,13 +288,6 @@ def _running_ends(u: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     return head, last
 
 
-class Centre(NamedTuple):
-    """The point (x0, y0) that moments are taken about."""
-
-    x0: np.ndarray  # K
-    y0: np.ndarray  # P * D_out
-
-
 class _TargetSeries:
     """One split's feature rows X (m0 of them, encoded at the shortest
     horizon P0) against its post-lookback values u (n = m0 + P0 - 1 rows),
@@ -338,20 +330,20 @@ class _TargetSeries:
         """P x 2 x D_out: the sums of the horizon-P targets and their squares."""
         return self.last[-P:] - self.head[:P]
 
-    def centre(self, P: int) -> Centre:
-        """The means of the first ``n - P + 1`` feature rows and of their
-        horizon-P targets: the centre ``moments(P)`` takes by default."""
-        return Centre(self.means[P], self._target_sums(P)[:, 0].ravel() / (len(self.u) - P + 1))
+    def centre(self, P: int) -> tuple[np.ndarray, np.ndarray]:
+        """(x0, y0): the means of the first ``n - P + 1`` feature rows and of
+        their horizon-P targets, the centre ``moments(P)`` takes by default."""
+        return self.means[P], self._target_sums(P)[:, 0].ravel() / (len(self.u) - P + 1)
 
-    def moments(self, P: int, centre: Moments | Centre | None = None) -> Moments:
+    def moments(self, P: int, centre: tuple[np.ndarray, np.ndarray] | None = None) -> Moments:
         """Moments of the first ``n - P + 1`` feature rows against their
-        horizon-P targets, about ``centre``'s (x0, y0) or, without one,
+        horizon-P targets, about the ``centre`` (x0, y0) or, without one,
         about their own means. The only K x P * D_out array it makes is the
         cross moment it returns."""
         m = len(self.u) - P + 1
         sums = self._target_sums(P)
         ysum, ysq = sums[:, 0], sums[:, 1].ravel()  # P x D_out each
-        x0, y0 = self.centre(P) if centre is None else (centre.x0, centre.y0)
+        x0, y0 = self.centre(P) if centre is None else centre
         d = self.c - x0
         tail = self.tail[m - self.cut :]
         lags = np.multiply.outer(d, ysum)  # K x P x D_out, then the lag sums
@@ -504,7 +496,7 @@ def fit_ridge(
     W = np.matmul(Q, ct, out=coef[:-1])
     del ct
     np.subtract(y0, x0 @ W, out=coef[-1])
-    return RidgeProbe(weights=W, intercept=coef[-1], ridge_alpha=alpha, coef=coef)
+    return RidgeProbe(coef, alpha)
 
 
 def evaluate_horizons(

@@ -25,6 +25,16 @@ class ModelConfig:
     facm: FacmConfig | None = field(default_factory=FacmConfig)
     ctcm: CtcmConfig | None = field(default_factory=CtcmConfig)  # with fusion
 
+    def __post_init__(self):
+        # FACM's rfft needs two steps, and no CTCM kernel may outrun the window
+        T = self.window_length
+        if T < 2:
+            raise ConfigurationError(f"window.length must be >= 2, got {T}")
+        if self.ctcm is not None and self.ctcm.kernels[-1] > T:
+            raise ConfigurationError(
+                f"ctcm.kernels: kernel {self.ctcm.kernels[-1]} exceeds window.length {T}"
+            )
+
 
 class Model:
     """Parameter container plus the forward paths of the pipeline."""

@@ -156,9 +156,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
@@ -484,22 +481,18 @@ def info_nce(a: Tensor, b: Tensor) -> Tensor:
 # is an index into the stacked (Cin x Cout) weight matrices and a shift:
 # channels first, it multiplies the unpadded input by its matrix, and the
 # product lands in the output shifted along the spatial axes.
-# ``causal_conv1d`` and ``conv2d`` differ only in their taps.
+# ``causal_conv1d`` and ``conv2d`` differ only in their taps, and
+# ``ctcm._compose`` runs the same per-tap loop and ``_kn2row`` on blocks of
+# weight rows.
 
 # Columns of the largest gradient block: with Cout output channels a block
-# holds _BLOCK_COLS // Cout taps (at least one). Without a bound the widest
-# tap list, the paper composite convolution's 398 taps at H = 96, would make
-# one 38 208-column block: 61 MB of gQ per 201-row window, and 98 MB each for
-# W_block and its gradient at K = 320. The value is measured in CHANGES.md.
+# holds _BLOCK_COLS // Cout taps (at least one), so a long tap list is never
+# one block of all its columns (README's time-domain paragraph).
 _BLOCK_COLS = 1024
 
 # Elements of one gradient chunk: a block's rows are taken a chunk of whole
 # windows at a time, as many as keep it within _BLOCK_ELEMS (at least one),
-# so the block no longer grows with the batch. Desk-train peak RSS, seeds
-# 4-6, 10 s runs on 2 cores: 66.3-66.8 MB unchunked, 64.1-64.3 MB at 2^19,
-# 60.2-60.5 MB at 2^18, 56.9-57.1 MB at 2^17. Where one window fills the
-# budget the GEMMs get thinner: the paper-shaped composite backward at B=8
-# (one 201-row window per chunk) takes ~5.3 s against ~4.9 s unchunked.
+# so the block does not grow with the batch (measured in README).
 _BLOCK_ELEMS = 1 << 17
 
 
@@ -554,13 +547,7 @@ def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps,
     where W_block = [W[i] | W[i'] | ...] is (Cin x block). Each gW[i] of a
     tap is overwritten after the block's last chunk, so no two taps may
     share an i. The input gradient is added into ``gx``, a C-contiguous
-    array of x's shape.
-
-    At the desk composite convolution (16 windows of 64 rows, 896 columns)
-    an unchunked gQ is 7.3 MB, 11x the largest array on the tape, and sets
-    desk-train's peak RSS: 66.3-66.8 MB, against 64.1-64.3, 60.2-60.5 and
-    56.9-57.1 MB at budgets of 2^19, 2^18 and 2^17 elements (seeds 4-6,
-    2 cores)."""
+    array of x's shape."""
     cin, cout = x.shape[-1], g.shape[-1]
     d = x.ndim - len(taps[0][1])  # the window axes: src is (..., spatial slices)
     xw, gw = x.reshape((-1,) + x.shape[d:]), g.reshape((-1,) + g.shape[d:])

@@ -217,7 +217,7 @@ def info_nce(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ContractError(f"InfoNCE operand shapes differ: {a.shape} vs {b.shape}")
     logits = tn.matmul(a, transpose(b, (*range(b.ndim - 2), b.ndim - 1, b.ndim - 2)))
-    return logsumexp(logits, axis=-1) - diagonal(logits)
+    return logsumexp(logits, axis=-1) + -diagonal(logits)
 
 
 def multiscale_conv(

@@ -97,12 +97,13 @@ def test_synth_bad_spec(tmp_path, capsys):
         {"n": 10**12, "features": [{}]},
         {"n": 10**19, "features": [{}]},
         {"n": 10, "seed": -1, "features": [{}]},
+        {"n": float("inf"), "features": [{}]},
     ],
     ids=[
         "no-features", "n-not-a-number", "short-wave", "top-level-list", "zero-features",
         "nan-slope", "infinite-slope", "infinite-amplitude", "nan-phase",
         "negative-noise", "nan-noise", "infinite-noise", "n-past-datetime-max",
-        "n-past-int64", "negative-seed",
+        "n-past-int64", "negative-seed", "infinite-n",
     ],
 )
 def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
@@ -111,6 +112,19 @@ def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
     assert main(["synth", str(bad), str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({**SPEC, "sed": 3}, "sed"),
+    ({**SPEC, "features": [{"waves": [[24, 1.0, 0.0]], "noise_sd": 0.05}]}, "noise_sd"),
+], ids=["top-level", "feature"])
+def test_synth_key_that_no_field_reads_exits_2(tmp_path, capsys, spec, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    assert main(["synth", str(bad), str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _one_line_error(err) and repr(key) in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -453,6 +467,26 @@ def test_train_bad_optimizer_setting_exits_2_before_reading_data(tmp_path, capsy
     rc = main(["train", str(tmp_path / "absent.csv"), "--out", str(out), "--" + key, value])
     err = capsys.readouterr().err
     assert rc == 2 and key.replace("-", "_") in err and _one_line_error(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--window.length", "-5", "window.length must be >= 2, got -5"),
+    ("--window.length", "0", "window.length must be >= 2, got 0"),
+    ("--window.length", "1", "window.length must be >= 2, got 1"),
+    ("--window.stride", "0", "window.stride must be >= 1, got 0"),
+    ("--ctcm.kernels", "1,2,4,128", "ctcm.kernels: kernel 128 exceeds window.length 64"),
+])
+def test_train_bad_window_exits_2_before_reading_data(tmp_path, corpus, capsys, monkeypatch,
+                                                      flag, value, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("the corpus was read before the window was checked")
+
+    monkeypatch.setattr(cli.data_mod, "load_csv", fail)
+    out = tmp_path / "m.bin"
+    rc = main(["train", str(corpus), "--out", str(out), "--profile", "desk", flag, value])
+    err = capsys.readouterr().err
+    assert rc == 2 and err == f"error: {message}\n"
     assert not out.exists()
 
 

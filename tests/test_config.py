@@ -11,6 +11,7 @@ from mffftnet.config import DEFAULTS, PROFILES, RunConfig, parse_config_file
 from mffftnet.encoder import BackboneConfig
 from mffftnet.errors import ConfigurationError
 from mffftnet.facm import FacmConfig
+from mffftnet.model import ModelConfig
 from mffftnet.training import TrainConfig
 
 
@@ -50,6 +51,9 @@ def test_profile_canonical_text_is_pinned(profile):
          "facm.dropout: dropout rate must be in [0, 1), got 1.5"),
         (lambda: BackboneConfig(input_dim=2, dropout_rate=2.0),
          "backbone.dropout: dropout rate must be in [0, 1), got 2.0"),
+        (lambda: ModelConfig(1, BackboneConfig(input_dim=2)), "window.length must be >= 2, got 1"),
+        (lambda: ModelConfig(64, BackboneConfig(input_dim=2)),
+         "ctcm.kernels: kernel 128 exceeds window.length 64"),
     ],
 )
 def test_config_dataclass_rejects_a_bad_value(build, message):

@@ -235,6 +235,28 @@ def test_kn2row_one_window_one_tap_matches_default_blocking(monkeypatch, rng, ca
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
+def test_one_row_composition_blocks_match_default_blocking(monkeypatch, rng):
+    # at desk shape each scale's weights are one composition block; one-row
+    # blocks give every scale several. A V row sums its b = 0, 1, 2 taps in
+    # block order, so V matches within rounding, not bit for bit
+    leaves, forward, _ = KN2ROW_CASES["composite-desk"](rng)
+    g = Tensor(rng.normal(size=forward().shape))
+    composed, compose = [], ctcm_mod._compose
+    monkeypatch.setattr(ctcm_mod, "_compose", lambda *a: composed.append(compose(*a)) or composed[-1])
+
+    def run():
+        for leaf in leaves:
+            leaf.grad = None
+        tn.tsum(forward() * g).backward()
+        return composed[-1].data, [leaf.grad for leaf in leaves]
+
+    want_V, want = run()
+    monkeypatch.setattr(ctcm_mod, "_COMPOSE_ELEMS", 1)
+    V, got = run()
+    for value, ref in zip([V] + got, [want_V] + want):
+        np.testing.assert_allclose(value, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
 def composite_backward_memory(lead):
     """Traced peak of the backward pass through composite_conv's subgraph,
     above the memory held after the forward pass, and the bytes of the

@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mffftnet import data as D
-from mffftnet.cli import _synthetic_spec
 from mffftnet.errors import DataError, ParameterError
 from mffftnet.fourier import as_complex
 from mffftnet.tensor import Tensor
@@ -39,8 +38,8 @@ def two_sine(n: int | None = None) -> D.SeriesTable:
     spec = json.loads(TWO_SINE_SPEC.read_text())
     if n is not None:
         spec["n"] = n
-    rows, features, seed = _synthetic_spec(spec)
-    return D.gen_synthetic(rows, features, seed=seed)
+    spec = D.SyntheticSpec(**spec)
+    return D.gen_synthetic(spec.n, spec.features, seed=spec.seed)
 
 
 def _mini_table(n: int, d: int = 2, seed: int = 0) -> D.SeriesTable:

@@ -38,14 +38,14 @@ from tests.test_training import tiny_model
 
 
 def test_score_perfect_fit():
-    probe = RidgeProbe(weights=np.eye(2), intercept=np.zeros(2), ridge_alpha=1.0)
+    probe = RidgeProbe(np.vstack([np.eye(2), np.zeros(2)]), ridge_alpha=1.0)
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     mse, mae = score(probe, X, X)
     assert mse == 0.0 and mae == 0.0
 
 
 def test_score_hand_case():
-    probe = RidgeProbe(weights=np.zeros((1, 2)), intercept=np.zeros(2), ridge_alpha=1.0)
+    probe = RidgeProbe(np.zeros((2, 2)), ridge_alpha=1.0)
     Y = np.array([[1.0, -2.0], [3.0, 4.0]])
     mse, mae = score(probe, np.zeros((2, 1)), Y)
     assert mse == (1 + 4 + 9 + 16) / 4  # 7.5
@@ -59,11 +59,7 @@ SCORE_BLOCK = _SCORE_ELEMS // SCORE_WIDTH  # rows a block
 @pytest.mark.parametrize("rows", [SCORE_BLOCK - 3, 2 * SCORE_BLOCK, 2 * SCORE_BLOCK + 1])
 def test_score_blocks_match_dense(rng, rows):
     # below one block, at a block multiple, and one row past it
-    probe = RidgeProbe(
-        weights=rng.normal(size=(4, SCORE_WIDTH)),
-        intercept=rng.normal(size=SCORE_WIDTH),
-        ridge_alpha=1.0,
-    )
+    probe = RidgeProbe(rng.normal(size=(4 + 1, SCORE_WIDTH)), ridge_alpha=1.0)
     X = rng.normal(size=(rows, 4))
     values = rng.normal(size=(rows + 511, 4))
     Y = _target_windows(values, 0, 512, 0, "multivariate")  # rows x 512 x 4 view
@@ -78,9 +74,7 @@ def test_score_predictions_equal_x_w_plus_b(rng, K, rtol):
     # blocks of rows x steps, the intercept added by the GEMM through a ones
     # column: against zero targets each block's errors are its predictions
     rows, P, D = 300, 192, 7  # 1344 columns: two column blocks, three row blocks
-    probe = RidgeProbe(
-        weights=rng.normal(size=(K, P * D)), intercept=rng.normal(size=P * D), ridge_alpha=1.0
-    )
+    probe = RidgeProbe(rng.normal(size=(K + 1, P * D)), ridge_alpha=1.0)
     X = rng.normal(size=(rows, K))
     want = (X @ probe.weights + probe.intercept).reshape(rows, P, D)
     got = np.full((rows, P, D), np.nan)
@@ -265,7 +259,7 @@ def check_series_moments(rng, mode, n_after, P0, P_max):
         centre = dense_moments(rng.normal(size=(9, K)), rng.normal(size=(9, Y.shape[1])))
         for got, want in (
             (series.moments(P), dense_moments(feats[:m], Y)),
-            (series.moments(P, centre), dense_moments(feats[:m], Y, centre)),
+            (series.moments(P, (centre.x0, centre.y0)), dense_moments(feats[:m], Y, centre)),
         ):
             assert got.rows == want.rows == m
             for name in ("x0", "y0", "gram", "cross"):
@@ -436,9 +430,7 @@ def traced_series_and_score(rng, m0, K=64, D=7, horizons=(24, 48, 96, 192)):
     u = rng.normal(size=(m0 + min(horizons) - 1, D))
     P = max(horizons)
     test_x, test_values = rng.normal(size=(m0, K)), rng.normal(size=(m0 + P - 1, D))
-    probe = RidgeProbe(
-        weights=rng.normal(size=(K, P * D)), intercept=rng.normal(size=P * D), ridge_alpha=1.0
-    )
+    probe = RidgeProbe(rng.normal(size=(K + 1, P * D)), ridge_alpha=1.0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -645,7 +637,7 @@ def test_evaluate_horizons_equals_per_horizon_reference(rng, mode):
         best, best_mse = None, np.inf
         for alpha in DEFAULT_ALPHA_GRID:
             W = np.linalg.solve(Xc.T @ Xc + alpha * np.eye(X.shape[1]), Xc.T @ (Y - ym))
-            probe = RidgeProbe(weights=W, intercept=ym - xm @ W, ridge_alpha=alpha)
+            probe = RidgeProbe(np.vstack([W, ym - xm @ W]), ridge_alpha=alpha)
             mse = float(np.mean((Xv @ W + probe.intercept - Yv) ** 2))
             if mse < best_mse:
                 best, best_mse = probe, mse
