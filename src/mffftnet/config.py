@@ -10,7 +10,7 @@ from .augment import AugmentConfig
 from .ctcm import CtcmConfig
 from .encoder import BackboneConfig
 from .errors import ConfigurationError
-from .evaluation import check_probe_grid
+from .evaluation import DEFAULT_ALPHA_GRID, check_probe_grid
 from .facm import FacmConfig
 from .model import ModelConfig
 from .training import TrainConfig
@@ -47,7 +47,7 @@ DEFAULTS: dict[str, object] = {
     **{key: getattr(cls, name) for key, (cls, name) in _FIELDS.items()},
     "eval.horizons": "24,48,168,336,720",
     "eval.mode": "multivariate",
-    "eval.ridge_alphas": "0.01,0.1,1,10,100",
+    "eval.ridge_alphas": ",".join(f"{a:g}" for a in DEFAULT_ALPHA_GRID),
 }
 # a key holds the kernel sizes as comma-separated text
 DEFAULTS["ctcm.kernels"] = ",".join(map(str, CtcmConfig.kernels))

@@ -191,36 +191,37 @@ def _compose(ws: list[Parameter], w1: Parameter, kernels: tuple[int, ...], top) 
     parents are the scale weights and w1 only: V reads no batch data. It
     runs on the convolutions' tap core: w1[a, b] is tap 3a + b over a block
     of at most ``_COMPOSE_ELEMS`` products, rows [i0, i1) of one source
-    scale's w, and the backward pass is ``tn._kn2row`` on each block."""
+    scale's w, and the backward pass is ``tn._kn2row`` on each block, adding
+    into w1's gradient. A scale runs each tap over all its row blocks before
+    the next, so V depends on the weights alone, not on the blocking."""
     n, (K, H) = len(ws), w1.shape[-2:]
     wds, nws, nw1 = [w.data for w in ws], [w._node for w in ws], w1._node
     W1 = w1.data.reshape(9, K, H)
     per = max(1, _COMPOSE_ELEMS // (9 * K * H))
 
-    def blocks(jj):
-        """Row blocks [i0, i1) of source scale jj's w and their taps: for
-        each (a, b) whose output scale j exists, row i lands on V_j[k-i-b]."""
-        k, whole = kernels[jj], (slice(None),) * 2
-        at = [(3 * a + b, top[jj + 1 - a] - k + b) for a in range(3)
-              if 0 <= jj + 1 - a < n for b in range(3)]
-        for i0 in range(0, k, per):
-            i1 = min(k, i0 + per)
-            yield i0, i1, [(i, (..., *whole), (..., slice(v + i0, v + i1), *whole)) for i, v in at]
+    def layout(jj):
+        """Row blocks [i0, i1) of source scale jj's w, and (i, v) for each
+        (a, b) whose output scale j exists: tap i = 3a + b takes row r to V
+        row v + r, V_j[k-r-b]."""
+        k = kernels[jj]
+        spans = [(i0, min(k, i0 + per)) for i0 in range(0, k, per)]
+        return spans, [(3 * a + b, top[jj + 1 - a] - k + b) for a in range(3)
+                       if 0 <= jj + 1 - a < n for b in range(3)]
 
     V = np.zeros((top[-1] + 2, K, H))
     for jj, wd in enumerate(wds):
-        for i0, i1, taps in blocks(jj):
-            for i, _, dst in taps:
-                V[dst] += wd[i0:i1] @ W1[i]
+        spans, taps = layout(jj)
+        for i, v in taps:
+            for i0, i1 in spans:
+                V[v + i0 : v + i1] += wd[i0:i1] @ W1[i]
 
     def bw(gV):
-        gW1, gW = np.zeros(W1.shape), np.zeros(W1.shape)
+        gW1, whole = np.zeros(W1.shape), (slice(None),) * 2
         for jj, (wd, nw) in enumerate(zip(wds, nws)):
-            gw = tn._grad_buffer(nw)
-            for i0, i1, taps in blocks(jj):
-                tn._kn2row(wd[i0:i1], gV, W1, gW, taps, gw[i0:i1])
-                for i, _, _ in taps:
-                    gW1[i] += gW[i]
+            gw, (spans, taps) = tn._grad_buffer(nw), layout(jj)
+            for i0, i1 in spans:
+                block = [(i, (..., *whole), (..., slice(v + i0, v + i1), *whole)) for i, v in taps]
+                tn._kn2row(wd[i0:i1], gV, W1, gW1, block, gw[i0:i1])
         tn._accum(nw1, gW1.reshape(nw1.shape), owned=True)
 
     return tn._make(V, (*ws, w1), bw)

@@ -367,14 +367,19 @@ class SyntheticSpec:
     """The JSON object ``mff synth`` reads, decoded as ``SyntheticSpec(**spec)``:
     ``n`` rows of ``features``, objects of ``SyntheticFeature``'s fields,
     with their noise drawn from ``seed``. A key that no field reads raises
-    TypeError; ``gen_synthetic`` checks the values."""
+    TypeError, an ``n`` or ``seed`` that is not a whole number ValueError;
+    ``gen_synthetic`` checks the values."""
 
     n: int
     features: list[SyntheticFeature]
     seed: int = 0
 
     def __post_init__(self):
-        self.n, self.seed = int(self.n), int(self.seed)
+        for key in ("n", "seed"):  # 30 or 30.0, not 30.5, NaN, "30" or true
+            value = getattr(self, key)
+            if type(value) not in (int, float) or value % 1:
+                raise ValueError(f"{key!r} must be a whole number, got {value!r}")
+            setattr(self, key, int(value))
         self.features = [SyntheticFeature(**feature) for feature in self.features]
 
 

@@ -353,53 +353,45 @@ class _TargetSeries:
         s = self.row_sums[P]
         gram = self.gram - tail.T @ tail + np.outer(s, d) + np.outer(d, s) + m * np.outer(d, d)
         cross = lags.reshape(len(x0), -1)
-        shift = s + m * d  # cross -= outer(shift, y0), a block of rows at a time
-        step = max(1, _SCORE_ELEMS // cross.shape[1])
-        for lo in range(0, len(shift), step):
-            cross[lo : lo + step] -= np.outer(shift[lo : lo + step], y0)
+        shift = s + m * d  # cross -= outer(shift, y0), a row at a time
+        for k, row in enumerate(cross):
+            row -= shift[k] * y0
         ysum = ysum.ravel()
         syy = float(np.sum(ysq - 2 * y0 * ysum + m * y0 * y0))
         return Moments(rows=m, x0=x0, y0=y0, gram=gram, cross=cross, syy=syy)
 
 
-# Errors per ``score`` block, and rows x columns per block of the moments'
-# rank-one update (1 MB). Score blocks start their columns at multiples of 16
-# steps, which OpenBLAS scores bit for bit as one GEMM (timings in README).
+# Errors per ``score`` block (1 MB), or one row's P * D_out when it is wider.
 _SCORE_ELEMS = 2**17
-_SCORE_COLS = 2**10
 
 
 def _error_blocks(probe: RidgeProbe, X: np.ndarray, Y: np.ndarray):
     """Yield the errors of the predictions for X against the M x P x D_out
-    targets Y, a block at a time, as (row, step, errors): errors[i, j * D_out
-    + d] is the error of row ``row + i`` at step ``step + j``, value d. A
-    block's rows are copied once beside a ones column, so one GEMM against
-    ``probe.coef`` adds the intercept too, and every block is written into
-    one buffer: a caller that keeps a block must copy it."""
+    targets Y, a block of whole rows at a time, as (row, errors):
+    errors[i, p * D_out + d] is the error of row ``row + i`` at step p,
+    value d. A block's rows are copied once beside a ones column, so one
+    GEMM against ``probe.coef`` adds the intercept too, and every block is
+    written into one buffer: a caller that keeps a block must copy it."""
     (M, P, D), K = Y.shape, X.shape[1]
-    steps = min(P, max(1, _SCORE_COLS // D // 16 * 16))
-    rows = min(M, max(1, _SCORE_ELEMS // max(steps * D, K + 1)))
-    xb, buf = np.ones((rows, K + 1)), np.empty(rows * steps * D)
+    rows = min(M, max(1, _SCORE_ELEMS // max(P * D, K + 1)))
+    xb, buf = np.ones((rows, K + 1)), np.empty((rows, P * D))
     for lo in range(0, M, rows):
         hi = min(lo + rows, M)
         xb[: hi - lo, :K] = X[lo:hi]
-        for p in range(0, P, steps):
-            q = min(p + steps, P)
-            err = buf[: (hi - lo) * (q - p) * D].reshape(hi - lo, (q - p) * D)
-            np.matmul(xb[: hi - lo], probe.coef[:, p * D : q * D], out=err)
-            windows = err.reshape(hi - lo, q - p, D)
-            windows -= Y[lo:hi, p:q]
-            yield lo, p, err
+        err = np.matmul(xb[: hi - lo], probe.coef, out=buf[: hi - lo])
+        windows = err.reshape(hi - lo, P, D)
+        windows -= Y[lo:hi]
+        yield lo, err
 
 
 def score(probe: RidgeProbe, X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
-    """(MSE, MAE) of the predictions for X; Y is M x (P*D_out) or the
-    M x P x D_out target windows. The errors come in blocks of at most
-    ``_SCORE_ELEMS`` (``_error_blocks``), and the sums of err^2 and |err|
-    accumulate over them, so no array holds more than one block's errors.
-    Both are numpy's own sums: a BLAS dot product splits by thread count."""
+    """(MSE, MAE) of the predictions for X against the M x P x D_out target
+    windows Y. The errors come in blocks of whole rows (``_error_blocks``),
+    and the sums of err^2 and |err| accumulate over them, so no array holds
+    more than one block's errors. Both are numpy's own sums: a BLAS dot
+    product splits by thread count."""
     sq, ab = 0.0, 0.0
-    for _, _, err in _error_blocks(probe, X, Y if Y.ndim == 3 else Y[..., None]):
+    for _, err in _error_blocks(probe, X, Y):
         err = err.ravel()
         ab += float(np.abs(err, out=err).sum())
         sq += float(np.square(err, out=err).sum())

@@ -544,10 +544,10 @@ def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps,
     ``_BLOCK_ELEMS`` elements (at least one window): each tap's ``g[dst]``
     goes into its rows and columns of the chunk's zeroed gQ, then two GEMMs
     give ``gx[chunk] += gQ @ W_blockᵀ`` and ``gW_block += x[chunk]ᵀ @ gQ``,
-    where W_block = [W[i] | W[i'] | ...] is (Cin x block). Each gW[i] of a
-    tap is overwritten after the block's last chunk, so no two taps may
-    share an i. The input gradient is added into ``gx``, a C-contiguous
-    array of x's shape."""
+    where W_block = [W[i] | W[i'] | ...] is (Cin x block). After the
+    block's last chunk each tap's columns are added into its gW[i], so taps
+    may share an i and gW receives the sum. The input gradient is added
+    into ``gx``, a C-contiguous array of x's shape."""
     cin, cout = x.shape[-1], g.shape[-1]
     d = x.ndim - len(taps[0][1])  # the window axes: src is (..., spatial slices)
     xw, gw = x.reshape((-1,) + x.shape[d:]), g.reshape((-1,) + g.shape[d:])
@@ -569,7 +569,7 @@ def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps,
             gwb += xc.reshape(-1, cin).T @ gq
         gwb = gwb.reshape(cin, len(block), cout)
         for b, (i, _, _) in enumerate(block):
-            gW[i] = gwb[:, b]
+            gW[i] += gwb[:, b]
 
 
 def _shift(o: int, n: int) -> tuple[slice, slice]:

@@ -98,12 +98,17 @@ def test_synth_bad_spec(tmp_path, capsys):
         {"n": 10**19, "features": [{}]},
         {"n": 10, "seed": -1, "features": [{}]},
         {"n": float("inf"), "features": [{}]},
+        {"n": 30.7, "features": [{}]},
+        {"n": True, "features": [{}]},
+        {"n": 30, "seed": 2.5, "features": [{}]},
+        {"n": "30", "features": [{}]},
     ],
     ids=[
         "no-features", "n-not-a-number", "short-wave", "top-level-list", "zero-features",
         "nan-slope", "infinite-slope", "infinite-amplitude", "nan-phase",
         "negative-noise", "nan-noise", "infinite-noise", "n-past-datetime-max",
-        "n-past-int64", "negative-seed", "infinite-n",
+        "n-past-int64", "negative-seed", "infinite-n", "fractional-n", "boolean-n",
+        "fractional-seed", "n-as-text",
     ],
 )
 def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
@@ -113,6 +118,21 @@ def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_synth_whole_number_floats_are_read_as_ints(tmp_path, corpus):
+    spec = tmp_path / "spec2.json"
+    spec.write_text(json.dumps({**SPEC, "n": 300.0, "seed": 3.0}))
+    assert main(["synth", str(spec), str(tmp_path / "y.csv")]) == 0
+    assert (tmp_path / "y.csv").read_bytes() == corpus.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("n", 30.7), ("n", True), ("seed", 2.5), ("n", "30")])
+def test_synth_count_that_is_not_a_whole_number_names_its_key(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SPEC, key: value}))
+    assert main(["synth", str(bad), str(tmp_path / "x.csv")]) == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec,key", [

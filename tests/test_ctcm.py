@@ -235,10 +235,30 @@ def test_kn2row_one_window_one_tap_matches_default_blocking(monkeypatch, rng, ca
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
+def test_kn2row_taps_sharing_an_index_add_their_gradients(rng):
+    # taps 0 and 1 both read W[0], at shifts 0 and 2; W[1] has one tap. gW
+    # starts from G0, and each index receives G0 plus all its taps' sums
+    x, g, W = rng.normal(size=(3, 6, 4)), rng.normal(size=(3, 6, 5)), rng.normal(size=(2, 4, 5))
+    whole = slice(None)
+    taps = [(0, (..., slice(0, 6)), (..., slice(0, 6), whole)),
+            (0, (..., slice(0, 4)), (..., slice(2, 6), whole)),
+            (1, (..., slice(1, 6)), (..., slice(0, 5), whole))]
+    G0 = rng.normal(size=W.shape)
+    gW, gx = G0.copy(), np.zeros(x.shape)
+    tn._kn2row(x, g, W, gW, taps, gx)
+    want_gW, want_gx = G0.copy(), np.zeros(x.shape)
+    for i, src, dst in taps:
+        want_gW[i] += np.einsum("nsc,nso->co", x[src + (whole,)], g[dst])
+        want_gx[src + (whole,)] += g[dst] @ W[i].T
+    np.testing.assert_allclose(gW, want_gW, rtol=0, atol=1e-12 * np.abs(want_gW).max())
+    np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12 * np.abs(want_gx).max())
+
+
 def test_one_row_composition_blocks_match_default_blocking(monkeypatch, rng):
     # at desk shape each scale's weights are one composition block; one-row
-    # blocks give every scale several. A V row sums its b = 0, 1, 2 taps in
-    # block order, so V matches within rounding, not bit for bit
+    # blocks give every scale several. A V row adds its taps in tap order
+    # whatever the blocks, so V matches bit for bit; w1's gradient sums per
+    # row block, so the gradients match within rounding
     leaves, forward, _ = KN2ROW_CASES["composite-desk"](rng)
     g = Tensor(rng.normal(size=forward().shape))
     composed, compose = [], ctcm_mod._compose
@@ -253,7 +273,8 @@ def test_one_row_composition_blocks_match_default_blocking(monkeypatch, rng):
     want_V, want = run()
     monkeypatch.setattr(ctcm_mod, "_COMPOSE_ELEMS", 1)
     V, got = run()
-    for value, ref in zip([V] + got, [want_V] + want):
+    assert V.tobytes() == want_V.tobytes()
+    for value, ref in zip(got, want):
         np.testing.assert_allclose(value, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 

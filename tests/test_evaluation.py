@@ -40,14 +40,14 @@ from tests.test_training import tiny_model
 def test_score_perfect_fit():
     probe = RidgeProbe(np.vstack([np.eye(2), np.zeros(2)]), ridge_alpha=1.0)
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    mse, mae = score(probe, X, X)
+    mse, mae = score(probe, X, X[..., None])
     assert mse == 0.0 and mae == 0.0
 
 
 def test_score_hand_case():
     probe = RidgeProbe(np.zeros((2, 2)), ridge_alpha=1.0)
     Y = np.array([[1.0, -2.0], [3.0, 4.0]])
-    mse, mae = score(probe, np.zeros((2, 1)), Y)
+    mse, mae = score(probe, np.zeros((2, 1)), Y[..., None])
     assert mse == (1 + 4 + 9 + 16) / 4  # 7.5
     assert mae == (1 + 2 + 3 + 4) / 4  # 2.5
 
@@ -69,17 +69,32 @@ def test_score_blocks_match_dense(rng, rows):
     assert abs(mae - np.mean(np.abs(err))) <= 1e-12 * np.mean(np.abs(err))
 
 
+def test_score_row_wider_than_a_block(rng):
+    # P * D = 140000 errors a row, past _SCORE_ELEMS: each block is one row
+    rows, P, D = 3, 20_000, 7
+    assert P * D > _SCORE_ELEMS
+    probe = RidgeProbe(rng.normal(size=(4 + 1, P * D)), ridge_alpha=1.0)
+    X = rng.normal(size=(rows, 4))
+    Y = _target_windows(rng.normal(size=(rows + P - 1, D)), 0, P, 0, "multivariate")
+    err = X @ probe.weights + probe.intercept - Y.reshape(rows, -1)
+    blocks = [(lo, e.shape) for lo, e in _error_blocks(probe, X, Y)]
+    assert blocks == [(i, (1, P * D)) for i in range(rows)]
+    mse, mae = score(probe, X, Y)
+    assert abs(mse - np.mean(err**2)) <= 1e-12 * np.mean(err**2)
+    assert abs(mae - np.mean(np.abs(err))) <= 1e-12 * np.mean(np.abs(err))
+
+
 @pytest.mark.parametrize("K, rtol", [(32, 0.0), (320, 1e-14)])
 def test_score_predictions_equal_x_w_plus_b(rng, K, rtol):
-    # blocks of rows x steps, the intercept added by the GEMM through a ones
+    # blocks of whole rows, the intercept added by the GEMM through a ones
     # column: against zero targets each block's errors are its predictions
-    rows, P, D = 300, 192, 7  # 1344 columns: two column blocks, three row blocks
+    rows, P, D = 300, 192, 7  # 1344 columns: blocks of 97 rows, four of them
     probe = RidgeProbe(rng.normal(size=(K + 1, P * D)), ridge_alpha=1.0)
     X = rng.normal(size=(rows, K))
     want = (X @ probe.weights + probe.intercept).reshape(rows, P, D)
     got = np.full((rows, P, D), np.nan)
-    for lo, p, err in _error_blocks(probe, X, np.zeros((rows, P, D))):
-        got[lo : lo + len(err), p : p + err.shape[1] // D] = err.reshape(len(err), -1, D)
+    for lo, err in _error_blocks(probe, X, np.zeros((rows, P, D))):
+        got[lo : lo + len(err)] = err.reshape(len(err), P, D)
         assert err.size <= _SCORE_ELEMS
     if rtol == 0.0:
         assert got.tobytes() == want.tobytes()
@@ -178,7 +193,7 @@ def test_fit_ridge_exact_tie_picks_first_alpha(rng, grid):
 def test_fit_ridge_sse_ranks_alphas_like_dense_mse(rng):
     X, Y = rng.normal(size=(60, 5)), rng.normal(size=(60, 3))
     Xv, Yv = rng.normal(size=(30, 5)), rng.normal(size=(30, 3))
-    mses = {a: score(_solve_ridge(X, Y, a), Xv, Yv)[0] for a in DEFAULT_ALPHA_GRID}
+    mses = {a: score(_solve_ridge(X, Y, a), Xv, Yv[..., None])[0] for a in DEFAULT_ALPHA_GRID}
     assert dense_fit((X, Y), (Xv, Yv)).ridge_alpha == min(mses, key=mses.get)
 
 
@@ -366,16 +381,18 @@ def test_lag_sums_do_not_depend_on_the_budget(rng, monkeypatch, D):
 
 
 def test_running_sums_in_chunks_equal_one_cumsum(rng):
-    # 5000 rows take five chunks; the kept rows straddle chunk borders
+    # 5000 rows take five chunks; the kept rows straddle chunk borders. D =
+    # 1 is the univariate probe's one column
     n, keep = 5000, 1500
-    u = rng.normal(size=(n, 3))
-    running = np.zeros((n + 1, 2, 3))
-    np.cumsum(u, axis=0, out=running[1:, 0])
-    np.cumsum(u * u, axis=0, out=running[1:, 1])
     assert n > 4 * _CORR_ROWS
-    head, last = _running_ends(u, keep)
-    assert head.tobytes() == running[:keep].tobytes()
-    assert last.tobytes() == running[-keep:].tobytes()
+    for D in (1, 3, 7):
+        u = rng.normal(size=(n, D))
+        running = np.zeros((n + 1, 2, D))
+        np.cumsum(u, axis=0, out=running[1:, 0])
+        np.cumsum(u * u, axis=0, out=running[1:, 1])
+        head, last = _running_ends(u, keep)
+        assert head.tobytes() == running[:keep].tobytes(), D
+        assert last.tobytes() == running[-keep:].tobytes(), D
 
 
 def test_ridge_half_at_the_paper_width_stays_within_its_stage_budgets(rng):
