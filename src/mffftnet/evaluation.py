@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import SeriesTable, SplitSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .model import Model
 from .tensor import Tensor, no_grad
 
@@ -262,30 +262,16 @@ def _lag_sums(A: np.ndarray, u: np.ndarray, lags: int, less=None, elems=None) ->
 
 
 def _running_ends(u: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the last ``keep`` rows of the running sums of u and
-    u^2, (n + 1) x 2 x D with a leading row of zeros. They are made
-    ``_CORR_ROWS`` rows at a time: each chunk's cumsum starts from the last
-    row of the one before, which adds the same numbers in the same order as
-    one cumsum over all of u, so the rows are the same bits."""
-    n, D = u.shape
-    first = n + 1 - keep  # the running row ``last`` starts at
-    head, last = np.zeros((keep, 2, D)), np.empty((keep, 2, D))
-    run = np.zeros((min(_CORR_ROWS, n) + 1, 2, D))  # run[j] is running row lo + j
-    for lo in range(0, n, _CORR_ROWS):
-        block = u[lo : lo + _CORR_ROWS]
-        hi = lo + len(block)
-        run[1 : len(block) + 1, 0] = block
-        np.multiply(block, block, out=run[1 : len(block) + 1, 1])
-        seeded = run[1 if lo == 0 else 0 : len(block) + 1]  # no zero row to add first
-        np.cumsum(seeded, axis=0, out=seeded)
-        top = min(hi, keep - 1)
-        if top > lo:
-            head[lo + 1 : top + 1] = run[1 : top - lo + 1]
-        if hi >= first:
-            start = max(lo, first)
-            last[start - first : hi + 1 - first] = run[start - lo : len(block) + 1]
-        run[0] = run[len(block)]
-    return head, last
+    """Copies of the first and the last ``keep`` rows of the running sums of
+    u and u^2, (n + 1) x 2 x D with a leading row of zeros: one sequential
+    cumsum in place over [0; u], [0; u^2]. That array is the probe's one
+    split-length transient; numpy's axis-0 ``sum`` would add pairwise for
+    D = 1 and move the univariate bits."""
+    run = np.zeros((len(u) + 1, 2, u.shape[1]))
+    run[1:, 0] = u
+    np.multiply(u, u, out=run[1:, 1])
+    np.cumsum(run, axis=0, out=run)
+    return run[:keep].copy(), run[-keep:].copy()
 
 
 class _TargetSeries:
@@ -309,9 +295,10 @@ class _TargetSeries:
     The series keeps of A only the rows past the longest horizon's cut and
     each horizon's s, and of the running sums only their ends. An s summed
     over the kept rows, not the total less the tail's sum, leaves the
-    metrics' bits as they were. So once the caller drops X, no array the
-    series holds or makes grows with the split; README's probe paragraph
-    gives the budgets."""
+    metrics' bits as they were. So once the caller drops X, what the series
+    keeps does not grow with the split, and the one split-length array it
+    makes is the running sums' (``_running_ends``); README's probe
+    paragraph gives the budgets."""
 
     def __init__(self, X: np.ndarray, u: np.ndarray, horizons):
         self.u = u
@@ -455,7 +442,9 @@ def fit_ridge(
     (Q^T G_v Q) * (Ct Ct^T) elementwise and t_i = sum_j (Q^T C_v)_ij Ct_ij:
     O(K^2) per alpha, and W is formed for the winner only. G is positive
     semi-definite, so its eigenvalues are clipped at 0 and lam + alpha > 0
-    for every alpha the grid may hold. On a well-conditioned Gram W matches
+    for every alpha the grid may hold; but on a rank-deficient Gram an alpha
+    that small makes d infinite and the SSE NaN, and when no alpha's SSE is
+    finite it raises ``NumericError``. On a well-conditioned Gram W matches
     ``np.linalg.solve(G + alpha I, C)`` within 1e-10 relative.
 
     The weights and the intercept are written into one (K + 1) x (P * D_out)
@@ -477,11 +466,15 @@ def fit_ridge(
     syy = valid.syy
     del valid
     best, best_sse = None, np.inf
-    for alpha in alpha_grid:
-        d = 1.0 / (lam + alpha)
-        sse = d @ S @ d - 2 * d @ t + syy
-        if sse < best_sse:
-            best, best_sse = (alpha, d), sse
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN SSE never wins
+        for alpha in alpha_grid:
+            d = 1.0 / (lam + alpha)
+            sse = d @ S @ d - 2 * d @ t + syy
+            if sse < best_sse:
+                best, best_sse = (alpha, d), sse
+    if best is None:
+        grid = ", ".join(str(float(a)) for a in alpha_grid)
+        raise NumericError(f"no ridge alpha in [{grid}] gives a finite validation error")
     alpha, d = best
     ct *= d[:, None]
     coef = np.empty((len(ct) + 1, ct.shape[1]))
@@ -543,7 +536,10 @@ def evaluate_horizons(
     for P in fitting:
         # no name holds the moments, so fit_ridge frees each split's once
         # it has read its cross moment
-        probe = fit_ridge(train.moments(P), valid.moments(P, train.centre(P)), alpha_grid)
+        try:
+            probe = fit_ridge(train.moments(P), valid.moments(P, train.centre(P)), alpha_grid)
+        except NumericError as exc:
+            raise NumericError(f"{exc} at horizon {P}") from None
         m = _rows(len(splits[2]), T, P)
         mse, mae = score(
             probe,

@@ -137,8 +137,6 @@ def fit(
                 l_total, l_time, l_freq = total_loss(
                     batch, model, cfg, aug_cfg, step=step, training=True
                 )
-                if not np.isfinite(l_total.item()):
-                    raise NumericError("non-finite loss")
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}, step {step}") from None
             model.zero_grad()

@@ -304,27 +304,39 @@ def test_eval_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     # the same `mff eval` in two processes, under one and two BLAS threads:
     # a score block of the desk probe holds ~10^5 errors, past the length
     # at which a BLAS dot product splits its sum across threads, and the
-    # lag sums of either mode go through one complex matmul
+    # lag sums of either mode go through one complex matmul. Five blocks
+    # reach back 125 rows, past the 64-row window, so that checkpoint's
+    # features are encoded one lookback at a time
     data = tmp_path / "two_sine.csv"
     spec = Path(__file__).resolve().parents[1] / "scripts" / "specs" / "two_sine.json"
     assert main(["synth", str(spec), str(data)]) == 0
-    ck = tmp_path / "m.bin"
-    train = ["train", str(data), "--out", str(ck), "--profile", "desk", "--train.epochs", "0"]
-    assert main(train) == 0
+    checkpoints = {"m.bin": [], "m_pw.bin": ["--backbone.num-blocks", "5"]}
+    for name, flags in checkpoints.items():
+        train = ["train", str(data), "--out", str(tmp_path / name), "--profile", "desk",
+                 "--train.epochs", "0", *flags]
+        assert main(train) == 0
+    fields = [
+        cli._resolve_config(argparse.Namespace(), load_checkpoint(tmp_path / name).config_text)
+        .model_config(2).backbone.receptive_field
+        for name in checkpoints
+    ]
+    assert fields == [61, 125]  # against T = 64: long segments, then one lookback a call
     src = str(Path(cli.__file__).resolve().parents[1])
     reports = []
-    for mode, threads in itertools.product(("multivariate", "univariate"), ("1", "2")):
-        rep = tmp_path / f"rep_{mode}_{threads}.json"
+    for ck, mode, threads in itertools.product(
+        checkpoints, ("multivariate", "univariate"), ("1", "2")
+    ):
+        rep = tmp_path / f"rep_{ck}_{mode}_{threads}.json"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "MFF_TIMESTAMP": "2020-01-01T00:00:00+00:00",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run(
-            [sys.executable, "-m", "mffftnet.cli", "eval", str(ck), str(data),
+            [sys.executable, "-m", "mffftnet.cli", "eval", str(tmp_path / ck), str(data),
              "--report", str(rep), "--eval.horizons", "24,48", "--eval.mode", mode],
             env=env, check=True, capture_output=True,
         )
         reports.append(rep.read_bytes())
-    assert reports[0] == reports[1] and reports[2] == reports[3]
+    assert all(one == two for one, two in zip(reports[::2], reports[1::2]))
 
 
 def test_eval_oversized_horizon_warns_but_succeeds(tmp_path, corpus, capsys):
@@ -587,6 +599,29 @@ def test_train_divergence_exits_4_naming_the_step(tmp_path, corpus, capsys):
     assert rc == 4 and "numeric failure: non-finite value in the" in err
     assert "at epoch 0, step 1" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_eval_without_a_finite_ridge_alpha_exits_4_naming_the_grid(tmp_path, capsys):
+    # 36 train rows give 28 lookbacks against K = 32 features, so the train
+    # Gram is rank-deficient; at alpha 1e-320 its zero eigenvalues make every
+    # validation SSE NaN
+    spec, data = tmp_path / "tiny.json", tmp_path / "tiny.csv"
+    spec.write_text(json.dumps({"n": 60, "seed": 0, "features": [
+        {"waves": [[24, 1.0, 0.0]], "noise_std": 0.1},
+        {"waves": [[12, 0.5, 0.3]], "noise_std": 0.1}]}))
+    assert main(["synth", str(spec), str(data)]) == 0
+    ck = tmp_path / "m.bin"
+    assert main(["train", str(data), "--out", str(ck), "--profile", "desk",
+                 "--train.epochs", "0", "--window.length", "8", "--ctcm.kernels", "1,2,4",
+                 "--eval.ridge-alphas", "1e-320", "--eval.horizons", "1"]) == 0
+    capsys.readouterr()
+    rc = main(["eval", str(ck), str(data), "--report", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 4 and _one_line_error(err)
+    assert err.strip() == (
+        "numeric failure: no ridge alpha in [1e-320] gives a finite validation error at horizon 1"
+    )
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_train_config_not_utf8_exits_2(tmp_path, corpus, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from mffftnet import evaluation
 from mffftnet.data import SeriesTable, split, standardize
-from mffftnet.errors import ConfigurationError
+from mffftnet.errors import ConfigurationError, NumericError
 from mffftnet.evaluation import (
     DEFAULT_ALPHA_GRID,
     ForecastReport,
@@ -230,6 +230,16 @@ def test_fit_ridge_rejects_bad_alpha_grid(rng, grid):
         fit_ridge(fit, fit, grid)
 
 
+def test_fit_ridge_without_a_finite_validation_sse_raises_numeric_error():
+    # a zero eigenvalue plus a subnormal alpha makes d infinite and the SSE
+    # NaN; an alpha with a finite SSE still wins as before
+    fit = Moments(rows=8, x0=np.zeros(2), y0=np.zeros(1), gram=np.diag([2.0, 0.0]),
+                  cross=np.array([[1.0], [0.0]]), syy=3.0)
+    with pytest.raises(NumericError, match=r"no ridge alpha in \[1e-320\] gives a finite"):
+        fit_ridge(fit, fit, (1e-320,))
+    assert fit_ridge(fit, fit, (1e-320, 1.0)).ridge_alpha == 1.0
+
+
 @pytest.mark.parametrize("horizons", [[0], [4, -5], [2.5], [True], [], [500]])
 def test_evaluate_horizons_rejects_bad_horizon(rng, horizons):
     table = make_table(rng)
@@ -380,9 +390,10 @@ def test_lag_sums_do_not_depend_on_the_budget(rng, monkeypatch, D):
     assert less.tobytes() == (base - np.frombuffer(sums[0]).reshape(K, lags, D)).tobytes()
 
 
-def test_running_sums_in_chunks_equal_one_cumsum(rng):
-    # 5000 rows take five chunks; the kept rows straddle chunk borders. D =
-    # 1 is the univariate probe's one column
+def test_running_sums_equal_an_independent_cumsum(rng):
+    # 5000 rows, several correlation blocks long, and kept ends of 1500
+    # rows each; D = 1 is the univariate probe's one column, whose sums
+    # numpy's pairwise axis-0 sum would not match bit for bit
     n, keep = 5000, 1500
     assert n > 4 * _CORR_ROWS
     for D in (1, 3, 7):
