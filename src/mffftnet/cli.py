@@ -155,11 +155,13 @@ _OUTPUTS = ("out", "history", "report")
 
 def _check_outputs(args) -> None:
     """Raise ``ConfigurationError`` unless each output of ``args`` lies in
-    an existing directory: before any input is read or model trained."""
-    for name in _OUTPUTS:
-        path = getattr(args, name, None)
-        if path is not None and not Path(path).parent.is_dir():
+    an existing directory and is not one itself: before any input is read
+    or model trained."""
+    for path in filter(None, (getattr(args, name, None) for name in _OUTPUTS)):
+        if not Path(path).parent.is_dir():
             raise ConfigurationError(f"cannot write {path}: no directory {Path(path).parent}")
+        if Path(path).is_dir():
+            raise ConfigurationError(f"cannot write {path}: it is a directory")
 
 
 # -- commands --------------------------------------------------------------
@@ -246,10 +248,10 @@ def cmd_transfer(args) -> int:
         ft_epochs = int(cfg["train.epochs"]) // 2
     ft_cfg = cfg.override({"train.epochs": ft_epochs})
     if ft_epochs:
-        # too few fine-tune windows for one batch fail before pretraining too;
-        # window_batch takes every stride-th start that leaves T rows
-        (start, end), T = ft_spec.train_range, int(cfg["window.length"])
-        n_windows = len(range(start, end - T + 1, int(cfg["window.stride"])))
+        # too few fine-tune windows for one batch fail before pretraining too
+        n_windows = data_mod.window_count(
+            ft_spec.train_range, int(cfg["window.length"]), int(cfg["window.stride"])
+        )
         train_mod.check_batch(n_windows, int(cfg["train.batch_size"]))
     if pre_std.num_features != ft_std.num_features and not args.reinit_input:
         raise ConfigurationError(

@@ -317,9 +317,11 @@ def standardize(table: SeriesTable, spec: SplitSpec) -> SeriesTable:
     return replace(table, values=values)
 
 
-def window_batch(table, split_range, T, stride: int = 1) -> WindowBatch:
-    """Every ``stride``-th T x D window fully inside ``split_range``, one
-    strided view of the split copied into a (B, T, D) array."""
+def window_count(split_range, T, stride: int = 1) -> int:
+    """How many windows ``window_batch`` takes from ``split_range``: one at
+    every ``stride``-th row from its start that leaves T rows inside it. A
+    length or stride below 1, or a window longer than the split, raises
+    ``ParameterError``."""
     start, end = split_range
     if T < 1 or stride < 1:
         raise ParameterError(f"window length/stride must be >= 1, got {T}/{stride}")
@@ -327,7 +329,15 @@ def window_batch(table, split_range, T, stride: int = 1) -> WindowBatch:
         raise ParameterError(
             f"window length {T} exceeds split length {end - start}"
         )
-    view = sliding_window_view(table.values[start:end], T, axis=0)[::stride]
+    return (end - start - T) // stride + 1
+
+
+def window_batch(table, split_range, T, stride: int = 1) -> WindowBatch:
+    """The ``window_count`` T x D windows of ``split_range``, one strided
+    view of the rows they cover copied into a (B, T, D) array."""
+    start = split_range[0]
+    rows = table.values[start : start + (window_count(split_range, T, stride) - 1) * stride + T]
+    view = sliding_window_view(rows, T, axis=0)[::stride]
     return WindowBatch(windows=np.ascontiguousarray(view.transpose(0, 2, 1)))
 
 

@@ -79,6 +79,9 @@ class Model:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        unknown = sorted(state.keys() - self.params.keys())
+        if unknown:
+            raise ConfigurationError(f"checkpoint has unknown parameters {unknown}")
         for name, p in self.params.items():
             if name not in state:
                 raise ConfigurationError(f"checkpoint is missing parameter {name!r}")

@@ -1,11 +1,11 @@
 """Joint training: the weighted two-term loss, SGD with momentum and weight
-decay, the epoch loop and binary checkpoints."""
+decay, the epoch loop and ``.npz`` checkpoints."""
 
 from __future__ import annotations
 
 import io
-import math
-import struct
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,8 +165,10 @@ def fit(
 
 # -- checkpoints -----------------------------------------------------------
 
-_MAGIC = b"MFFCKPT\x00"
-_VERSION = 1
+_VERSION = 2
+# what np.load and its member reads raise on bad bytes (a bad offset: OSError from seek)
+_READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
+                RuntimeError, ValueError, OverflowError, MemoryError, OSError)
 
 
 @dataclass
@@ -181,89 +183,62 @@ class Checkpoint:
 def save_checkpoint(
     path, model: Model, config_text: str, epoch: int = 0, step: int = 0
 ) -> None:
-    """Versioned binary container: magic, version, config text, named
-    little-endian float64 parameter blobs. A file that cannot be written
-    raises ``ConfigurationError``."""
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    cfg_bytes = config_text.encode("utf-8")
-    buf.write(struct.pack("<I", len(cfg_bytes)))
-    buf.write(cfg_bytes)
-    buf.write(struct.pack("<QQ", epoch, step))
-    items = sorted(model.params.items())
-    buf.write(struct.pack("<I", len(items)))
-    for name, p in items:
-        nb = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", p.data.ndim))
-        for dim in p.data.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(struct.pack("<B", int(p.weight_decay_exempt)))
-        buf.write(p.data.astype("<f8").tobytes())
+    """An uncompressed ``.npz`` archive with the members ``version`` (2),
+    ``config`` (the config text), ``counters`` (epoch and step as ``<u8``),
+    ``exempt`` (the sorted names of the decay-exempt parameters) and one
+    ``<f8`` array per parameter, in name order. A file that cannot be
+    written raises ``ConfigurationError``."""
+    exempt = sorted(n for n, p in model.params.items() if p.weight_decay_exempt)
+    buf = io.BytesIO()  # given a path, np.savez would append ".npz" to it
+    np.savez(buf, version=np.array(_VERSION, "<u8"), config=np.array(config_text),
+             counters=np.array([epoch, step], "<u8"), exempt=np.array(exempt, str),
+             **{name: np.asarray(p.data, "<f8") for name, p in sorted(model.params.items())})
     try:
         with open(path, "wb") as fh:
-            fh.write(buf.getvalue())
+            fh.write(buf.getbuffer())
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse a checkpoint; a file that cannot be read, ends early, runs on
-    past its last parameter or is otherwise malformed raises
-    ``ConfigurationError``."""
+    """Read a ``save_checkpoint`` archive. A file that cannot be read, is not
+    a zip archive that ends with its end record, or lacks a member or has one
+    of the wrong type raises ``ConfigurationError``."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read checkpoint {path}: {exc.strerror or exc}"
-        ) from None
-    buf = io.BytesIO(raw)
-
-    def take(n: int) -> bytes:
-        at = buf.tell()
-        if n > len(raw) - at:
-            raise ConfigurationError(
-                f"{path}: checkpoint truncated: {n} bytes needed at offset {at}, "
-                f"file has {len(raw)}"
-            )
-        return buf.read(n)
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    def text(n: int) -> str:
+        raise ConfigurationError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
+    with fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise ConfigurationError(f"{path} is not a checkpoint file (an .npz archive;"
+                                     " version 1 files no longer load: retrain)")
+        # zipfile also accepts an end record that junk follows; a checkpoint
+        # ends with its end record, which has no comment
+        fh.seek(max(fh.seek(0, io.SEEK_END) - 22, 0))
+        end = fh.read()
+        if len(end) < 22 or end[:4] != b"PK\x05\x06" or end[-2:] != b"\0\0":
+            raise ConfigurationError(f"{path}: checkpoint truncated or with trailing bytes")
+        fh.seek(0)
         try:
-            return take(n).decode("utf-8")
-        except UnicodeDecodeError:
-            raise ConfigurationError(f"{path}: corrupt checkpoint text") from None
+            with np.load(fh, allow_pickle=False) as npz:
+                members = {name: npz[name] for name in npz.files}
+        except _READ_ERRORS as exc:
+            detail = " ".join(str(exc).split()) or type(exc).__name__
+            raise ConfigurationError(f"{path}: corrupt checkpoint: {detail}") from None
 
-    if buf.read(len(_MAGIC)) != _MAGIC:
-        raise ConfigurationError(f"{path} is not a checkpoint file")
-    (version,) = unpack("<I")
+    def member(name: str, dtype: str, ndim: int | None = None) -> np.ndarray:
+        arr = members.pop(name, None)
+        if not (isinstance(arr, np.ndarray) and arr.dtype.str.startswith(dtype)
+                and ndim in (None, arr.ndim)):
+            raise ConfigurationError(f"{path}: checkpoint member {name!r} is not {dtype} data")
+        return arr
+
+    version = member("version", "<u8", 0)
     if version != _VERSION:
         raise ConfigurationError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = unpack("<I")
-    config_text = text(cfg_len)
-    epoch, step = unpack("<QQ")
-    (count,) = unpack("<I")
-    params: dict[str, np.ndarray] = {}
-    exempt: set[str] = set()
-    for _ in range(count):
-        (nlen,) = unpack("<H")
-        name = text(nlen)
-        (rank,) = unpack("<B")
-        shape = unpack(f"<{rank}I")
-        (is_exempt,) = unpack("<B")
-        blob = take(8 * math.prod(shape))
-        try:
-            params[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-        except ValueError:
-            raise ConfigurationError(f"{path}: corrupt shape {shape} for {name!r}") from None
-        if is_exempt:
-            exempt.add(name)
-    if buf.tell() != len(raw):
-        raise ConfigurationError(f"{path}: {len(raw) - buf.tell()} trailing bytes")
-    return Checkpoint(params, exempt, config_text, epoch, step)
+    config, counters = member("config", "<U", 0), member("counters", "<u8", 1)
+    exempt = set(member("exempt", "<U", 1).tolist())
+    params = {name: member(name, "<f8") for name in list(members)}
+    if len(counters) != 2 or not exempt <= params.keys():
+        raise ConfigurationError(f"{path}: corrupt checkpoint counters or exempt names")
+    return Checkpoint(params, exempt, str(config), int(counters[0]), int(counters[1]))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from mffftnet.evaluation import ForecastReport, evaluate_horizons
 from mffftnet.model import Model
 from mffftnet.training import fit, load_checkpoint, save_checkpoint
 from tests.test_data import MALFORMED, field_limit_100  # noqa: F401 (a fixture)
-from tests.test_training import tiny_model
+from tests.test_training import rewrite_checkpoint, tiny_model
 
 SPEC = {
     "n": 300,
@@ -392,6 +393,41 @@ def test_eval_truncated_checkpoint_exits_2(tmp_path, corpus, checkpoint, capsys)
     rc, err = _eval_stderr(checkpoint, corpus, tmp_path, capsys)
     assert rc == 2 and "truncated" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _version1_bytes(ckpt) -> bytes:
+    """``ckpt`` in the version-1 layout: magic, version, config text,
+    counters, then a name, rank, shape, decay flag and float64 blob per
+    parameter."""
+    text = ckpt.config_text.encode()
+    parts = [b"MFFCKPT\x00", struct.pack("<II", 1, len(text)), text,
+             struct.pack("<QQI", ckpt.epoch, ckpt.step, len(ckpt.params))]
+    for name, arr in sorted(ckpt.params.items()):
+        parts.append(struct.pack(f"<H{len(name)}sB{arr.ndim}IB", len(name), name.encode(),
+                                 arr.ndim, *arr.shape, name in ckpt.exempt))
+        parts.append(arr.astype("<f8").tobytes())
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize(
+    "case, needle",
+    [("version-1", "is not a checkpoint file"),
+     ("extra-member", "checkpoint has unknown parameters ['extra.w']"),
+     ("float32-parameter", "checkpoint member 'fuse.w' is not <f8 data"),
+     ("version-3", "unsupported checkpoint version 3")],
+)
+def test_eval_malformed_checkpoint_exits_2(tmp_path, corpus, checkpoint, capsys, case, needle):
+    ckpt = load_checkpoint(checkpoint)
+    if case == "version-1":
+        checkpoint.write_bytes(_version1_bytes(ckpt))
+    else:
+        rewrite_checkpoint(checkpoint, **{
+            "extra-member": {"extra.w": np.zeros(3)},
+            "float32-parameter": {"fuse.w": ckpt.params["fuse.w"].astype("<f4")},
+            "version-3": {"version": np.array(3, "<u8")},
+        }[case])
+    rc, err = _eval_stderr(checkpoint, corpus, tmp_path, capsys)
+    assert rc == 2 and err.startswith("error: ") and needle in err and _one_line_error(err)
 
 
 def test_eval_checkpoint_shape_mismatch_exits_2(tmp_path, checkpoint, capsys):
@@ -1027,6 +1063,27 @@ def test_output_in_missing_directory_exits_2_before_any_work(
     err = capsys.readouterr().err
     assert rc == 2 and err == f"error: cannot write {out}: no directory {out.parent}\n"
     assert fits == []
+
+
+@pytest.mark.parametrize("case", list(MISSING_DIRECTORY_OUTPUTS))
+def test_output_that_is_a_directory_exits_2_before_any_work(
+    tmp_path, corpus, capsys, monkeypatch, request, case
+):
+    argv = MISSING_DIRECTORY_OUTPUTS[case]
+    checkpoint = request.getfixturevalue("checkpoint") if argv[0] == "eval" else None
+    calls = []
+    monkeypatch.setattr(train_mod, "fit", lambda *args, **kwargs: calls.append("fit"))
+    monkeypatch.setattr(cli.data_mod, "load_csv", lambda *args: calls.append("load_csv"))
+    monkeypatch.setattr(train_mod, "load_checkpoint", lambda *args: calls.append("load"))
+    out = tmp_path / "outdir"
+    out.mkdir()
+    names = {"corpus": corpus, "checkpoint": checkpoint, "out": out, "tmp": tmp_path}
+    rc = main([arg.format(**names) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2 and err == f"error: cannot write {out}: it is a directory\n"
+    assert calls == [] and list(out.iterdir()) == []
+    if case == "train --history":  # the checkpoint is not written either
+        assert not (tmp_path / "m.bin").exists()
 
 
 @pytest.mark.parametrize(

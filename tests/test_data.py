@@ -519,6 +519,19 @@ def test_windows_bad_length_or_stride(T, stride):
         D.window_batch(_mini_table(10), (0, 10), T, stride)
 
 
+def test_window_count_is_the_number_window_batch_takes():
+    table = _mini_table(40)
+    for split_range in [(0, 40), (3, 29), (10, 11), (39, 40)]:
+        for T in range(1, 30):
+            for stride in range(1, 8):
+                if T > split_range[1] - split_range[0]:
+                    with pytest.raises(ParameterError):
+                        D.window_count(split_range, T, stride)
+                    continue
+                wins = D.window_batch(table, split_range, T, stride).windows
+                assert D.window_count(split_range, T, stride) == len(wins)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(5, 40), st.integers(1, 10), st.integers(1, 5))
 def test_property_window_count_formula(n, T, stride):

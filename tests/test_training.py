@@ -1,8 +1,9 @@
 """Joint loss composition, SGD with momentum and decay, the epoch loop,
 and checkpoint round-trips."""
 
-import struct
+import io
 import tracemalloc
+import zipfile
 from dataclasses import replace
 from functools import partial
 
@@ -480,15 +481,91 @@ def test_checkpoint_fuzz_raises_only_configuration_error(tmp_path, cut, flips, t
 
 
 def test_checkpoint_rank_past_numpy_limit_raises_configuration_error(tmp_path):
-    # one parameter of 65 unit axes: its 8-byte blob is all there, but numpy
-    # makes no array of that rank, so the reshape's ValueError is reachable
+    # a parameter member whose npy header declares 65 unit axes: its 8-byte
+    # blob is all there, but numpy makes no array of that rank
     path = tmp_path / "m.bin"
     save_checkpoint(path, tiny_model(seed=4), "cfg-text")
-    header = path.read_bytes()[: 8 + 4 + 4 + len("cfg-text") + 16]
-    record = struct.pack("<H1sB65IB", 1, b"w", 65, *[1] * 65, 0) + bytes(8)
-    path.write_bytes(header + struct.pack("<I", 1) + record)
-    with pytest.raises(ConfigurationError, match="corrupt shape"):
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (1,) * 65}
+    )
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("w.npy", header.getvalue() + bytes(8))
+    with pytest.raises(ConfigurationError, match="corrupt checkpoint"):
         load_checkpoint(path)
+
+
+def test_checkpoint_is_a_plain_npz(tmp_path):
+    # numpy alone reads it: the fixed members, then one <f8 array per
+    # parameter in name order, stored uncompressed
+    model = tiny_model(seed=4)
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, model, "cfg-text\nsecond line", epoch=7, step=99)
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == ["version", "config", "counters", "exempt", *sorted(model.params)]
+        members = {name: npz[name] for name in npz.files}
+    assert members["version"].dtype == "<u8" and members["version"] == 2
+    assert members["config"].item() == "cfg-text\nsecond line"
+    assert members["counters"].dtype == "<u8" and members["counters"].tolist() == [7, 99]
+    assert members["exempt"].tolist() == sorted(
+        n for n, p in model.params.items() if p.weight_decay_exempt
+    )
+    for name, p in model.params.items():
+        assert members[name].dtype == "<f8"
+        np.testing.assert_array_equal(members[name], p.data)
+    with zipfile.ZipFile(path) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+
+
+def rewrite_checkpoint(path, drop=(), **members):
+    """Write the checkpoint at ``path`` again with ``members`` set and the
+    ``drop`` members left out."""
+    with np.load(path, allow_pickle=False) as npz:
+        kept = {name: npz[name] for name in npz.files if name not in drop}
+    with open(path, "wb") as fh:
+        np.savez(fh, **{**kept, **members})
+
+
+@pytest.mark.parametrize(
+    "drop, members, needle",
+    [
+        ((), {"version": np.array(3, "<u8")}, "unsupported checkpoint version 3"),
+        ((), {"version": np.array(2, "<i8")}, "member 'version' is not <u8 data"),
+        (("config",), {}, "member 'config' is not <U data"),
+        ((), {"counters": np.array([1, 2, 3], "<u8")}, "counters"),
+        ((), {"exempt": np.array(["no.such"])}, "exempt names"),
+        ((), {"notes": np.array("text")}, "member 'notes' is not <f8 data"),
+        ((), {"fuse.w": np.zeros((2, 2), "<f4")}, "member 'fuse.w' is not <f8 data"),
+        ((), {"fuse.w": np.zeros((2, 2), ">f8")}, "member 'fuse.w' is not <f8 data"),
+        # a pickled member is refused, not unpickled
+        ((), {"notes": np.array([{"a": 1}], dtype=object)}, "corrupt checkpoint"),
+    ],
+    ids=["version-3", "version-int64", "no-config", "three-counters", "unknown-exempt",
+         "text-parameter", "float32-parameter", "big-endian-parameter", "object-member"],
+)
+def test_checkpoint_bad_member_raises_configuration_error(tmp_path, drop, members, needle):
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, tiny_model(seed=4), "cfg-text", epoch=1, step=2)
+    rewrite_checkpoint(path, drop, **members)
+    with pytest.raises(ConfigurationError, match=needle):
+        load_checkpoint(path)
+
+
+def test_checkpoint_load_peak_is_the_arrays_and_one_read_buffer(tmp_path):
+    # no copy of the file is held while the arrays are read: a desk
+    # checkpoint traces its parameter bytes plus numpy's 256 KiB read buffer
+    cfg = RunConfig.resolve("desk")
+    model = Model.build(cfg.model_config(2), init_seed=0)
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, model, cfg.to_canonical_text())
+    tracemalloc.start()
+    try:
+        ckpt = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(arr.nbytes for arr in ckpt.params.values())
+    assert peak < nbytes + 2**18 + 2**16, f"{peak / 1e6:.3f} MB traced for {nbytes / 1e6:.3f} MB"
 
 
 def test_load_state_mismatch_raises_configuration_error():
