@@ -22,6 +22,14 @@ softmax. Each rebuilds its arrays with the forward's own expressions in
 the same order, so every output and gradient is bit-identical to keeping
 them.
 
+A rule works in place only on arrays it built itself: ``_logistic`` makes
+σ in one buffer, ``silu``'s backward needs one more, ``dropout`` scales
+its mask's buffer by x or g, ``_kn2row`` zeroes one gradient block per
+tap block for each chunk, and a gradient built for one parent goes to
+``_accum`` as owned. It never writes into an operand, the incoming g or
+an array another rule keeps. Each in-place pass is the ufunc of the
+expression it replaces, on the same operands, so the bits stay the same.
+
 ``backward`` releases the graph as it consumes it: each node drops its
 parent links and its backward rule (with the arrays the rule saved) once
 the rule has run, so only one step's graph is alive at a time. A tensor
@@ -353,38 +361,74 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) without overflow: e^-x is capped at e^709, just under
     the float64 limit, so x < -709 gives a tiny positive value instead of an
     overflow warning, and every x >= -709 gets exactly the uncapped value."""
-    return 1.0 / (1.0 + np.exp(np.minimum(-x, 709.0)))
+    s = np.negative(x, out=np.empty_like(x))  # an array even when x is 0-d
+    np.minimum(s, 709.0, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def silu(a: Tensor) -> Tensor:
-    """x·σ(x); backward keeps x and recomputes σ(x) from it."""
+    """x·σ(x); backward keeps x and recomputes σ(x) from it. Each pass works
+    in σ's own buffer (the backward in one more, (1−σ)·x+1), with the
+    operands of g·σ·(1 + x·(1−σ)) combined in that order."""
     na, x = a._node, a.data
 
     def bw(g):
         s = _logistic(x)
-        _accum(na, g * s * (1.0 + x * (1.0 - s)), owned=True)
+        t = np.subtract(1.0, s)
+        t *= x
+        t += 1.0
+        s *= g
+        s *= t
+        _accum(na, s, owned=True)
 
-    return _make(x * _logistic(x), (a,), bw)
+    s = _logistic(x)
+    s *= x
+    return _make(s, (a,), bw)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    """tanh(c·(x + 0.044715·x³)), built in the buffer of x³."""
+    t = np.power(x, 3, out=np.empty_like(x))
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU, available as the backbone ablation
-    activation; backward keeps x and recomputes the tanh from it."""
+    activation; backward keeps x and recomputes the tanh from it. Both
+    passes work in buffers they built, with the operands of
+    0.5·x·(1 + t) and g·(0.5·(1 + t) + 0.5·x·(1 − t²)·c·(1 + 3·0.044715·x²))
+    combined in that order."""
     na, x = a._node, a.data
 
     def bw(g):
         t = _gelu_tanh(x)
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        _accum(na, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner), owned=True)
+        u = np.square(t, out=np.empty_like(t))
+        np.subtract(1.0, u, out=u)
+        h = 0.5 * x
+        h *= u
+        np.multiply(x**2, 3 * 0.044715, out=u)
+        u += 1.0
+        u *= _GELU_C
+        h *= u
+        t += 1.0
+        t *= 0.5
+        t += h
+        t *= g
+        _accum(na, t, owned=True)
 
-    return _make(0.5 * x * (1.0 + _gelu_tanh(x)), (a,), bw)
+    t = _gelu_tanh(x)
+    t += 1.0
+    out = 0.5 * x
+    out *= t
+    return _make(out, (a,), bw)
 
 
 def atan2(y: Tensor, x: Tensor) -> Tensor:
@@ -470,7 +514,7 @@ def info_nce(a: Tensor, b: Tensor) -> Tensor:
         idx = np.arange(gl.shape[-1])
         gl[..., idx, idx] -= g
         _accum(na, np.matmul(gl, bd), owned=True)
-        _accum(nb, np.swapaxes(np.matmul(np.swapaxes(ad, -1, -2), gl), -1, -2))
+        _accum(nb, np.swapaxes(np.matmul(np.swapaxes(ad, -1, -2), gl), -1, -2), owned=True)
 
     return _make(lse - diag, (a, b), bw)
 
@@ -542,7 +586,8 @@ def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps,
     leading axes that x and g share, those before the taps' spatial slices.
     A block's rows are taken in chunks of whole windows, each within
     ``_BLOCK_ELEMS`` elements (at least one window): each tap's ``g[dst]``
-    goes into its rows and columns of the chunk's zeroed gQ, then two GEMMs
+    goes into its rows and columns of gQ, one buffer per block zeroed for
+    each chunk, then two GEMMs
     give ``gx[chunk] += gQ @ W_blockᵀ`` and ``gW_block += x[chunk]ᵀ @ gQ``,
     where W_block = [W[i] | W[i'] | ...] is (Cin x block). After the
     block's last chunk each tap's columns are added into its gW[i], so taps
@@ -559,9 +604,11 @@ def _kn2row(x: np.ndarray, g: np.ndarray, W: np.ndarray, gW: np.ndarray, taps,
         wb = np.stack([W[i] for i, _, _ in block], axis=1).reshape(cin, -1)
         gwb = np.zeros(wb.shape)
         step = max(1, _BLOCK_ELEMS // (rows * wb.shape[1]))
+        gq_block = np.empty(xw[:step].shape[:-1] + (len(block), cout))
         for c in range(0, len(xw), step):
             xc, gc = xw[c:c + step], gw[c:c + step]
-            gq = np.zeros(xc.shape[:-1] + (len(block), cout))
+            gq = gq_block[:len(xc)]
+            gq.fill(0.0)
             for b, (_, src, dst) in enumerate(block):
                 gq[src + (b, slice(None))] = gc[dst]
             gq = gq.reshape(-1, wb.shape[1])
@@ -645,10 +692,15 @@ def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
         return x
     nx, seed = x._node, tuple(np.atleast_1d(rng_seed).tolist())
 
-    def mask():
-        return (np.random.default_rng(seed).random(nx.shape) >= rate) / (1.0 - rate)
+    def scaled_mask(by: np.ndarray) -> np.ndarray:
+        # the mask is built in the buffer of its draw and then scales ``by``
+        m = np.random.default_rng(seed).random(nx.shape)
+        np.greater_equal(m, rate, out=m)
+        m /= 1.0 - rate
+        m *= by
+        return m
 
-    return _make(x.data * mask(), (x,), lambda g: _accum(nx, g * mask(), owned=True))
+    return _make(scaled_mask(x.data), (x,), lambda g: _accum(nx, scaled_mask(g), owned=True))
 
 
 # -- removed names -----------------------------------------------------------

@@ -4,6 +4,7 @@ decay, the epoch loop and ``.npz`` checkpoints."""
 from __future__ import annotations
 
 import io
+import math
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -169,6 +170,23 @@ _VERSION = 2
 # what np.load and its member reads raise on bad bytes (a bad offset: OSError from seek)
 _READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
                 RuntimeError, ValueError, OverflowError, MemoryError, OSError)
+# the npy header readers of the format versions a checkpoint member may use
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _check_declared_size(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> None:
+    """Raise ValueError if the npy header of member ``info`` declares more
+    array bytes than the member holds: numpy allocates the declared array
+    before it reads any data."""
+    with archive.open(info) as fp:
+        version = np.lib.format.read_magic(fp)
+        if version not in _HEADER_READERS:
+            raise ValueError(f"member {info.filename!r} has npy format version {version}")
+        shape, _, dtype = _HEADER_READERS[version](fp)
+    if math.prod(shape) * dtype.itemsize > info.file_size:
+        raise ValueError(f"member {info.filename!r} declares shape {shape} of {dtype.str}"
+                         f" in {info.file_size} bytes")
 
 
 @dataclass
@@ -202,7 +220,8 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a ``save_checkpoint`` archive. A file that cannot be read, is not
-    a zip archive that ends with its end record, or lacks a member or has one
+    a zip archive that ends with its end record, has a member whose npy
+    header declares more bytes than it holds, or lacks a member or has one
     of the wrong type raises ``ConfigurationError``."""
     try:
         fh = open(path, "rb")
@@ -221,6 +240,8 @@ def load_checkpoint(path) -> Checkpoint:
         fh.seek(0)
         try:
             with np.load(fh, allow_pickle=False) as npz:
+                for info in npz.zip.infolist():
+                    _check_declared_size(npz.zip, info)
                 members = {name: npz[name] for name in npz.files}
         except _READ_ERRORS as exc:
             detail = " ".join(str(exc).split()) or type(exc).__name__

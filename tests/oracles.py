@@ -12,6 +12,8 @@
   forms of the ops whose backward rules in ``mffftnet.tensor`` recompute
   what these save (the logistic, the tanh, the mask, the logits and
   softmax as ``matmul``/``transpose``/``logsumexp``/``diagonal`` nodes).
+  They evaluate out of place, with ``logistic`` and ``dropout_mask``,
+  the expressions that those rules evaluate in buffers of their own.
   Outputs and gradients must agree with them bit for bit. ``transpose``,
   ``logsumexp`` and ``diagonal`` are tape ops of their own, kept here for
   ``info_nce`` alone.
@@ -140,10 +142,23 @@ def finite_diff_check(
     return float(err.max()) if err.size else 0.0
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The out-of-place expression that ``tensor._logistic`` evaluates in
+    one buffer."""
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, 709.0)))
+
+
+def dropout_mask(rng_seed, shape, rate: float) -> np.ndarray:
+    """The out-of-place mask expression that ``tensor.dropout`` evaluates in
+    the buffer of its draw."""
+    return (np.random.default_rng(rng_seed).random(shape) >= rate) / (1.0 - rate)
+
+
 def silu(a: Tensor) -> Tensor:
-    """SiLU whose backward rule keeps the logistic it computed."""
+    """SiLU whose backward rule keeps the logistic it computed, with the
+    out-of-place expressions ``tensor.silu`` evaluates in place."""
     na, x = a._node, a.data
-    s = tn._logistic(x)
+    s = logistic(x)
 
     def bw(g):
         tn._accum(na, g * s * (1.0 + x * (1.0 - s)), owned=True)
@@ -169,8 +184,7 @@ def dropout(x: Tensor, rate: float, rng_seed, training: bool) -> Tensor:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    rng = np.random.default_rng(rng_seed)
-    nx, mask = x._node, (rng.random(x.shape) >= rate) / (1.0 - rate)
+    nx, mask = x._node, dropout_mask(rng_seed, x.shape, rate)
     return tn._make(x.data * mask, (x,), lambda g: tn._accum(nx, g * mask, owned=True))
 
 

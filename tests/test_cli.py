@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -10,6 +11,8 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +396,27 @@ def test_eval_truncated_checkpoint_exits_2(tmp_path, corpus, checkpoint, capsys)
     rc, err = _eval_stderr(checkpoint, corpus, tmp_path, capsys)
     assert rc == 2 and "truncated" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_eval_checkpoint_member_declaring_more_than_it_holds_exits_2_in_a_few_mb(
+        tmp_path, corpus, checkpoint, capsys):
+    # numpy allocates the array a member's npy header declares before it
+    # reads any data: 1 GiB for this 8-byte member unless the size is checked
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (2**27,)})
+    with zipfile.ZipFile(checkpoint, "a") as zf:
+        zf.writestr("w.npy", header.getvalue() + bytes(8))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rc, err = _eval_stderr(checkpoint, corpus, tmp_path, capsys)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and "member 'w.npy' declares shape (134217728,)" in err
+    assert _one_line_error(err) and peak < 4e6, peak / 1e6
 
 
 def _version1_bytes(ckpt) -> bytes:

@@ -8,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mffftnet import tensor as tn
 from mffftnet.config import RunConfig
@@ -60,6 +62,32 @@ def test_unary_recompute_matches_stored_form_bitwise(rng, name, shape):
     x = rng.normal(size=shape) * 3.0
     w = rng.normal(size=shape)
     assert_bitwise(_run(op, [x], w), _run(oracle, [x], w))
+
+
+def _elementwise_grid(extra) -> np.ndarray:
+    """x across [-1000, 1000]: a regular grid, ±709 (the logistic's cap) and
+    their neighbours, signed zeros, the smallest subnormals, and ``extra``."""
+    cap = [np.nextafter(709.0, d) for d in (0.0, np.inf)] + [709.0]
+    edges = cap + [-c for c in cap] + [0.0, -0.0, 5e-324, -5e-324, 1000.0, -1000.0]
+    return np.concatenate([np.linspace(-1000.0, 1000.0, 4001), edges, extra])
+
+
+@settings(max_examples=20, deadline=None)
+@given(extra=st.lists(st.floats(-1000.0, 1000.0), max_size=64),
+       rate=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_oracle_in_place_elementwise_rules_match_previous_expressions_bitwise(extra, rate, seed):
+    # the in-place logistic, SiLU, GELU and dropout mask against the
+    # out-of-place expressions they replaced, on the same x and upstream g
+    x = _elementwise_grid(extra)
+    w = np.random.default_rng(seed).normal(size=x.shape)
+    assert tn._logistic(x).tobytes() == oracles.logistic(x).tobytes()
+    if rate:
+        mask = tn.dropout(Tensor(np.ones_like(x)), rate, [seed], True).data
+        assert mask.tobytes() == oracles.dropout_mask([seed], x.shape, rate).tobytes()
+    for op, oracle in [(tn.silu, oracles.silu), (tn.gelu, oracles.gelu),
+                       (lambda t: tn.dropout(t, rate, [seed], True),
+                        lambda t: oracles.dropout(t, rate, [seed], True))]:
+        assert_bitwise(_run(op, [x], w), _run(oracle, [x], w))
 
 
 # scale 12 spreads a row's logits by hundreds, so softmax entries underflow
